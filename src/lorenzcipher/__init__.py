@@ -16,7 +16,8 @@ from .keystream import (Keystream, KeystreamConfig, KeystreamQualityWarning,
                         required_iterations)
 from .lorenz import (DEFAULT_INITIAL, DEFAULT_PARAMS, ExtensionVariant,
                      LorenzParams, LorenzState, OrbitPair, derivative,
-                     integrate_pair, rk4_scalar_step, rk4_step)
+                     integrate_pair, kernel_backend, rk4_scalar_step,
+                     rk4_step)
 from .metrics import (DIRECTIONS, WorkScores, adjacent_correlation,
                       chi_square_uniform, efficiency_index, histogram,
                       population_correlation, shannon_entropy)
@@ -57,6 +58,7 @@ __all__ = [
     "generate_keystream",
     "histogram",
     "integrate_pair",
+    "kernel_backend",
     "lower_bound_error",
     "parse_pgm",
     "population_correlation",

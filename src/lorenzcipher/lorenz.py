@@ -12,12 +12,24 @@ multiply-add and no reassociation, so writing the two expressions as plain
 Python is itself the evaluation-order guarantee. Do not vectorize or
 otherwise rewrite the kernels below: an optimizer that collapses the two
 forms into one destroys the keystream.
+
+The pure-Python `_deriv`/`_rk4` are the bit-level specification.
+`_kernel.c` mirrors them operation for operation; `integrate_pair` runs
+that compiled mirror when it is available and passes a self-check against
+them, and the pure-Python loop otherwise.
 """
 
 from __future__ import annotations
 
+import ctypes
 import enum
+import functools
 import math
+import os
+import platform
+import sys
+import threading
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +47,7 @@ __all__ = [
     "rk4_step",
     "rk4_scalar_step",
     "integrate_pair",
+    "kernel_backend",
 ]
 
 
@@ -185,39 +198,165 @@ def rk4_scalar_step(f, x: float, h: float) -> float:
     return x + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate_pair(initial: LorenzState, params: LorenzParams,
-                   n_steps: int) -> OrbitPair:
-    """Integrate both variants from `initial` in lockstep for n_steps steps.
+def _blowup(variant: str, n: int) -> IntegrationBlowupError:
+    return IntegrationBlowupError(
+        f"variant {variant.upper()} produced a non-finite state at step {n}",
+        variant=variant, step_index=n)
 
-    Returns an OrbitPair whose sample n is the state after n+1 steps.
-    Bit-exact reproducible: identical arguments yield identical bit patterns.
-    """
-    if n_steps < 1:
-        raise DomainError(f"n_steps must be >= 1, got {n_steps}")
-    sigma, rho, beta, h = params.sigma, params.rho, params.beta, params.h
-    xa = xb = initial.x
-    ya = yb = initial.y
-    za = zb = initial.z
-    out_a = np.empty((n_steps, 3), dtype=np.float64)
-    out_b = np.empty((n_steps, 3), dtype=np.float64)
+
+def _integrate_python(out_a, out_b, x, y, z, sigma, rho, beta, h):
+    xa = xb = x
+    ya = yb = y
+    za = zb = z
     isfinite = math.isfinite
-    for n in range(n_steps):
+    for n in range(out_a.shape[0]):
         xa, ya, za = _rk4(xa, ya, za, sigma, rho, beta, h, False)
         if not (isfinite(xa) and isfinite(ya) and isfinite(za)):
-            raise IntegrationBlowupError(
-                f"variant A produced a non-finite state at step {n}",
-                variant="a", step_index=n)
+            raise _blowup("a", n)
         xb, yb, zb = _rk4(xb, yb, zb, sigma, rho, beta, h, True)
         if not (isfinite(xb) and isfinite(yb) and isfinite(zb)):
-            raise IntegrationBlowupError(
-                f"variant B produced a non-finite state at step {n}",
-                variant="b", step_index=n)
+            raise _blowup("b", n)
         out_a[n, 0] = xa
         out_a[n, 1] = ya
         out_a[n, 2] = za
         out_b[n, 0] = xb
         out_b[n, 1] = yb
         out_b[n, 2] = zb
+
+
+def _integrate_compiled(kernel, out_a, out_b, x, y, z, sigma, rho, beta, h):
+    # out_a and out_b come from np.empty((n, 3)): C-contiguous float64.
+    bad_step = ctypes.c_int64()
+    status = kernel(x, y, z, sigma, rho, beta, h, out_a.shape[0],
+                    out_a.ctypes.data, out_b.ctypes.data, ctypes.byref(bad_step))
+    if status:
+        raise _blowup("ab"[status - 1], bad_step.value)
+
+
+_HERE = os.path.dirname(os.path.abspath(__file__))
+_KERNEL_SOURCE = os.path.join(_HERE, "_kernel.c")
+_KERNEL_CACHE = os.path.join(_HERE, "__pycache__")
+# -ffp-contract=off: GCC defaults to =fast in GNU C modes and fuses a*b + c
+# into one FMA wherever the target has it (every aarch64 CPU), which rounds
+# once instead of twice. -fno-fast-math keeps reassociation and
+# flush-to-zero off. No -march=native, so the cached .so never depends on
+# the CPU that built it.
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math")
+# The paper key at h = 0.01 rather than its 1e-6: the variants first differ
+# at sample 8 there, so a kernel that swapped or merged the dy forms fails.
+_SELF_CHECK_KEY = (DEFAULT_INITIAL.x, DEFAULT_INITIAL.y, DEFAULT_INITIAL.z,
+                   DEFAULT_PARAMS.sigma, DEFAULT_PARAMS.rho, DEFAULT_PARAMS.beta,
+                   0.01)
+_SELF_CHECK_STEPS = 64
+_load_lock = threading.Lock()
+
+
+class _KernelUnavailable(Exception):
+    """The compiled kernel cannot be built or loaded; the message says why."""
+
+
+def _compile_kernel(library: str) -> None:
+    import shutil
+    import subprocess
+    cc = shutil.which("cc")
+    if cc is None:
+        raise _KernelUnavailable("cc not found")
+    os.makedirs(_KERNEL_CACHE, exist_ok=True)
+    # Build under a private name and rename into place, so a concurrent
+    # process never loads a half-written library.
+    tmp = f"{library}.{os.getpid()}.tmp"
+    try:
+        proc = subprocess.run([cc, *_CFLAGS, "-o", tmp, _KERNEL_SOURCE],
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            lines = proc.stderr.strip().splitlines()
+            raise _KernelUnavailable(
+                lines[0] if lines else f"cc exited with status {proc.returncode}")
+        os.replace(tmp, library)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _build_kernel():
+    with open(_KERNEL_SOURCE, "rb") as fh:
+        source = fh.read()
+    tag = zlib.crc32(b"\0".join([source, " ".join(_CFLAGS).encode(),
+                                 f"{sys.platform}-{platform.machine()}".encode()]))
+    library = os.path.join(_KERNEL_CACHE, f"_kernel-{tag:08x}.so")
+    if not os.path.exists(library):
+        _compile_kernel(library)
+    kernel = ctypes.CDLL(library).lorenz_pair
+    kernel.argtypes = [ctypes.c_double] * 7 + [
+        ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.POINTER(ctypes.c_int64)]
+    kernel.restype = ctypes.c_int
+    return kernel
+
+
+def _self_check(kernel) -> bool:
+    shape = (_SELF_CHECK_STEPS, 3)
+    want = np.empty(shape), np.empty(shape)
+    got = np.empty(shape), np.empty(shape)
+    _integrate_python(*want, *_SELF_CHECK_KEY)
+    _integrate_compiled(kernel, *got, *_SELF_CHECK_KEY)
+    return all(w.tobytes() == g.tobytes() for w, g in zip(want, got))
+
+
+@functools.cache
+def _load_kernel():
+    """Return (compiled kernel, None), or (None, why it is unavailable).
+
+    Compiles _kernel.c on first use into __pycache__ next to this file,
+    under a checksum of source, flags and platform, and loads it with
+    ctypes. A build or load failure, or any difference from the pure-Python
+    kernel on a short self-check, logs one WARNING naming the cause.
+    """
+    with _load_lock:
+        try:
+            kernel = _build_kernel()
+        except (_KernelUnavailable, OSError, AttributeError) as e:
+            cause = str(e)
+        else:
+            if _self_check(kernel):
+                return kernel, None
+            cause = "self-check mismatch"
+    import logging
+    logging.getLogger("lorenzcipher").warning(
+        "compiled RK4 kernel unavailable (%s); using the pure-Python kernel", cause)
+    return None, cause
+
+
+def kernel_backend() -> str:
+    """Which kernel integrate_pair runs for float keys: "c" or "pure-python".
+
+    A key with any number that is not a float (e.g. an int from a JSON
+    config) always runs on "pure-python".
+    """
+    return "pure-python" if _load_kernel()[0] is None else "c"
+
+
+def integrate_pair(initial: LorenzState, params: LorenzParams,
+                   n_steps: int) -> OrbitPair:
+    """Integrate both variants from `initial` in lockstep for n_steps steps.
+
+    Returns an OrbitPair whose sample n is the state after n+1 steps.
+    Bit-exact reproducible: identical arguments yield identical bit patterns,
+    whichever kernel runs (see kernel_backend).
+    """
+    if n_steps < 1:
+        raise DomainError(f"n_steps must be >= 1, got {n_steps}")
+    key = (initial.x, initial.y, initial.z,
+           params.sigma, params.rho, params.beta, params.h)
+    out_a = np.empty((n_steps, 3), dtype=np.float64)
+    out_b = np.empty((n_steps, 3), dtype=np.float64)
+    # Python evaluates an int-int operation exactly and C would round it,
+    # so only all-float keys (numpy.float64 included) may take the C path.
+    kernel = _load_kernel()[0] if all(isinstance(v, float) for v in key) else None
+    if kernel is None:
+        _integrate_python(out_a, out_b, *key)
+    else:
+        _integrate_compiled(kernel, out_a, out_b, *key)
     out_a.setflags(write=False)
     out_b.setflags(write=False)
     return OrbitPair(samples_a=out_a, samples_b=out_b,

@@ -299,6 +299,19 @@ class TestConfigFile:
         _, want, _ = run("keystream", "--rows", "4", "--cols", "4", *WORKING)
         assert out == want
 
+    def test_int_config_decrypts_float_flag_ciphertext(self, small_pgm, tmp_path):
+        # Int-valued JSON keys run the pure-Python kernel, float flags may
+        # run the compiled one; both must give the same keystream.
+        cfg = tmp_path / "ints.json"
+        cfg.write_text(json.dumps({"sigma": 16, "beta": 4}))
+        enc, dec = tmp_path / "e.pgm", tmp_path / "d.pgm"
+        assert run("encrypt", str(small_pgm), str(enc), "--sigma", "16.0",
+                   "--beta", "4.0", *WORKING)[0] == 0
+        assert enc.read_bytes() != small_pgm.read_bytes()
+        assert run("decrypt", str(enc), str(dec), "--config", str(cfg),
+                   *WORKING)[0] == 0
+        assert dec.read_bytes() == small_pgm.read_bytes()
+
     def test_missing_config(self, tmp_path):
         code, _, _ = run("keystream", "--rows", "4", "--cols", "4",
                          "--config", str(tmp_path / "nope.json"))
