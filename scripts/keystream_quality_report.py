@@ -10,19 +10,20 @@ correlation of the reference image encrypted with it.
 import argparse
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
 import lorenzcipher as lc
 from lorenzcipher.keystream import STRATEGIES
 from lorenzcipher.metrics import (adjacent_correlation, chi_square_uniform,
-                                  shannon_entropy)
+                                  histogram, shannon_entropy)
 
 DEFAULT_STEPS = (1e-6, 1e-5, 1e-4, 1e-3, 5e-3, 1e-2, 2e-2)
 
 
-def first_divergence(pair: lc.OrbitPair) -> int | None:
-    a, b = pair.component("y")
+def first_divergence(pair: lc.OrbitPair, component: str) -> int | None:
+    a, b = pair.component(component)
     diff = np.nonzero(a != b)[0]
     return int(diff[0]) if diff.size else None
 
@@ -31,28 +32,27 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--size", type=int, default=256)
     ap.add_argument("--steps", type=float, nargs="+", default=list(DEFAULT_STEPS))
-    ap.add_argument("--strategy", choices=STRATEGIES, default="mantissa-lsb")
+    ap.add_argument("--strategy", choices=STRATEGIES,
+                    default=lc.KeystreamConfig.strategy)
     args = ap.parse_args(argv)
 
     plain = lc.reference_image(args.size, args.size)
     config = lc.KeystreamConfig(rows=args.size, cols=args.size,
                                 strategy=args.strategy)
-    n_samples = config.transient + config.rows * config.cols
 
     print(f"keystream quality vs step ({args.size}x{args.size}, "
-          f"{args.strategy}, {n_samples} samples per orbit)")
+          f"{args.strategy}, {config.n_samples} samples per orbit)")
     header = (f"{'step':>8} {'first-diff':>10} {'zero%':>8} {'distinct':>8} "
               f"{'entropy':>8} {'chi2':>12} {'ciph-H':>8} {'max|corr|':>10}")
     print(header)
     for step in args.steps:
-        params = lc.LorenzParams(sigma=16.0, rho=45.92, beta=4.0, h=step)
-        pair = lc.integrate_pair(lc.DEFAULT_INITIAL, params, n_samples)
+        params = replace(lc.DEFAULT_PARAMS, h=step)
+        pair = lc.integrate_pair(lc.DEFAULT_INITIAL, params, config.n_samples)
         delta = lc.lower_bound_error(pair, config.component)
         data = lc.extract_bytes(delta, config)
-        first = first_divergence(pair)
-        counts = np.bincount(data, minlength=256)
-        p = counts[counts > 0] / counts.sum()
-        entropy = float(-(p * np.log2(p)).sum() + 0.0)
+        first = first_divergence(pair, config.component)
+        key = lc.GrayImage.from_array(data.reshape(config.rows, config.cols))
+        counts = histogram(key)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             cipher = lc.encrypt(plain, params, lc.DEFAULT_INITIAL, config)
@@ -60,7 +60,7 @@ def main(argv=None) -> int:
                     for d in ("horizontal", "vertical", "diagonal"))
         print(f"{step:>8.0e} {first if first is not None else '-':>10} "
               f"{100.0 * float(np.mean(data == 0)):>8.3f} {len(np.unique(data)):>8} "
-              f"{entropy:>8.4f} {chi_square_uniform(counts):>12.1f} "
+              f"{shannon_entropy(key):>8.4f} {chi_square_uniform(counts):>12.1f} "
               f"{shannon_entropy(cipher):>8.4f} {worst:>10.2e}")
     return 0
 

@@ -15,6 +15,7 @@ import argparse
 import sys
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -47,13 +48,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--step", type=float, default=0.01)
     ap.add_argument("--size", type=int, default=256)
-    ap.add_argument("--strategy", choices=STRATEGIES, default="mantissa-lsb")
+    ap.add_argument("--strategy", choices=STRATEGIES,
+                    default=lc.KeystreamConfig.strategy)
     ap.add_argument("--outdir", help="also write plain/cipher/decrypted PGMs here")
     args = ap.parse_args(argv)
 
     t0 = time.perf_counter()
     plain = lc.reference_image(args.size, args.size)
-    params = lc.LorenzParams(sigma=16.0, rho=45.92, beta=4.0, h=args.step)
+    params = replace(lc.DEFAULT_PARAMS, h=args.step)
     config = lc.KeystreamConfig(rows=args.size, cols=args.size,
                                 strategy=args.strategy)
 
@@ -78,12 +80,11 @@ def main(argv=None) -> int:
     print(f"\nciphertext histogram: min {hc.min()}, max {hc.max()}, "
           f"chi2 {chi_square_uniform(hc):.1f}")
 
-    kc = np.bincount(key.data, minlength=256)
-    kp = kc[kc > 0] / kc.sum()
+    key_image = lc.GrayImage.from_array(key.data.reshape(args.size, args.size))
     print(f"keystream: zero fraction {float(np.mean(key.data == 0)):.4%}, "
           f"distinct {len(np.unique(key.data))}, "
-          f"entropy {float(-(kp * np.log2(kp)).sum() + 0.0):.4f}, "
-          f"chi2 {chi_square_uniform(kc):.1f}")
+          f"entropy {shannon_entropy(key_image):.4f}, "
+          f"chi2 {chi_square_uniform(histogram(key_image)):.1f}")
 
     rows = BENCHMARK_ROWS + [
         WorkScores("this-run", abs(cm["corr_h"]), abs(cm["corr_v"]),

@@ -12,12 +12,10 @@ from .errors import (DimensionMismatchError, DomainError, FileFormatError,
                      InsufficientSamplesError, IntegrationBlowupError,
                      LorenzCipherError, PgmError, UndefinedCorrelationError)
 from .keystream import (Keystream, KeystreamConfig, KeystreamQualityWarning,
-                        extract_bytes, generate_keystream, lower_bound_error,
-                        required_iterations)
+                        extract_bytes, generate_keystream, lower_bound_error)
 from .lorenz import (DEFAULT_INITIAL, DEFAULT_PARAMS, ExtensionVariant,
                      LorenzParams, LorenzState, OrbitPair, derivative,
-                     integrate_pair, kernel_backend, rk4_scalar_step,
-                     rk4_step)
+                     integrate_pair, kernel_backend, rk4_step)
 from .metrics import (DIRECTIONS, WorkScores, adjacent_correlation,
                       chi_square_uniform, efficiency_index, histogram,
                       population_correlation, shannon_entropy)
@@ -64,8 +62,6 @@ __all__ = [
     "population_correlation",
     "read_pgm",
     "reference_image",
-    "required_iterations",
-    "rk4_scalar_step",
     "rk4_step",
     "shannon_entropy",
     "write_pgm",

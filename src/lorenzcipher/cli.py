@@ -11,30 +11,26 @@ import contextlib
 import csv
 import json
 import sys
+from dataclasses import fields, replace
+from functools import partial
 
 from .cipher import encrypt
 from .errors import DomainError, FileFormatError
 from .keystream import (COMPONENTS, STRATEGIES, KeystreamConfig,
                         generate_keystream)
-from .lorenz import LorenzParams, LorenzState
+from .lorenz import DEFAULT_INITIAL, DEFAULT_PARAMS, LorenzParams, LorenzState
 from .metrics import (DIRECTIONS, WorkScores, adjacent_correlation,
                       efficiency_index, histogram, shannon_entropy)
 from .pgm import read_pgm, write_pgm
 
 __all__ = ["run_command", "main"]
 
-DEFAULTS = {
-    "sigma": 16.0,
-    "rho": 45.92,
-    "beta": 4.0,
-    "x0": 1.0,
-    "y0": 0.5,
-    "z0": 0.9,
-    "step": 1e-6,
-    "transient": 2000,
-    "strategy": "mantissa-lsb",
-    "component": "y",
-}
+# The key settings, each both a flag and a JSON config key. Each sets the
+# LorenzParams, LorenzState or KeystreamConfig field of the same name, or
+# the one _FIELD_NAMES gives; unset ones keep the library defaults.
+_KEY_SETTINGS = ("sigma", "rho", "beta", "x0", "y0", "z0", "step",
+                 "transient", "strategy", "component")
+_FIELD_NAMES = {"step": "h", "x0": "x", "y0": "y", "z0": "z"}
 
 _SCORES_HEADER = ["label", "corr_h", "corr_v", "corr_d", "entropy"]
 
@@ -56,19 +52,21 @@ def _add_key_flags(p: argparse.ArgumentParser) -> None:
     grp.add_argument("--config", metavar="FILE",
                      help="JSON file supplying any of the key settings; "
                           "explicit flags override it")
-    grp.add_argument("--sigma", type=float, help="(16)")
-    grp.add_argument("--rho", type=float, help="(45.92)")
-    grp.add_argument("--beta", type=float, help="(4)")
-    grp.add_argument("--x0", type=float, help="initial x (1)")
-    grp.add_argument("--y0", type=float, help="initial y (0.5)")
-    grp.add_argument("--z0", type=float, help="initial z (0.9)")
-    grp.add_argument("--step", type=float, help="integration step h (1e-6)")
+    params, state, config = DEFAULT_PARAMS, DEFAULT_INITIAL, KeystreamConfig
+    grp.add_argument("--sigma", type=float, help=f"({params.sigma:g})")
+    grp.add_argument("--rho", type=float, help=f"({params.rho:g})")
+    grp.add_argument("--beta", type=float, help=f"({params.beta:g})")
+    grp.add_argument("--x0", type=float, help=f"initial x ({state.x:g})")
+    grp.add_argument("--y0", type=float, help=f"initial y ({state.y:g})")
+    grp.add_argument("--z0", type=float, help=f"initial z ({state.z:g})")
+    grp.add_argument("--step", type=float, help=f"integration step h ({params.h:g})")
     grp.add_argument("--transient", type=int,
-                     help="leading samples to discard (2000)")
+                     help=f"leading samples to discard ({config.transient})")
     grp.add_argument("--strategy", choices=STRATEGIES,
-                     help="byte extraction strategy (mantissa-lsb)")
+                     help=f"byte extraction strategy ({config.strategy})")
     grp.add_argument("--component", choices=COMPONENTS,
-                     help="state component fed to the error bound (y)")
+                     help="state component fed to the error bound "
+                          f"({config.component})")
 
 
 def _load_config_file(path) -> dict:
@@ -80,7 +78,7 @@ def _load_config_file(path) -> dict:
         raise FileFormatError(f"config {path}: invalid JSON ({e})") from None
     if not isinstance(raw, dict):
         raise FileFormatError(f"config {path}: expected a JSON object")
-    unknown = sorted(set(raw) - set(DEFAULTS))
+    unknown = sorted(set(raw) - set(_KEY_SETTINGS))
     if unknown:
         raise FileFormatError(f"config {path}: unknown keys {unknown}")
     for key, value in raw.items():
@@ -100,39 +98,36 @@ def _load_config_file(path) -> dict:
 
 
 def _resolve_key(args) -> dict:
-    settings = dict(DEFAULTS)
-    if args.config:
-        settings.update(_load_config_file(args.config))
-    for key in DEFAULTS:
+    settings = _load_config_file(args.config) if args.config else {}
+    for key in _KEY_SETTINGS:
         value = getattr(args, key)
         if value is not None:
             settings[key] = value
     return settings
 
 
-def _build_key_inputs(args) -> tuple[LorenzParams, LorenzState, dict]:
-    s = _resolve_key(args)
-    params = LorenzParams(sigma=s["sigma"], rho=s["rho"], beta=s["beta"], h=s["step"])
-    initial = LorenzState(x=s["x0"], y=s["y0"], z=s["z0"])
-    return params, initial, s
+def _build_key_inputs(args) -> tuple[LorenzParams, LorenzState, partial]:
+    """Params, initial state and a KeystreamConfig factory of (rows, cols)."""
+    s = {_FIELD_NAMES.get(k, k): v for k, v in _resolve_key(args).items()}
+
+    def pick(cls):
+        return {f.name: s[f.name] for f in fields(cls) if f.name in s}
+    return (replace(DEFAULT_PARAMS, **pick(LorenzParams)),
+            replace(DEFAULT_INITIAL, **pick(LorenzState)),
+            partial(KeystreamConfig, **pick(KeystreamConfig)))
 
 
 def _cmd_crypt(args, stdout, stderr) -> int:
-    params, initial, s = _build_key_inputs(args)
+    params, initial, make_config = _build_key_inputs(args)
     image = read_pgm(args.input)
-    config = KeystreamConfig(rows=image.rows, cols=image.cols,
-                             transient=s["transient"], strategy=s["strategy"],
-                             component=s["component"])
+    config = make_config(image.rows, image.cols)
     write_pgm(encrypt(image, params, initial, config), args.output)
     return 0
 
 
 def _cmd_keystream(args, stdout, stderr) -> int:
-    params, initial, s = _build_key_inputs(args)
-    config = KeystreamConfig(rows=args.rows, cols=args.cols,
-                             transient=s["transient"], strategy=s["strategy"],
-                             component=s["component"])
-    key = generate_keystream(params, initial, config)
+    params, initial, make_config = _build_key_inputs(args)
+    key = generate_keystream(params, initial, make_config(args.rows, args.cols))
     if args.format == "hex":
         if args.output:
             with open(args.output, "w", encoding="ascii") as fh:

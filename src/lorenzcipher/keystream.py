@@ -25,7 +25,6 @@ __all__ = [
     "KeystreamConfig",
     "Keystream",
     "KeystreamQualityWarning",
-    "required_iterations",
     "lower_bound_error",
     "extract_bytes",
     "generate_keystream",
@@ -64,6 +63,11 @@ class KeystreamConfig:
         if self.component not in COMPONENTS:
             raise DomainError(f"unknown component {self.component!r}, expected one of {COMPONENTS}")
 
+    @property
+    def n_samples(self) -> int:
+        """Samples to integrate: the discarded transient plus one per key byte."""
+        return self.transient + self.rows * self.cols
+
 
 @dataclass(frozen=True)
 class Keystream:
@@ -88,19 +92,8 @@ class Keystream:
         return self.data.tobytes().hex()
 
 
-def required_iterations(rows: int, cols: int) -> int:
-    """Highest zero-based sample index needed for a rows x cols key.
-
-    Equals TRANSIENT_DEFAULT + rows*cols - 1; the total sample count is one
-    more than this. Python integers do not overflow, so no range check
-    beyond positivity is needed.
-    """
-    if rows < 1 or cols < 1:
-        raise DomainError(f"rows and cols must be >= 1, got {rows}x{cols}")
-    return TRANSIENT_DEFAULT + rows * cols - 1
-
-
-def lower_bound_error(pair: OrbitPair, component: str = "y") -> np.ndarray:
+def lower_bound_error(pair: OrbitPair,
+                      component: str = KeystreamConfig.component) -> np.ndarray:
     """delta[n] = |a_n - b_n| / 2 on the chosen component, for every sample."""
     a, b = pair.component(component)
     delta = np.abs(a - b) / 2.0
@@ -112,7 +105,7 @@ def lower_bound_error(pair: OrbitPair, component: str = "y") -> np.ndarray:
 def extract_bytes(delta: np.ndarray, config: KeystreamConfig) -> np.ndarray:
     """Discard the transient prefix and map the key window to bytes."""
     delta = np.asarray(delta, dtype=np.float64)
-    needed = config.transient + config.rows * config.cols
+    needed = config.n_samples
     if delta.shape[0] < needed:
         raise InsufficientSamplesError(
             f"need {needed} delta samples (transient {config.transient} + "
@@ -132,13 +125,11 @@ def generate_keystream(params: LorenzParams, initial: LorenzState,
                        config: KeystreamConfig) -> Keystream:
     """Integrate, difference, and extract a rows*cols byte keystream.
 
-    Integrates config.transient + rows*cols samples, which at the default
-    transient equals required_iterations(rows, cols) + 1. Bit-reproducible
-    in all arguments. Warns (never raises) when the zero-byte fraction
-    exceeds ZERO_FRACTION_WARN.
+    Integrates config.n_samples samples. Bit-reproducible in all arguments.
+    Warns (never raises) when the zero-byte fraction exceeds
+    ZERO_FRACTION_WARN.
     """
-    n_samples = config.transient + config.rows * config.cols
-    pair = integrate_pair(initial, params, n_samples)
+    pair = integrate_pair(initial, params, config.n_samples)
     delta = lower_bound_error(pair, config.component)
     data = extract_bytes(delta, config)
     zero_fraction = float(np.count_nonzero(data == 0)) / data.shape[0]

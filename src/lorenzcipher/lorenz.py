@@ -45,7 +45,6 @@ __all__ = [
     "DEFAULT_INITIAL",
     "derivative",
     "rk4_step",
-    "rk4_scalar_step",
     "integrate_pair",
     "kernel_backend",
 ]
@@ -181,21 +180,6 @@ def rk4_step(state: LorenzState, params: LorenzParams,
             f"RK4 step produced a non-finite state from {state}",
             variant=variant.value)
     return LorenzState(nx, ny, nz)
-
-
-def rk4_scalar_step(f, x: float, h: float) -> float:
-    """One classical RK4 step for a scalar autonomous ODE x' = f(x).
-
-    Test hook used to verify the integrator kernel against systems with
-    known solutions; the stage arithmetic mirrors the Lorenz kernel.
-    """
-    h2 = h * 0.5
-    k1 = f(x)
-    k2 = f(x + h2 * k1)
-    k3 = f(x + h2 * k2)
-    k4 = f(x + h * k3)
-    h6 = h / 6.0
-    return x + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _blowup(variant: str, n: int) -> IntegrationBlowupError:
@@ -348,8 +332,13 @@ def integrate_pair(initial: LorenzState, params: LorenzParams,
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
     key = (initial.x, initial.y, initial.z,
            params.sigma, params.rho, params.beta, params.h)
-    out_a = np.empty((n_steps, 3), dtype=np.float64)
-    out_b = np.empty((n_steps, 3), dtype=np.float64)
+    try:
+        out_a = np.empty((n_steps, 3), dtype=np.float64)
+        out_b = np.empty((n_steps, 3), dtype=np.float64)
+    except (MemoryError, ValueError):  # ValueError: beyond the address space
+        raise DomainError(
+            f"cannot allocate the two orbits for n_steps = {n_steps} "
+            f"({48 * n_steps} bytes)") from None
     # Python evaluates an int-int operation exactly and C would round it,
     # so only all-float keys (numpy.float64 included) may take the C path.
     kernel = _load_kernel()[0] if all(isinstance(v, float) for v in key) else None

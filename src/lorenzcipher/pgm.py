@@ -3,7 +3,8 @@
 Header grammar per the PGM specification: magic "P5", then width, height,
 maxval as ASCII decimals separated by whitespace, with '#' comments running
 to end of line wherever whitespace may appear, then exactly one whitespace
-byte, then width*height raw intensity bytes (maxval <= 255 only).
+byte, then width*height raw intensity bytes (maxval <= 255 only), none of
+them above maxval.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ def parse_pgm(buf: bytes) -> GrayImage:
     if len(payload) < n:
         raise PgmError(f"truncated pixel data: expected {n} bytes, found {len(payload)}")
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
+    if maxval < 255 and pixels.max() > maxval:
+        raise PgmError(f"pixel value {pixels.max()} exceeds maxval {maxval}")
     return GrayImage.from_array(pixels)
 
 

@@ -37,9 +37,8 @@ from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, GrayImage,
                           adjacent_correlation, chi_square_uniform, decrypt,
                           derivative, efficiency_index, encode_pgm, encrypt,
                           generate_keystream, histogram, integrate_pair,
-                          parse_pgm, reference_image, required_iterations,
-                          rk4_scalar_step, shannon_entropy, write_pgm,
-                          xor_apply)
+                          parse_pgm, reference_image, shannon_entropy,
+                          write_pgm, xor_apply)
 from lorenzcipher.cli import run_command
 from lorenzcipher.keystream import COMPONENTS, STRATEGIES
 from lorenzcipher.lorenz import ExtensionVariant
@@ -102,10 +101,10 @@ def test_c1_efficiency_index_benchmark():
 
 
 def test_c2_iteration_count():
-    got = required_iterations(256, 256)
+    got = KeystreamConfig(256, 256).n_samples - 1
     _report("C2-iterations", got == 67535,
-            f"required_iterations(256, 256) = {got}, want 2000 + 65536 - 1 "
-            f"= 67535")
+            f"KeystreamConfig(256, 256).n_samples - 1 = {got}, want "
+            f"2000 + 65536 - 1 = 67535")
 
 
 def test_c3_random_round_trips():
@@ -238,12 +237,12 @@ def test_c6_key_sensitivity_working_step(working_run):
 
 
 def test_c7_rk4_order():
-    decay = lambda v: -v
+    # With sigma = rho = 0 and beta = 1 the y component from (0, 1, 0)
+    # obeys y' = -y, and each RK4 step on it is exactly the scalar step.
     def global_error(n):
-        x, h = 1.0, 1.0 / n
-        for _ in range(n):
-            x = rk4_scalar_step(decay, x, h)
-        return abs(x - math.exp(-1.0))
+        decay = LorenzParams(0.0, 0.0, 1.0, 1.0 / n)
+        pair = integrate_pair(LorenzState(0.0, 1.0, 0.0), decay, n)
+        return abs(pair.samples_a[-1, 1] - math.exp(-1.0))
     ratio = global_error(64) / global_error(128)
     _report("C7-rk4-order", 12.8 <= ratio <= 19.2,
             f"halving h shrinks the global error by {ratio:.2f}x "

@@ -3,14 +3,16 @@
 import io
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lorenzcipher import (DEFAULT_INITIAL, GrayImage, KeystreamConfig,
-                          LorenzParams, WorkScores, adjacent_correlation,
-                          efficiency_index, generate_keystream, read_pgm,
-                          reference_image, shannon_entropy, write_pgm)
+from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, GrayImage,
+                          KeystreamConfig, LorenzParams, WorkScores,
+                          adjacent_correlation, efficiency_index,
+                          generate_keystream, read_pgm, reference_image,
+                          shannon_entropy, write_pgm)
 from lorenzcipher.cli import run_command
 
 WORKING = ["--step", "0.01", "--transient", "3000"]
@@ -102,10 +104,13 @@ class TestCrypt:
 
     def test_malformed_pgm(self, tmp_path):
         bad = tmp_path / "bad.pgm"
-        bad.write_bytes(b"not a pgm")
-        code, _, err = run("encrypt", str(bad), str(tmp_path / "o.pgm"))
-        assert code == 2
-        assert "file format error" in err
+        for payload, why in ((b"not a pgm", "magic"),
+                             (b"P5 2 1 100 \x42\xc8",
+                              "pixel value 200 exceeds maxval 100")):
+            bad.write_bytes(payload)
+            code, _, err = run("encrypt", str(bad), str(tmp_path / "o.pgm"))
+            assert code == 2
+            assert "file format error" in err and why in err
 
     def test_unwritable_output(self, small_pgm, tmp_path):
         target = tmp_path / "missing-dir" / "o.pgm"
@@ -125,15 +130,21 @@ class TestCrypt:
 
 class TestKeystream:
     def test_hex_matches_library(self):
-        code, out, _ = run("keystream", "--rows", "8", "--cols", "8", *WORKING)
-        assert code == 0
-        params = LorenzParams(16.0, 45.92, 4.0, 0.01)
-        config = KeystreamConfig(rows=8, cols=8, transient=3000)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            key = generate_keystream(params, DEFAULT_INITIAL, config)
-        assert out == key.hex() + "\n"
-        assert out.strip() == out.strip().lower()
+        cases = [
+            (WORKING, LorenzParams(16.0, 45.92, 4.0, 0.01),
+             KeystreamConfig(rows=8, cols=8, transient=3000)),
+            # Only the step given: every other setting must be the library's.
+            (["--step", "0.01"], replace(DEFAULT_PARAMS, h=0.01),
+             KeystreamConfig(8, 8)),
+        ]
+        for flags, params, config in cases:
+            code, out, _ = run("keystream", "--rows", "8", "--cols", "8", *flags)
+            assert code == 0
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                key = generate_keystream(params, DEFAULT_INITIAL, config)
+            assert out == key.hex() + "\n"
+            assert out.strip() == out.strip().lower()
 
     def test_hex_to_file(self, tmp_path):
         path = tmp_path / "k.hex"
@@ -164,6 +175,13 @@ class TestKeystream:
 
     def test_zero_rows_is_domain_error(self):
         assert run("keystream", "--rows", "0", "--cols", "8", *WORKING)[0] == 3
+
+    def test_unallocatable_key_is_domain_error(self):
+        # 10**14 samples need 4.8 PB of orbits; the allocation fails at once.
+        code, _, err = run("keystream", "--rows", "10000000", "--cols",
+                           "10000000", "--step", "0.01")
+        assert code == 3
+        assert "domain error" in err and "n_steps = 100000000002000" in err
 
 
 class TestAnalyze:

@@ -16,8 +16,7 @@ from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, DomainError,
                           InsufficientSamplesError, Keystream,
                           KeystreamConfig, KeystreamQualityWarning,
                           LorenzParams, LorenzState, OrbitPair, extract_bytes,
-                          generate_keystream, lower_bound_error,
-                          required_iterations)
+                          generate_keystream, lower_bound_error)
 
 WORKING_PARAMS = LorenzParams(16.0, 45.92, 4.0, 0.01)
 
@@ -39,16 +38,20 @@ def pair_from_components(a_values, b_values, component="y"):
     return OrbitPair(sa, sb, DEFAULT_PARAMS, DEFAULT_INITIAL)
 
 
-class TestRequiredIterations:
+class TestSampleCount:
     def test_known_values(self):
-        assert required_iterations(256, 256) == 67535
-        assert required_iterations(1, 1) == 2000
-        assert required_iterations(512, 512) == 264143
+        assert KeystreamConfig(256, 256).n_samples == 67536
+        assert KeystreamConfig(1, 1).n_samples == 2001
+        assert KeystreamConfig(512, 512).n_samples == 264144
+
+    def test_follows_transient(self):
+        assert KeystreamConfig(256, 256, transient=3000).n_samples == 68536
+        assert KeystreamConfig(4, 4, transient=0).n_samples == 16
 
     def test_rejects_nonpositive_dimensions(self):
         for rows, cols in ((0, 5), (5, 0), (-1, 3)):
             with pytest.raises(DomainError):
-                required_iterations(rows, cols)
+                KeystreamConfig(rows, cols)
 
 
 class TestConfigValidation:

@@ -13,9 +13,20 @@ from hypothesis import strategies as st
 from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, DomainError,
                           ExtensionVariant, IntegrationBlowupError,
                           LorenzParams, LorenzState, OrbitPair, derivative,
-                          integrate_pair, rk4_scalar_step, rk4_step)
+                          integrate_pair, rk4_step)
 
 A, B = ExtensionVariant.A, ExtensionVariant.B
+
+
+def decay_step(v, h, variant):
+    """One RK4 step of y' = -y from v, taken by the Lorenz kernel.
+
+    With sigma = rho = 0 and beta = 1, dx and dz vanish on (0, v, 0) and
+    both variants give dy = -y, so the y component takes exactly the
+    scalar RK4 step k1 + 2*k2 + 2*k3 + k4 scaled by h/6.
+    """
+    return rk4_step(LorenzState(0.0, v, 0.0),
+                    LorenzParams(0.0, 0.0, 1.0, h), variant).y
 
 
 class TestValidation:
@@ -125,19 +136,21 @@ class TestRk4:
         # One RK4 step on x' = -x from 1 equals the degree-4 Taylor
         # polynomial of exp(-h): 1 - h + h^2/2 - h^3/6 + h^4/24, which is
         # 0.9048375 for h = 0.1.
-        got = rk4_scalar_step(lambda x: -x, 1.0, 0.1)
-        assert abs(got - 0.9048375) < 1e-15
+        for variant in (A, B):
+            got = decay_step(1.0, 0.1, variant)
+            assert abs(got - 0.9048375) < 1e-15
 
     def test_global_error_shows_fourth_order(self):
-        def global_error(n):
+        def global_error(n, variant):
             h = 1.0 / n
             x = 1.0
             for _ in range(n):
-                x = rk4_scalar_step(lambda v: -v, x, h)
+                x = decay_step(x, h, variant)
             return abs(x - math.exp(-1.0))
 
-        ratio = global_error(16) / global_error(32)
-        assert 16 * 0.8 <= ratio <= 16 * 1.2
+        for variant in (A, B):
+            ratio = global_error(16, variant) / global_error(32, variant)
+            assert 16 * 0.8 <= ratio <= 16 * 1.2
 
     def test_step_matches_extended_precision_reference(self):
         # 50-digit reference integration of the same stage formulas, with
@@ -203,6 +216,13 @@ class TestIntegratePair:
     def test_rejects_nonpositive_step_count(self):
         for n in (0, -3):
             with pytest.raises(DomainError):
+                integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, n)
+
+    def test_unallocatable_orbits_are_a_domain_error(self):
+        # 2.4 PB fails malloc (MemoryError) and 2**62 samples overflow the
+        # address space (numpy raises ValueError), so nothing is allocated.
+        for n in (10**14 + 2000, 2**62):
+            with pytest.raises(DomainError, match=f"n_steps = {n} "):
                 integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, n)
 
     def test_samples_are_read_only(self):

@@ -49,6 +49,10 @@ class TestParse:
     def test_nonstandard_low_maxval_accepted(self):
         assert parse_pgm(b"P5 1 1 100 \x42").pixels[0, 0] == 0x42
 
+    def test_pixel_above_maxval_rejected(self):
+        with pytest.raises(PgmError, match="200 exceeds maxval 100"):
+            parse_pgm(b"P5 2 1 100 \x42\xc8")
+
     def test_zero_maxval_rejected(self):
         with pytest.raises(PgmError):
             parse_pgm(b"P5 1 1 0 \x00")
