@@ -14,8 +14,8 @@ from .errors import (DimensionMismatchError, DomainError, FileFormatError,
 from .keystream import (Keystream, KeystreamConfig, KeystreamQualityWarning,
                         extract_bytes, generate_keystream, lower_bound_error)
 from .lorenz import (DEFAULT_INITIAL, DEFAULT_PARAMS, ExtensionVariant,
-                     LorenzParams, LorenzState, OrbitPair, derivative,
-                     integrate_pair, kernel_backend, rk4_step)
+                     LorenzParams, LorenzState, OrbitPair, integrate_pair,
+                     kernel_backend, rk4_step)
 from .metrics import (DIRECTIONS, WorkScores, adjacent_correlation,
                       chi_square_uniform, efficiency_index, histogram,
                       population_correlation, shannon_entropy)
@@ -48,7 +48,6 @@ __all__ = [
     "adjacent_correlation",
     "chi_square_uniform",
     "decrypt",
-    "derivative",
     "efficiency_index",
     "encode_pgm",
     "encrypt",

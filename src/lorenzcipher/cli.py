@@ -74,7 +74,7 @@ def _load_config_file(path) -> dict:
         text = fh.read()
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an int past the digit limit
         raise FileFormatError(f"config {path}: invalid JSON ({e})") from None
     if not isinstance(raw, dict):
         raise FileFormatError(f"config {path}: expected a JSON object")

@@ -54,10 +54,10 @@ class KeystreamConfig:
     component: str = "y"
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise DomainError(f"rows and cols must be >= 1, got {self.rows}x{self.cols}")
-        if self.transient < 0:
-            raise DomainError(f"transient must be >= 0, got {self.transient}")
+        for name, least in (("rows", 1), ("cols", 1), ("transient", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise DomainError(f"{name} must be an int >= {least}, got {value!r}")
         if self.strategy not in STRATEGIES:
             raise DomainError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
         if self.component not in COMPONENTS:

@@ -25,6 +25,7 @@ import ctypes
 import enum
 import functools
 import math
+import numbers
 import os
 import platform
 import sys
@@ -43,7 +44,6 @@ __all__ = [
     "OrbitPair",
     "DEFAULT_PARAMS",
     "DEFAULT_INITIAL",
-    "derivative",
     "rk4_step",
     "integrate_pair",
     "kernel_backend",
@@ -57,6 +57,23 @@ class ExtensionVariant(enum.Enum):
     B = "b"
 
 
+def _store_floats(key, what: str, names: tuple[str, ...]) -> None:
+    """Store each named field of `key` as a finite binary64 float, the one
+    arithmetic the cipher is defined in; refuse anything not a real number."""
+    for name in names:
+        value = getattr(key, name)
+        if type(value) is not float:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise DomainError(f"{what} {name} is a {type(value).__name__}, not a real number")
+            try:
+                value = float(value)
+            except OverflowError:  # not echoed: an int over 4300 digits cannot be printed
+                raise DomainError(f"{what} {name} is too large for a binary64 float") from None
+            object.__setattr__(key, name, value)
+        if not math.isfinite(value):
+            raise DomainError(f"{what} {name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LorenzParams:
     """System parameters and integration step, all dimensionless."""
@@ -67,10 +84,7 @@ class LorenzParams:
     h: float
 
     def __post_init__(self):
-        for name in ("sigma", "rho", "beta", "h"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise DomainError(f"parameter {name} must be finite, got {value!r}")
+        _store_floats(self, "parameter", ("sigma", "rho", "beta", "h"))
         if self.h <= 0:
             raise DomainError(f"integration step h must be positive, got {self.h!r}")
 
@@ -84,10 +98,7 @@ class LorenzState:
     z: float
 
     def __post_init__(self):
-        for name in ("x", "y", "z"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise DomainError(f"state component {name} must be finite, got {value!r}")
+        _store_floats(self, "state component", ("x", "y", "z"))
 
 
 DEFAULT_PARAMS = LorenzParams(sigma=16.0, rho=45.92, beta=4.0, h=1e-6)
@@ -154,15 +165,6 @@ def _rk4(x, y, z, sigma, rho, beta, h, expanded):
     return (x + h6 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
             y + h6 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
             z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z))
-
-
-def derivative(state: LorenzState, params: LorenzParams,
-               variant: ExtensionVariant) -> LorenzState:
-    """Evaluate (dx/dt, dy/dt, dz/dt) at `state` under the given variant."""
-    dx, dy, dz = _deriv(state.x, state.y, state.z,
-                        params.sigma, params.rho, params.beta,
-                        variant is ExtensionVariant.B)
-    return LorenzState(dx, dy, dz)
 
 
 def rk4_step(state: LorenzState, params: LorenzParams,
@@ -312,11 +314,7 @@ def _load_kernel():
 
 
 def kernel_backend() -> str:
-    """Which kernel integrate_pair runs for float keys: "c" or "pure-python".
-
-    A key with any number that is not a float (e.g. an int from a JSON
-    config) always runs on "pure-python".
-    """
+    """Which kernel integrate_pair runs: "c" or "pure-python"."""
     return "pure-python" if _load_kernel()[0] is None else "c"
 
 
@@ -339,9 +337,7 @@ def integrate_pair(initial: LorenzState, params: LorenzParams,
         raise DomainError(
             f"cannot allocate the two orbits for n_steps = {n_steps} "
             f"({48 * n_steps} bytes)") from None
-    # Python evaluates an int-int operation exactly and C would round it,
-    # so only all-float keys (numpy.float64 included) may take the C path.
-    kernel = _load_kernel()[0] if all(isinstance(v, float) for v in key) else None
+    kernel = _load_kernel()[0]
     if kernel is None:
         _integrate_python(out_a, out_b, *key)
     else:

@@ -35,9 +35,11 @@ class WorkScores:
     entropy: float
 
     def __post_init__(self):
-        if not 0.0 <= self.entropy <= 8.0:
-            raise DomainError(
-                f"entropy must be in [0, 8] for 8-bit data, got {self.entropy!r}")
+        for name, lo, hi in (("corr_h", -1, 1), ("corr_v", -1, 1),
+                             ("corr_d", -1, 1), ("entropy", 0, 8)):
+            value = getattr(self, name)
+            if not lo <= value <= hi:
+                raise DomainError(f"{name} must be in [{lo}, {hi}], got {value!r}")
 
 
 def population_correlation(x: np.ndarray, y: np.ndarray) -> float:

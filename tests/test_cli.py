@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 import warnings
 from dataclasses import replace
 
@@ -290,6 +291,15 @@ class TestIndex:
         scores.write_text(self.HEADER)
         assert run("index", str(scores))[0] == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1.5"])
+    def test_non_correlation_row(self, tmp_path, bad):
+        scores = tmp_path / "s.csv"
+        scores.write_text(self.HEADER + self.ROWS + f"b,{bad},0.001,0.001,7.9\n")
+        code, out, err = run("index", str(scores))
+        assert code == 3
+        assert "domain error" in err and "corr_h" in err
+        assert out == ""
+
     def test_zero_correlation_row(self, tmp_path):
         scores = tmp_path / "s.csv"
         scores.write_text(self.HEADER + "w,0.0,0.001,0.001,7.9\n")
@@ -318,8 +328,8 @@ class TestConfigFile:
         assert out == want
 
     def test_int_config_decrypts_float_flag_ciphertext(self, small_pgm, tmp_path):
-        # Int-valued JSON keys run the pure-Python kernel, float flags may
-        # run the compiled one; both must give the same keystream.
+        # Int-valued JSON keys are stored as the same floats as the flags,
+        # so both must give the same keystream.
         cfg = tmp_path / "ints.json"
         cfg.write_text(json.dumps({"sigma": 16, "beta": 4}))
         enc, dec = tmp_path / "e.pgm", tmp_path / "d.pgm"
@@ -354,6 +364,24 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"strategy": "coin-flip"}))
         assert run("keystream", "--rows", "4", "--cols", "4",
                    "--config", str(cfg))[0] == 2
+
+    def test_number_too_large_for_a_float(self, tmp_path):
+        cfg = tmp_path / "key.json"
+        cfg.write_text('{"rho": 1' + "0" * 400 + "}")
+        code, _, err = run("keystream", "--rows", "4", "--cols", "4",
+                           "--config", str(cfg))
+        assert code == 3
+        assert "rho is too large" in err
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no integer digit limit in this Python")
+    def test_int_past_the_digit_limit(self, tmp_path):
+        cfg = tmp_path / "key.json"
+        cfg.write_text('{"rho": 1' + "0" * 5000 + "}")
+        code, _, err = run("keystream", "--rows", "4", "--cols", "4",
+                           "--config", str(cfg))
+        assert code == 2
+        assert "invalid JSON" in err
 
     def test_non_integer_transient(self, tmp_path):
         cfg = tmp_path / "key.json"

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -111,18 +112,20 @@ def _refuse(*args):
 
 
 @needs_c
-def test_numpy_float64_keys_take_compiled_path(monkeypatch):
-    want = outcome(DEFAULT_INITIAL, WORKING, 6096)
+@pytest.mark.parametrize("key", [
+    (16, 46, 4, 1, 0, 1, 0.01),
+    (*map(np.int64, (16, 46, 4, 1, 0, 1)), 0.01),
+    tuple(map(np.float64, (16.0, 45.92, 4.0, 1.0, 0.5, 0.9, 0.01))),
+    tuple(map(np.float32, (16.0, 45.92, 4.0, 1.0, 0.5, 0.9, 0.01))),
+    tuple(map(Fraction, ("16", "45.92", "4", "1", "1/2", "9/10", "1/100"))),
+], ids=["int", "np.int64", "np.float64", "np.float32", "Fraction"])
+def test_every_real_key_takes_compiled_path(monkeypatch, key):
+    def orbits(sigma, rho, beta, x, y, z, h):
+        return outcome(LorenzState(x, y, z), LorenzParams(sigma, rho, beta, h), 3000)
+    want = orbits(*map(float, key))
     monkeypatch.setattr(lorenz, "_integrate_python", _refuse)
-    params = LorenzParams(*map(np.float64, (16.0, 45.92, 4.0, 0.01)))
-    initial = LorenzState(*map(np.float64, (1.0, 0.5, 0.9)))
-    assert outcome(initial, params, 6096) == want
-
-
-def test_int_keys_take_pure_python_path(monkeypatch):
-    monkeypatch.setattr(lorenz, "_integrate_compiled", _refuse)
-    pair = integrate_pair(LorenzState(1, 0, 1), LorenzParams(16, 46, 4, 0.01), 100)
-    assert len(pair) == 100
+    assert orbits(*key) == want
+    assert isinstance(want[0], bytes)
 
 
 @needs_c

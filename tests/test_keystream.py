@@ -65,6 +65,15 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             KeystreamConfig(rows=4, cols=4, component="w")
 
+    @pytest.mark.parametrize("bad", [2.0, 10.5, True, "4", None])
+    def test_rejects_non_int_sizes(self, bad):
+        with pytest.raises(DomainError):
+            KeystreamConfig(rows=bad, cols=4)
+        with pytest.raises(DomainError):
+            KeystreamConfig(rows=4, cols=bad)
+        with pytest.raises(DomainError):
+            KeystreamConfig(rows=4, cols=4, transient=bad)
+
     def test_keystream_length_is_validated(self):
         config = KeystreamConfig(rows=2, cols=2)
         with pytest.raises(DomainError):

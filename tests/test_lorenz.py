@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 
 from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, DomainError,
                           ExtensionVariant, IntegrationBlowupError,
-                          LorenzParams, LorenzState, OrbitPair, derivative,
+                          LorenzParams, LorenzState, OrbitPair,
                           integrate_pair, rk4_step)
+from lorenzcipher.lorenz import _deriv
 
 A, B = ExtensionVariant.A, ExtensionVariant.B
 
@@ -50,6 +52,24 @@ class TestValidation:
             with pytest.raises(DomainError):
                 LorenzState(0.0, 0.0, bad)
 
+    @pytest.mark.parametrize("bad", [True, "16", Decimal(16), None, 10**400],
+                             ids=["bool", "str", "Decimal", "None", "10**400"])
+    def test_key_numbers_must_be_real_and_representable(self, bad):
+        with pytest.raises(DomainError):
+            LorenzParams(bad, 45.92, 4.0, 1e-6)
+        with pytest.raises(DomainError):
+            LorenzParams(16.0, 45.92, 4.0, bad)
+        with pytest.raises(DomainError):
+            LorenzState(1.0, bad, 0.9)
+
+    def test_key_numbers_are_stored_as_float(self):
+        params = LorenzParams(16, np.float32(45.92), Fraction(4), np.float64(1e-6))
+        state = LorenzState(np.int64(1), 0.5, Fraction(9, 10))
+        values = (params.sigma, params.rho, params.beta, params.h,
+                  state.x, state.y, state.z)
+        assert all(type(v) is float for v in values)
+        assert values == (16.0, float(np.float32(45.92)), 4.0, 1e-6, 1.0, 0.5, 0.9)
+
     def test_orbit_pair_shape_check(self):
         a = np.zeros((4, 3))
         b = np.zeros((5, 3))
@@ -66,37 +86,38 @@ class TestValidation:
 
 
 class TestDerivative:
+    """The bit-level specification lorenz._deriv; expanded=True is variant B."""
+
     def test_origin_is_equilibrium(self):
-        origin = LorenzState(0.0, 0.0, 0.0)
-        for variant in (A, B):
-            d = derivative(origin, DEFAULT_PARAMS, variant)
-            assert (d.x, d.y, d.z) == (0.0, 0.0, 0.0)
+        p = DEFAULT_PARAMS
+        for expanded in (False, True):
+            d = _deriv(0.0, 0.0, 0.0, p.sigma, p.rho, p.beta, expanded)
+            assert d == (0.0, 0.0, 0.0)
 
     def test_hand_computed_values_at_default_point(self):
-        d = derivative(LorenzState(1.0, 0.5, 0.9), DEFAULT_PARAMS, A)
-        assert d.x == -8.0
-        assert d.z == -3.1
-        assert abs(d.y - 44.52) <= math.ulp(44.52)
+        p = DEFAULT_PARAMS
+        dx, dy, dz = _deriv(1.0, 0.5, 0.9, p.sigma, p.rho, p.beta, False)
+        assert dx == -8.0
+        assert dz == -3.1
+        assert abs(dy - 44.52) <= math.ulp(44.52)
 
     def test_variants_coincide_when_arithmetic_is_exact(self):
-        params = LorenzParams(10.0, 4.0, 2.0, 1e-3)
-        state = LorenzState(2.0, 0.0, 1.0)
-        da = derivative(state, params, A)
-        db = derivative(state, params, B)
-        assert da.y == db.y == 6.0
+        da = _deriv(2.0, 0.0, 1.0, 10.0, 4.0, 2.0, False)
+        db = _deriv(2.0, 0.0, 1.0, 10.0, 4.0, 2.0, True)
+        assert da[1] == db[1] == 6.0
 
     def test_variants_differ_in_rounding_on_generic_states(self):
         # The scheme requires the two evaluation orders to round differently
         # on a healthy share of states.
+        p = DEFAULT_PARAMS
         rng = random.Random(7)
         differing = 0
         for _ in range(1000):
-            state = LorenzState(rng.uniform(-40, 40), rng.uniform(-40, 40),
-                                rng.uniform(0, 80))
-            da = derivative(state, DEFAULT_PARAMS, A)
-            db = derivative(state, DEFAULT_PARAMS, B)
-            assert da.x == db.x and da.z == db.z
-            if da.y != db.y:
+            state = (rng.uniform(-40, 40), rng.uniform(-40, 40), rng.uniform(0, 80))
+            da = _deriv(*state, p.sigma, p.rho, p.beta, False)
+            db = _deriv(*state, p.sigma, p.rho, p.beta, True)
+            assert da[0] == db[0] and da[2] == db[2]
+            if da[1] != db[1]:
                 differing += 1
         assert differing > 100
 
@@ -114,13 +135,11 @@ class TestDerivative:
             exact_a = fx * (fr - fz) - fy
             exact_b = fx * fr - fx * fz - fy
             assert exact_a == exact_b
-            params = LorenzParams(16.0, rho, 4.0, 1e-6)
-            state = LorenzState(x, y, z)
             # Rounding error is bounded by the largest intermediate, not by
             # the (possibly cancelled) result.
             scale = max(abs(x * rho), abs(x * z), abs(y), 1e-300)
-            for variant in (A, B):
-                got = derivative(state, params, variant).y
+            for expanded in (False, True):
+                got = _deriv(x, y, z, 16.0, rho, 4.0, expanded)[1]
                 err = abs(Fraction(got) - exact_a)
                 assert err <= 8 * Fraction(math.ulp(scale))
 

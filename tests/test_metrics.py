@@ -230,6 +230,14 @@ class TestEfficiencyIndex:
         with pytest.raises(DomainError):
             efficiency_index(rows)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.5, -1.0001])
+    def test_correlation_outside_unit_interval_rejected(self, bad):
+        for i in range(3):
+            values = [0.001, 0.001, 0.001]
+            values[i] = bad
+            with pytest.raises(DomainError):
+                WorkScores("bad", *values, 7.9)
+
     def test_entropy_above_eight_rejected(self):
         with pytest.raises(DomainError):
             WorkScores("bad", 0.001, 0.001, 0.001, 8.5)
