@@ -9,22 +9,21 @@ correlation of the reference image encrypted with it.
 
 import argparse
 import sys
-import warnings
 from dataclasses import replace
 
 import numpy as np
 
 import lorenzcipher as lc
-from lorenzcipher.keystream import STRATEGIES
+from lorenzcipher.keystream import COMPONENTS, STRATEGIES
 from lorenzcipher.metrics import (adjacent_correlation, chi_square_uniform,
                                   histogram, shannon_entropy)
 
 DEFAULT_STEPS = (1e-6, 1e-5, 1e-4, 1e-3, 5e-3, 1e-2, 2e-2)
 
 
-def first_divergence(pair: lc.OrbitPair, component: str) -> int | None:
-    a, b = pair.component(component)
-    diff = np.nonzero(a != b)[0]
+def first_divergence(orbits: np.ndarray, component: str) -> int | None:
+    c = COMPONENTS.index(component)
+    diff = np.nonzero(orbits[:, 0, c] != orbits[:, 1, c])[0]
     return int(diff[0]) if diff.size else None
 
 
@@ -47,15 +46,13 @@ def main(argv=None) -> int:
     print(header)
     for step in args.steps:
         params = replace(lc.DEFAULT_PARAMS, h=step)
-        pair = lc.integrate_pair(lc.DEFAULT_INITIAL, params, config.n_samples)
-        delta = lc.lower_bound_error(pair, config.component)
+        orbits = lc.integrate_pair(lc.DEFAULT_INITIAL, params, config.n_samples)
+        delta = lc.lower_bound_error(orbits, config.component)
         data = lc.extract_bytes(delta, config)
-        first = first_divergence(pair, config.component)
+        first = first_divergence(orbits, config.component)
         key = lc.GrayImage.from_array(data.reshape(config.rows, config.cols))
         counts = histogram(key)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cipher = lc.encrypt(plain, params, lc.DEFAULT_INITIAL, config)
+        cipher = lc.xor_apply(plain, lc.Keystream(data, config, params, lc.DEFAULT_INITIAL))
         worst = max(abs(adjacent_correlation(cipher, d))
                     for d in ("horizontal", "vertical", "diagonal"))
         print(f"{step:>8.0e} {first if first is not None else '-':>10} "

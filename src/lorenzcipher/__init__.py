@@ -14,7 +14,7 @@ from .errors import (DimensionMismatchError, DomainError, FileFormatError,
 from .keystream import (Keystream, KeystreamConfig, KeystreamQualityWarning,
                         extract_bytes, generate_keystream, lower_bound_error)
 from .lorenz import (DEFAULT_INITIAL, DEFAULT_PARAMS, ExtensionVariant,
-                     LorenzParams, LorenzState, OrbitPair, integrate_pair,
+                     LorenzParams, LorenzState, integrate_pair,
                      kernel_backend, rk4_step)
 from .metrics import (DIRECTIONS, WorkScores, adjacent_correlation,
                       chi_square_uniform, efficiency_index, histogram,
@@ -41,7 +41,6 @@ __all__ = [
     "LorenzCipherError",
     "LorenzParams",
     "LorenzState",
-    "OrbitPair",
     "PgmError",
     "UndefinedCorrelationError",
     "WorkScores",

@@ -7,6 +7,8 @@
  * with -ffp-contract=off (no fused multiply-add) and -fno-fast-math (no
  * reassociation, no flush-to-zero), and refuses any platform that evaluates
  * double expressions in a wider format.  Do not vectorise or reassociate.
+ * lorenz_pair writes both orbits through one pointer into the caller's
+ * C-contiguous float64 buffer, integrate_pair's (n_steps, 2, 3) array.
  */
 
 #include <float.h>
@@ -47,17 +49,16 @@ static void rk4(double *x, double *y, double *z,
     *z = *z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z);
 }
 
-/* Fill out_a and out_b, each n_steps rows of (x, y, z), with both variants.
+/* Write six doubles per step to out: variant A's x, y, z, then variant B's.
  * Returns 0, or 1 (variant A) / 2 (variant B) for the first non-finite state,
  * with its step index in *bad_step; A is checked before B in each step. */
 int lorenz_pair(double x0, double y0, double z0,
                 double sigma, double rho, double beta, double h,
-                int64_t n_steps, double *out_a, double *out_b,
-                int64_t *bad_step)
+                int64_t n_steps, double *out, int64_t *bad_step)
 {
     double xa = x0, ya = y0, za = z0;
     double xb = x0, yb = y0, zb = z0;
-    for (int64_t n = 0; n < n_steps; n++) {
+    for (int64_t n = 0; n < n_steps; n++, out += 6) {
         rk4(&xa, &ya, &za, sigma, rho, beta, h, 0);
         if (!(isfinite(xa) && isfinite(ya) && isfinite(za))) {
             *bad_step = n;
@@ -68,12 +69,8 @@ int lorenz_pair(double x0, double y0, double z0,
             *bad_step = n;
             return 2;
         }
-        out_a[3 * n] = xa;
-        out_a[3 * n + 1] = ya;
-        out_a[3 * n + 2] = za;
-        out_b[3 * n] = xb;
-        out_b[3 * n + 1] = yb;
-        out_b[3 * n + 2] = zb;
+        out[0] = xa; out[1] = ya; out[2] = za;
+        out[3] = xb; out[4] = yb; out[5] = zb;
     }
     return 0;
 }

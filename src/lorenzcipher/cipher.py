@@ -17,25 +17,26 @@ __all__ = ["GrayImage", "xor_apply", "encrypt", "decrypt"]
 class GrayImage:
     """An 8-bit grayscale image stored as a read-only (rows, cols) array."""
 
-    rows: int
-    cols: int
     pixels: np.ndarray
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise DomainError(f"image dimensions must be >= 1, got {self.rows}x{self.cols}")
+        shape = self.pixels.shape
+        if len(shape) != 2 or 0 in shape:
+            raise DomainError(f"pixels must be a non-empty 2-d array, got shape {shape}")
         if self.pixels.dtype != np.uint8:
             raise DomainError(f"pixels must be uint8, got {self.pixels.dtype}")
-        if self.pixels.shape != (self.rows, self.cols):
-            raise DomainError(
-                f"pixel array shape {self.pixels.shape} does not match "
-                f"declared {self.rows}x{self.cols}")
+
+    @property
+    def rows(self) -> int:
+        return self.pixels.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.pixels.shape[1]
 
     @classmethod
     def from_array(cls, pixels: np.ndarray) -> "GrayImage":
         arr = np.asarray(pixels)
-        if arr.ndim != 2:
-            raise DomainError(f"expected a 2-d pixel array, got shape {arr.shape}")
         if arr.dtype != np.uint8:
             if arr.dtype.kind not in "iu":
                 raise DomainError(f"pixels must be integers, got dtype {arr.dtype}")
@@ -43,7 +44,7 @@ class GrayImage:
                 raise DomainError("pixel values must lie in [0, 255]")
         arr = np.array(arr, dtype=np.uint8, order="C")
         arr.setflags(write=False)
-        return cls(rows=arr.shape[0], cols=arr.shape[1], pixels=arr)
+        return cls(arr)
 
 
 def xor_apply(image: GrayImage, key: Keystream) -> GrayImage:

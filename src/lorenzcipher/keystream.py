@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InsufficientSamplesError
-from .lorenz import LorenzParams, LorenzState, OrbitPair, integrate_pair
+from .lorenz import LorenzParams, LorenzState, integrate_pair
 
 __all__ = [
     "TRANSIENT_DEFAULT",
@@ -92,13 +92,21 @@ class Keystream:
         return self.data.tobytes().hex()
 
 
-def lower_bound_error(pair: OrbitPair,
+def lower_bound_error(orbits: np.ndarray,
                       component: str = KeystreamConfig.component) -> np.ndarray:
-    """delta[n] = |a_n - b_n| / 2 on the chosen component, for every sample."""
-    a, b = pair.component(component)
-    delta = np.abs(a - b) / 2.0
+    """delta[n] = |a_n - b_n| / 2 on the chosen component, for every sample.
+
+    `orbits` is laid out as integrate_pair returns it: shape (n, 2, 3),
+    indexed [sample, variant A=0 / B=1, x/y/z].
+    """
+    if orbits.shape[1:] != (2, 3) or orbits.shape[0] < 1:
+        raise DomainError(f"orbits must have shape (n, 2, 3) with n >= 1, got {orbits.shape}")
+    if component not in COMPONENTS:
+        raise DomainError(f"unknown component {component!r}, expected one of {COMPONENTS}")
+    c = COMPONENTS.index(component)
+    delta = np.abs(orbits[:, 0, c] - orbits[:, 1, c]) / 2.0
     if not np.isfinite(delta).all():
-        raise DomainError("orbit pair contains non-finite samples")
+        raise DomainError("orbits contain non-finite samples")
     return delta
 
 
@@ -129,8 +137,8 @@ def generate_keystream(params: LorenzParams, initial: LorenzState,
     Warns (never raises) when the zero-byte fraction exceeds
     ZERO_FRACTION_WARN.
     """
-    pair = integrate_pair(initial, params, config.n_samples)
-    delta = lower_bound_error(pair, config.component)
+    orbits = integrate_pair(initial, params, config.n_samples)
+    delta = lower_bound_error(orbits, config.component)
     data = extract_bytes(delta, config)
     zero_fraction = float(np.count_nonzero(data == 0)) / data.shape[0]
     if zero_fraction > ZERO_FRACTION_WARN:

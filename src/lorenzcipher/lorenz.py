@@ -16,7 +16,8 @@ forms into one destroys the keystream.
 The pure-Python `_deriv`/`_rk4` are the bit-level specification.
 `_kernel.c` mirrors them operation for operation; `integrate_pair` runs
 that compiled mirror when it is available and passes a self-check against
-them, and the pure-Python loop otherwise.
+them, and the pure-Python loop otherwise. Both kernels fill one orbit buffer
+of shape (n_steps, 2, 3), indexed [sample, variant A=0 / B=1, x/y/z].
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "ExtensionVariant",
     "LorenzParams",
     "LorenzState",
-    "OrbitPair",
     "DEFAULT_PARAMS",
     "DEFAULT_INITIAL",
     "rk4_step",
@@ -104,42 +104,6 @@ class LorenzState:
 DEFAULT_PARAMS = LorenzParams(sigma=16.0, rho=45.92, beta=4.0, h=1e-6)
 DEFAULT_INITIAL = LorenzState(x=1.0, y=0.5, z=0.9)
 
-_COMPONENT_COLUMNS = {"x": 0, "y": 1, "z": 2}
-
-
-@dataclass(frozen=True)
-class OrbitPair:
-    """Two lockstep orbits from one initial state, one per variant.
-
-    samples_a[n] and samples_b[n] hold the states after n+1 RK4 steps; the
-    shared initial condition is not a sample. Arrays have shape (n_steps, 3)
-    with columns x, y, z and are read-only.
-    """
-
-    samples_a: np.ndarray
-    samples_b: np.ndarray
-    params: LorenzParams
-    initial: LorenzState
-
-    def __post_init__(self):
-        a, b = self.samples_a, self.samples_b
-        if a.shape != b.shape:
-            raise DomainError(f"orbit shapes differ: {a.shape} vs {b.shape}")
-        if a.ndim != 2 or a.shape[1] != 3 or a.shape[0] < 1:
-            raise DomainError(f"orbit samples must have shape (n, 3), got {a.shape}")
-
-    def __len__(self) -> int:
-        return self.samples_a.shape[0]
-
-    def component(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """Return the (variant A, variant B) sample columns for x, y, or z."""
-        try:
-            col = _COMPONENT_COLUMNS[name]
-        except KeyError:
-            raise DomainError(f"unknown component {name!r}, expected one of x, y, z") from None
-        return self.samples_a[:, col], self.samples_b[:, col]
-
-
 def _deriv(x, y, z, sigma, rho, beta, expanded):
     # The two dy lines are the entire difference between the variants; dx and
     # dz share one fixed evaluation order.
@@ -190,31 +154,31 @@ def _blowup(variant: str, n: int) -> IntegrationBlowupError:
         variant=variant, step_index=n)
 
 
-def _integrate_python(out_a, out_b, x, y, z, sigma, rho, beta, h):
+def _integrate_python(out, x, y, z, sigma, rho, beta, h):
     xa = xb = x
     ya = yb = y
     za = zb = z
     isfinite = math.isfinite
-    for n in range(out_a.shape[0]):
+    for n in range(out.shape[0]):
         xa, ya, za = _rk4(xa, ya, za, sigma, rho, beta, h, False)
         if not (isfinite(xa) and isfinite(ya) and isfinite(za)):
             raise _blowup("a", n)
         xb, yb, zb = _rk4(xb, yb, zb, sigma, rho, beta, h, True)
         if not (isfinite(xb) and isfinite(yb) and isfinite(zb)):
             raise _blowup("b", n)
-        out_a[n, 0] = xa
-        out_a[n, 1] = ya
-        out_a[n, 2] = za
-        out_b[n, 0] = xb
-        out_b[n, 1] = yb
-        out_b[n, 2] = zb
+        out[n, 0, 0] = xa
+        out[n, 0, 1] = ya
+        out[n, 0, 2] = za
+        out[n, 1, 0] = xb
+        out[n, 1, 1] = yb
+        out[n, 1, 2] = zb
 
 
-def _integrate_compiled(kernel, out_a, out_b, x, y, z, sigma, rho, beta, h):
-    # out_a and out_b come from np.empty((n, 3)): C-contiguous float64.
+def _integrate_compiled(kernel, out, x, y, z, sigma, rho, beta, h):
+    # out comes from np.empty((n, 2, 3)): C-contiguous float64.
     bad_step = ctypes.c_int64()
-    status = kernel(x, y, z, sigma, rho, beta, h, out_a.shape[0],
-                    out_a.ctypes.data, out_b.ctypes.data, ctypes.byref(bad_step))
+    status = kernel(x, y, z, sigma, rho, beta, h, out.shape[0],
+                    out.ctypes.data, ctypes.byref(bad_step))
     if status:
         raise _blowup("ab"[status - 1], bad_step.value)
 
@@ -274,19 +238,17 @@ def _build_kernel():
         _compile_kernel(library)
     kernel = ctypes.CDLL(library).lorenz_pair
     kernel.argtypes = [ctypes.c_double] * 7 + [
-        ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.POINTER(ctypes.c_int64)]
+        ctypes.c_int64, ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)]
     kernel.restype = ctypes.c_int
     return kernel
 
 
 def _self_check(kernel) -> bool:
-    shape = (_SELF_CHECK_STEPS, 3)
-    want = np.empty(shape), np.empty(shape)
-    got = np.empty(shape), np.empty(shape)
-    _integrate_python(*want, *_SELF_CHECK_KEY)
-    _integrate_compiled(kernel, *got, *_SELF_CHECK_KEY)
-    return all(w.tobytes() == g.tobytes() for w, g in zip(want, got))
+    want = np.empty((_SELF_CHECK_STEPS, 2, 3))
+    got = np.empty_like(want)
+    _integrate_python(want, *_SELF_CHECK_KEY)
+    _integrate_compiled(kernel, got, *_SELF_CHECK_KEY)
+    return want.tobytes() == got.tobytes()
 
 
 @functools.cache
@@ -319,10 +281,12 @@ def kernel_backend() -> str:
 
 
 def integrate_pair(initial: LorenzState, params: LorenzParams,
-                   n_steps: int) -> OrbitPair:
+                   n_steps: int) -> np.ndarray:
     """Integrate both variants from `initial` in lockstep for n_steps steps.
 
-    Returns an OrbitPair whose sample n is the state after n+1 steps.
+    Returns a read-only, C-contiguous float64 array of shape (n_steps, 2, 3):
+    orbits[n, v] is the (x, y, z) state of variant v (0 = A, 1 = B) after
+    n+1 steps; the shared initial state is not a sample.
     Bit-exact reproducible: identical arguments yield identical bit patterns,
     whichever kernel runs (see kernel_backend).
     """
@@ -331,18 +295,16 @@ def integrate_pair(initial: LorenzState, params: LorenzParams,
     key = (initial.x, initial.y, initial.z,
            params.sigma, params.rho, params.beta, params.h)
     try:
-        out_a = np.empty((n_steps, 3), dtype=np.float64)
-        out_b = np.empty((n_steps, 3), dtype=np.float64)
-    except (MemoryError, ValueError):  # ValueError: beyond the address space
+        orbits = np.empty((n_steps, 2, 3), dtype=np.float64)
+    except (MemoryError, ValueError):  # ValueError: a size numpy cannot represent
+        # A power of two, because str() refuses an int past 4300 digits.
         raise DomainError(
-            f"cannot allocate the two orbits for n_steps = {n_steps} "
-            f"({48 * n_steps} bytes)") from None
+            f"cannot allocate the orbits for n_steps = 2**{math.log2(n_steps):.2f} "
+            f"(48 bytes per step)") from None
     kernel = _load_kernel()[0]
     if kernel is None:
-        _integrate_python(out_a, out_b, *key)
+        _integrate_python(orbits, *key)
     else:
-        _integrate_compiled(kernel, out_a, out_b, *key)
-    out_a.setflags(write=False)
-    out_b.setflags(write=False)
-    return OrbitPair(samples_a=out_a, samples_b=out_b,
-                     params=params, initial=initial)
+        _integrate_compiled(kernel, orbits, *key)
+    orbits.setflags(write=False)
+    return orbits

@@ -241,8 +241,8 @@ def test_c7_rk4_order():
     # obeys y' = -y, and each RK4 step on it is exactly the scalar step.
     def global_error(n):
         decay = LorenzParams(0.0, 0.0, 1.0, 1.0 / n)
-        pair = integrate_pair(LorenzState(0.0, 1.0, 0.0), decay, n)
-        return abs(pair.samples_a[-1, 1] - math.exp(-1.0))
+        orbits = integrate_pair(LorenzState(0.0, 1.0, 0.0), decay, n)
+        return abs(orbits[-1, 0, 1] - math.exp(-1.0))
     ratio = global_error(64) / global_error(128)
     _report("C7-rk4-order", 12.8 <= ratio <= 19.2,
             f"halving h shrinks the global error by {ratio:.2f}x "
@@ -280,15 +280,15 @@ def test_c7_derivative_exactness():
 def test_c7_bit_determinism():
     a = integrate_pair(DEFAULT_INITIAL, WORKING_PARAMS, 500)
     b = integrate_pair(DEFAULT_INITIAL, WORKING_PARAMS, 500)
-    same = (np.array_equal(a.samples_a, b.samples_a)
-            and np.array_equal(a.samples_b, b.samples_b))
+    same = (np.array_equal(a[:, 0], b[:, 0])
+            and np.array_equal(a[:, 1], b[:, 1]))
     _report("C7-determinism", same,
             "repeated integration reproduces both orbits bit for bit")
 
 
 def test_c7_variant_divergence_default_step():
-    pair = integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, 67536)
-    differing = int((pair.samples_a != pair.samples_b).any(axis=1).sum())
+    orbits = integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, 67536)
+    differing = int((orbits[:, 0] != orbits[:, 1]).any(axis=1).sum())
     _report("C7-divergence-default", differing > 0,
             f"{differing} of 67536 samples differ between the two "
             f"derivative forms at step 1e-06; longer runs put the first "
@@ -296,8 +296,8 @@ def test_c7_variant_divergence_default_step():
 
 
 def test_c7_variant_divergence_working_step():
-    pair = integrate_pair(DEFAULT_INITIAL, WORKING_PARAMS, 3000)
-    mask = (pair.samples_a != pair.samples_b).any(axis=1)
+    orbits = integrate_pair(DEFAULT_INITIAL, WORKING_PARAMS, 3000)
+    mask = (orbits[:, 0] != orbits[:, 1]).any(axis=1)
     first = int(np.argmax(mask)) if mask.any() else -1
     _report("C7-divergence-working", first >= 0,
             f"first differing sample at index {first} of 3000 at step 0.01 "

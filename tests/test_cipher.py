@@ -57,9 +57,20 @@ class TestGrayImage:
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 1
 
-    def test_shape_declaration_must_match(self):
-        with pytest.raises(DomainError):
-            GrayImage(2, 3, np.zeros((3, 2), dtype=np.uint8))
+    def test_shape_is_read_from_pixels(self):
+        # rows and cols are not fields, so no declared shape can disagree
+        # with the pixels or be a bool or a float.
+        img = GrayImage(np.zeros((1, 2), np.uint8))
+        assert (img.rows, img.cols) == (1, 2)
+        assert type(img.rows) is int and type(img.cols) is int
+        with pytest.raises(TypeError):
+            GrayImage(rows=True, cols=2.0, pixels=np.zeros((1, 2), np.uint8))
+
+    def test_constructor_rejects_bad_pixel_arrays(self):
+        for pixels in (np.zeros(4, np.uint8), np.zeros((1, 2, 2), np.uint8),
+                       np.zeros((0, 2), np.uint8), np.zeros((1, 2), np.int64)):
+            with pytest.raises(DomainError):
+                GrayImage(pixels)
 
 
 class TestXorApply:

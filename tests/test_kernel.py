@@ -37,10 +37,10 @@ def pure_python():
 def outcome(initial, params, n):
     """The orbit bytes, or the blow-up's message, variant and step index."""
     try:
-        pair = integrate_pair(initial, params, n)
+        orbits = integrate_pair(initial, params, n)
     except IntegrationBlowupError as e:
         return str(e), e.variant, e.step_index
-    return pair.samples_a.tobytes(), pair.samples_b.tobytes()
+    return orbits[:, 0].tobytes(), orbits[:, 1].tobytes()
 
 
 def assert_matches_oracle(initial, params, n):

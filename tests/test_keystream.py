@@ -15,8 +15,9 @@ from hypothesis.extra.numpy import arrays
 from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, DomainError,
                           InsufficientSamplesError, Keystream,
                           KeystreamConfig, KeystreamQualityWarning,
-                          LorenzParams, LorenzState, OrbitPair, extract_bytes,
+                          LorenzParams, LorenzState, extract_bytes,
                           generate_keystream, lower_bound_error)
+from lorenzcipher.keystream import COMPONENTS
 
 WORKING_PARAMS = LorenzParams(16.0, 45.92, 4.0, 0.01)
 
@@ -28,14 +29,12 @@ def quiet_keystream(params, initial, config):
 
 
 def pair_from_components(a_values, b_values, component="y"):
-    """Build an OrbitPair with the given values in one component column."""
-    n = len(a_values)
-    col = {"x": 0, "y": 1, "z": 2}[component]
-    sa = np.zeros((n, 3))
-    sb = np.zeros((n, 3))
-    sa[:, col] = a_values
-    sb[:, col] = b_values
-    return OrbitPair(sa, sb, DEFAULT_PARAMS, DEFAULT_INITIAL)
+    """Build (n, 2, 3) orbits with the given values in one component column."""
+    orbits = np.zeros((len(a_values), 2, 3))
+    col = COMPONENTS.index(component)
+    orbits[:, 0, col] = a_values
+    orbits[:, 1, col] = b_values
+    return orbits
 
 
 class TestSampleCount:
@@ -97,12 +96,19 @@ class TestLowerBoundError:
         assert lower_bound_error(pair, "y").tolist() == [abs(e) for e in v]
 
     def test_rejects_nonfinite_samples(self):
-        pair = pair_from_components([1.0, 2.0], [1.0, 2.0])
-        broken = OrbitPair(pair.samples_a.copy(), pair.samples_b.copy(),
-                           DEFAULT_PARAMS, DEFAULT_INITIAL)
-        broken.samples_a[1, 1] = np.inf
+        broken = pair_from_components([1.0, 2.0], [1.0, 2.0])
+        broken[1, 0, 1] = np.inf
         with pytest.raises(DomainError):
             lower_bound_error(broken, "y")
+
+    def test_rejects_malformed_orbits(self):
+        for shape in ((4, 3), (4, 2, 3, 1), (4, 3, 2), (4, 2, 2), (0, 2, 3)):
+            with pytest.raises(DomainError):
+                lower_bound_error(np.zeros(shape), "y")
+
+    def test_rejects_unknown_component(self):
+        with pytest.raises(DomainError):
+            lower_bound_error(pair_from_components([1.0], [1.0]), "w")
 
     @given(arrays(np.float64, 8, elements=st.floats(-1e150, 1e150)),
            arrays(np.float64, 8, elements=st.floats(-1e150, 1e150)))

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, DomainError,
                           ExtensionVariant, IntegrationBlowupError,
-                          LorenzParams, LorenzState, OrbitPair,
-                          integrate_pair, rk4_step)
+                          LorenzParams, LorenzState, integrate_pair,
+                          rk4_step)
 from lorenzcipher.lorenz import _deriv
 
 A, B = ExtensionVariant.A, ExtensionVariant.B
@@ -69,20 +69,6 @@ class TestValidation:
                   state.x, state.y, state.z)
         assert all(type(v) is float for v in values)
         assert values == (16.0, float(np.float32(45.92)), 4.0, 1e-6, 1.0, 0.5, 0.9)
-
-    def test_orbit_pair_shape_check(self):
-        a = np.zeros((4, 3))
-        b = np.zeros((5, 3))
-        with pytest.raises(DomainError):
-            OrbitPair(a, b, DEFAULT_PARAMS, DEFAULT_INITIAL)
-        with pytest.raises(DomainError):
-            OrbitPair(np.zeros((4, 2)), np.zeros((4, 2)),
-                      DEFAULT_PARAMS, DEFAULT_INITIAL)
-
-    def test_component_accessor_rejects_unknown(self):
-        pair = integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, 3)
-        with pytest.raises(DomainError):
-            pair.component("w")
 
 
 class TestDerivative:
@@ -206,31 +192,34 @@ class TestRk4:
 
 class TestIntegratePair:
     def test_sample_n_is_state_after_n_plus_one_steps(self):
-        pair = integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, 5)
-        assert len(pair) == 5
+        orbits = integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, 5)
+        assert len(orbits) == 5
         state = DEFAULT_INITIAL
         for n in range(5):
             state = rk4_step(state, DEFAULT_PARAMS, A)
-            assert tuple(pair.samples_a[n]) == (state.x, state.y, state.z)
+            assert tuple(orbits[n, 0]) == (state.x, state.y, state.z)
 
     def test_matches_repeated_public_steps_for_both_variants(self):
-        pair = integrate_pair(DEFAULT_INITIAL, LorenzParams(16.0, 45.92, 4.0, 1e-3), 200)
-        for variant, samples in ((A, pair.samples_a), (B, pair.samples_b)):
+        # Every sample of both orbits, not only the delta: a fault that
+        # shifted both orbits alike would leave the delta unchanged.
+        params = LorenzParams(16.0, 45.92, 4.0, 1e-3)
+        orbits = integrate_pair(DEFAULT_INITIAL, params, 200)
+        for v, variant in enumerate((A, B)):
             state = DEFAULT_INITIAL
             for n in range(200):
-                state = rk4_step(state, pair.params, variant)
-            assert tuple(samples[-1]) == (state.x, state.y, state.z)
+                state = rk4_step(state, params, variant)
+                assert tuple(orbits[n, v]) == (state.x, state.y, state.z)
 
     def test_origin_orbits_stay_exactly_zero(self):
-        pair = integrate_pair(LorenzState(0.0, 0.0, 0.0), DEFAULT_PARAMS, 10)
-        assert not pair.samples_a.any()
-        assert not pair.samples_b.any()
+        orbits = integrate_pair(LorenzState(0.0, 0.0, 0.0), DEFAULT_PARAMS, 10)
+        assert not orbits[:, 0].any()
+        assert not orbits[:, 1].any()
 
     def test_bit_determinism(self):
         p1 = integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, 500)
         p2 = integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, 500)
-        assert p1.samples_a.tobytes() == p2.samples_a.tobytes()
-        assert p1.samples_b.tobytes() == p2.samples_b.tobytes()
+        assert p1[:, 0].tobytes() == p2[:, 0].tobytes()
+        assert p1[:, 1].tobytes() == p2[:, 1].tobytes()
 
     def test_rejects_nonpositive_step_count(self):
         for n in (0, -3):
@@ -238,34 +227,42 @@ class TestIntegratePair:
                 integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, n)
 
     def test_unallocatable_orbits_are_a_domain_error(self):
-        # 2.4 PB fails malloc (MemoryError) and 2**62 samples overflow the
-        # address space (numpy raises ValueError), so nothing is allocated.
-        for n in (10**14 + 2000, 2**62):
-            with pytest.raises(DomainError, match=f"n_steps = {n} "):
+        # 4.8 PB fails malloc (MemoryError); 2**62 samples overflow the
+        # address space and 10**5000 numpy's dimension limit (both raise
+        # ValueError), so nothing is allocated. 10**5000 has too many digits
+        # for str(), so the message gives the size as a power of two.
+        for n in (10**14 + 2000, 2**62, 10**5000):
+            with pytest.raises(DomainError, match=rf"n_steps = 2\*\*{math.log2(n):.2f} "):
                 integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, n)
 
     def test_samples_are_read_only(self):
-        pair = integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, 3)
+        orbits = integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, 3)
         with pytest.raises(ValueError):
-            pair.samples_a[0, 0] = 1.0
+            orbits[0, 0, 0] = 1.0
+
+    def test_result_is_one_c_contiguous_float64_array(self):
+        orbits = integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, 7)
+        assert isinstance(orbits, np.ndarray)
+        assert orbits.shape == (7, 2, 3)
+        assert orbits.dtype == np.float64
+        assert orbits.flags.c_contiguous and not orbits.flags.writeable
 
     def test_desk_scale_bit_divergence(self):
         # With a step large enough to exercise the dynamics the two
         # variants separate quickly; at h=0.01 the first y sample with a
         # differing bit pattern is sample 8 (pinned regression value).
         params = LorenzParams(16.0, 45.92, 4.0, 0.01)
-        pair = integrate_pair(DEFAULT_INITIAL, params, 3000)
-        ya, yb = pair.component("y")
-        diff = np.nonzero(ya != yb)[0]
+        orbits = integrate_pair(DEFAULT_INITIAL, params, 3000)
+        diff = np.nonzero(orbits[:, 0, 1] != orbits[:, 1, 1])[0]
         assert diff.size > 0
         assert diff[0] == 8
 
     @given(st.floats(-50, 50), st.floats(-50, 50), st.floats(0.1, 50),
            st.floats(1e-6, 2e-2))
     def test_origin_fixed_point_for_any_parameters(self, sigma, rho, beta, h):
-        pair = integrate_pair(LorenzState(0.0, 0.0, 0.0),
-                              LorenzParams(sigma, rho, beta, h), 20)
-        assert not pair.samples_a.any() and not pair.samples_b.any()
+        orbits = integrate_pair(LorenzState(0.0, 0.0, 0.0),
+                                LorenzParams(sigma, rho, beta, h), 20)
+        assert not orbits[:, 0].any() and not orbits[:, 1].any()
 
     @given(st.floats(-25, 25), st.floats(-25, 25), st.floats(0, 50),
            st.floats(1e-5, 5e-3))
@@ -274,5 +271,5 @@ class TestIntegratePair:
         params = LorenzParams(16.0, 45.92, 4.0, h)
         p1 = integrate_pair(initial, params, 40)
         p2 = integrate_pair(initial, params, 40)
-        assert p1.samples_a.tobytes() == p2.samples_a.tobytes()
-        assert p1.samples_b.tobytes() == p2.samples_b.tobytes()
+        assert p1[:, 0].tobytes() == p2[:, 0].tobytes()
+        assert p1[:, 1].tobytes() == p2[:, 1].tobytes()
