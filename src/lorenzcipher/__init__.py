@@ -18,7 +18,7 @@ from .lorenz import (DEFAULT_INITIAL, DEFAULT_PARAMS, ExtensionVariant,
                      kernel_backend, rk4_step)
 from .metrics import (DIRECTIONS, WorkScores, adjacent_correlation,
                       chi_square_uniform, efficiency_index, histogram,
-                      population_correlation, shannon_entropy)
+                      shannon_entropy)
 from .pgm import encode_pgm, parse_pgm, read_pgm, write_pgm
 from .reference import reference_image
 
@@ -57,7 +57,6 @@ __all__ = [
     "kernel_backend",
     "lower_bound_error",
     "parse_pgm",
-    "population_correlation",
     "read_pgm",
     "reference_image",
     "rk4_step",

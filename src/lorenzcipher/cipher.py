@@ -15,7 +15,8 @@ __all__ = ["GrayImage", "xor_apply", "encrypt", "decrypt"]
 
 @dataclass(frozen=True)
 class GrayImage:
-    """An 8-bit grayscale image stored as a read-only (rows, cols) array."""
+    """An 8-bit grayscale image stored as a read-only, C-contiguous (rows,
+    cols) array; a writable or strided `pixels` array is copied first."""
 
     pixels: np.ndarray
 
@@ -25,6 +26,10 @@ class GrayImage:
             raise DomainError(f"pixels must be a non-empty 2-d array, got shape {shape}")
         if self.pixels.dtype != np.uint8:
             raise DomainError(f"pixels must be uint8, got {self.pixels.dtype}")
+        if self.pixels.flags.writeable or not self.pixels.flags.c_contiguous:
+            pixels = np.array(self.pixels, order="C")
+            pixels.setflags(write=False)
+            object.__setattr__(self, "pixels", pixels)
 
     @property
     def rows(self) -> int:

@@ -291,7 +291,8 @@ def integrate_pair(initial: LorenzState, params: LorenzParams,
     whichever kernel runs (see kernel_backend).
     """
     if n_steps < 1:
-        raise DomainError(f"n_steps must be >= 1, got {n_steps}")
+        # Not str(n_steps), which raises past 4300 digits.
+        raise DomainError(f"n_steps must be >= 1, got {'a negative count' if n_steps else 0}")
     key = (initial.x, initial.y, initial.z,
            params.sigma, params.rho, params.beta, params.h)
     try:

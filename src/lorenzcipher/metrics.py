@@ -13,7 +13,6 @@ from .errors import DomainError, UndefinedCorrelationError
 __all__ = [
     "DIRECTIONS",
     "WorkScores",
-    "population_correlation",
     "adjacent_correlation",
     "shannon_entropy",
     "histogram",
@@ -42,29 +41,6 @@ class WorkScores:
                 raise DomainError(f"{name} must be in [{lo}, {hi}], got {value!r}")
 
 
-def population_correlation(x: np.ndarray, y: np.ndarray) -> float:
-    """Pearson correlation with population (divide-by-n) moments.
-
-    numpy reductions use a fixed pairwise summation order for a given shape,
-    so repeated calls are bit-stable.
-    """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.shape != y.shape or x.size == 0:
-        raise DomainError(f"series shapes differ or are empty: {x.shape} vs {y.shape}")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx = np.sqrt(np.mean(dx * dx))
-    sy = np.sqrt(np.mean(dy * dy))
-    if sx == 0.0 or sy == 0.0:
-        raise UndefinedCorrelationError(
-            "correlation undefined: a series has zero standard deviation")
-    r = float(np.mean(dx * dy) / (sx * sy))
-    # One rounding step can push |r| a few ulp past 1; the result is a
-    # correlation and must stay in [-1, 1].
-    return min(1.0, max(-1.0, r))
-
-
 def _pair_series(image: GrayImage, direction: str) -> tuple[np.ndarray, np.ndarray]:
     p = image.pixels
     if direction == "horizontal":
@@ -87,9 +63,26 @@ def adjacent_correlation(image: GrayImage, direction: str) -> float:
 
     All adjacent pairs are used (no sampling): horizontal pairs are
     (i,j)-(i,j+1), vertical (i,j)-(i+1,j), diagonal (i,j)-(i+1,j+1).
+    Population (divide-by-m) moments over the m pairs: each mean is an exact
+    integer sum divided once, and each moment one pairwise float64 sum in
+    row-major order: bit-identical to the oracle in tests/test_metrics.py.
     """
     x, y = _pair_series(image, direction)
-    return population_correlation(x.astype(np.float64), y.astype(np.float64))
+    m = x.size
+    a = np.subtract(x, float(x.sum(dtype=np.int64)) / m, dtype=np.float64)
+    b = np.multiply(a, a)
+    sx = np.sqrt(b.sum() / m)
+    np.subtract(y, float(y.sum(dtype=np.int64)) / m, out=b, dtype=np.float64)
+    a *= b
+    b *= b
+    sy = np.sqrt(b.sum() / m)
+    if sx == 0.0 or sy == 0.0:
+        raise UndefinedCorrelationError(
+            "correlation undefined: a series has zero standard deviation")
+    r = float(a.sum() / m / (sx * sy))
+    # One rounding step can push |r| a few ulp past 1; the result is a
+    # correlation and must stay in [-1, 1].
+    return min(1.0, max(-1.0, r))
 
 
 def histogram(image: GrayImage) -> np.ndarray:

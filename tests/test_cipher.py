@@ -56,6 +56,24 @@ class TestGrayImage:
         img = GrayImage.from_array(np.zeros((2, 2), dtype=np.uint8))
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 1
+        # Already read-only and C-contiguous: the constructor copies nothing.
+        assert GrayImage(img.pixels).pixels is img.pixels
+
+    def test_constructor_stores_a_read_only_copy(self):
+        source = np.zeros((2, 2), np.uint8)
+        img = GrayImage(source)
+        with pytest.raises(ValueError):
+            img.pixels[0, 0] = 7
+        source[0, 0] = 7
+        assert img.pixels[0, 0] == 0
+        assert img.pixels.flags.c_contiguous
+
+    def test_constructor_copies_a_strided_view(self):
+        source = np.arange(12, dtype=np.uint8).reshape(3, 4)
+        source.setflags(write=False)
+        img = GrayImage(source[:, ::2])
+        assert img.pixels.flags.c_contiguous and not img.pixels.flags.writeable
+        assert img.pixels.tolist() == [[0, 2], [4, 6], [8, 10]]
 
     def test_shape_is_read_from_pixels(self):
         # rows and cols are not fields, so no declared shape can disagree

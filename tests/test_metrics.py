@@ -9,15 +9,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lorenzcipher import (DIRECTIONS, DomainError, GrayImage,
-                          UndefinedCorrelationError, WorkScores,
-                          adjacent_correlation, chi_square_uniform,
-                          efficiency_index, histogram,
-                          population_correlation, shannon_entropy)
+                          LorenzCipherError, UndefinedCorrelationError,
+                          WorkScores, adjacent_correlation,
+                          chi_square_uniform, efficiency_index, histogram,
+                          shannon_entropy)
+from lorenzcipher.metrics import _pair_series
 
 BENCHMARK = [
     WorkScores("work-a", 0.00045, 0.0015, 0.0040, 7.9973),
@@ -71,30 +72,102 @@ def oracle_entropy(pixels):
     return h
 
 
+def reference_correlation(image, direction):
+    """The correlation as computed from float64 copies of both series.
+
+    Two float64 copies, two centred copies and three product arrays: the
+    straightforward population form, kept as the oracle that the buffered
+    library version must match bit for bit.
+    """
+    x, y = _pair_series(image, direction)
+    x = x.astype(np.float64).ravel()
+    y = y.astype(np.float64).ravel()
+    dx = x - x.mean()
+    dy = y - y.mean()
+    sx = np.sqrt(np.mean(dx * dx))
+    sy = np.sqrt(np.mean(dy * dy))
+    if sx == 0.0 or sy == 0.0:
+        raise UndefinedCorrelationError(
+            "correlation undefined: a series has zero standard deviation")
+    r = float(np.mean(dx * dy) / (sx * sy))
+    return min(1.0, max(-1.0, r))
+
+
+def outcome(correlation, image, direction):
+    """The float bits, or the type and text of the error raised."""
+    try:
+        return correlation(image, direction).hex()
+    except LorenzCipherError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def small_images(draw):
+    """uint8 images up to 64x64: any levels, two levels or one level."""
+    shape = (draw(st.integers(1, 64)), draw(st.integers(1, 64)))
+    levels = draw(st.one_of(
+        st.none(), st.lists(st.integers(0, 255), min_size=1, max_size=2)))
+    elements = st.integers(0, 255) if levels is None else st.sampled_from(levels)
+    return draw(arrays(np.uint8, shape, elements=elements))
+
+
+class TestBitIdentity:
+    @given(small_images())
+    @example(np.array([[3, 200]], np.uint8))
+    @example(np.array([[3], [200]], np.uint8))
+    @example(np.array([[9, 9], [9, 9]], np.uint8))
+    @example(np.array([[0, 255, 0], [255, 0, 255]], np.uint8))
+    def test_matches_reference_on_small_images(self, pixels):
+        image = img(pixels)
+        for direction in DIRECTIONS:
+            assert (outcome(adjacent_correlation, image, direction)
+                    == outcome(reference_correlation, image, direction))
+
+    def test_matches_reference_on_large_images(self):
+        rng = np.random.default_rng(12)
+        side = 1024
+        noise = rng.integers(0, 256, (side, side), dtype=np.uint8)
+        # Blocky noise under a box blur: a strongly correlated texture.
+        coarse = rng.integers(0, 256, (side // 16 + 1,) * 2)
+        up = np.repeat(np.repeat(coarse, 16, 0), 16, 1)[:side, :side]
+        c = np.pad(np.pad(up, 8, mode="edge"), ((1, 0), (1, 0))).cumsum(0).cumsum(1)
+        smooth = (c[17:, 17:] - c[:-17, 17:] - c[17:, :-17] + c[:-17, :-17]) // 289
+        for pixels in (noise, smooth):
+            image = img(pixels)
+            for direction in DIRECTIONS:
+                got = adjacent_correlation(image, direction)
+                assert got == reference_correlation(image, direction)
+                assert type(got) is float
+
+
 class TestPopulationCorrelation:
+    # Vertical pairs of a two-row image are (row 0[j], row 1[j]), so these
+    # cases put the series x and y in the two rows.
     def test_perfect_positive(self):
-        x = np.array([1.0, 2.0, 3.0])
-        assert population_correlation(x, 2.0 * x + 7.0) == pytest.approx(1.0)
+        x = np.array([1, 2, 3])
+        r = adjacent_correlation(img([x, 2 * x + 7]), "vertical")
+        assert r == pytest.approx(1.0)
 
     def test_perfect_negative(self):
-        x = np.array([1.0, 2.0, 3.0])
-        assert population_correlation(x, -x) == pytest.approx(-1.0)
+        x = np.array([1, 2, 3])
+        r = adjacent_correlation(img([x, 255 - x]), "vertical")
+        assert r == pytest.approx(-1.0)
 
     def test_shift_and_scale_invariance(self):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=50)
-        y = rng.normal(size=50)
-        base = population_correlation(x, y)
-        moved = population_correlation(3.0 * x - 11.0, 0.5 * y + 4.0)
+        x = rng.integers(4, 85, 50)
+        y = 2 * rng.integers(0, 100, 50)
+        base = adjacent_correlation(img([x, y]), "vertical")
+        moved = adjacent_correlation(img([3 * x - 11, y // 2 + 4]), "vertical")
         assert moved == pytest.approx(base, rel=1e-12)
 
     def test_constant_series_is_undefined(self):
         with pytest.raises(UndefinedCorrelationError):
-            population_correlation(np.array([5.0, 5.0]), np.array([1.0, 2.0]))
+            adjacent_correlation(img([[5, 5], [1, 2]]), "vertical")
 
     def test_result_is_clamped(self):
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        r = population_correlation(x, x)
+        x = [1, 2, 3, 4]
+        r = adjacent_correlation(img([x, x]), "vertical")
         assert -1.0 <= r <= 1.0
 
 
