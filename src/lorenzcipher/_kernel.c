@@ -7,8 +7,9 @@
  * with -ffp-contract=off (no fused multiply-add) and -fno-fast-math (no
  * reassociation, no flush-to-zero), and refuses any platform that evaluates
  * double expressions in a wider format.  Do not vectorise or reassociate.
- * lorenz_pair writes both orbits through one pointer into the caller's
- * C-contiguous float64 buffer, integrate_pair's (n_steps, 2, 3) array.
+ * lorenz_pair integrates all three components of both orbits and writes
+ * only the requested one, two doubles per step, through one pointer into the
+ * caller's C-contiguous float64 buffer, integrate_pair's (n_steps, 2) array.
  */
 
 #include <float.h>
@@ -49,16 +50,17 @@ static void rk4(double *x, double *y, double *z,
     *z = *z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z);
 }
 
-/* Write six doubles per step to out: variant A's x, y, z, then variant B's.
- * Returns 0, or 1 (variant A) / 2 (variant B) for the first non-finite state,
- * with its step index in *bad_step; A is checked before B in each step. */
+/* Write two doubles per step to out: component c (0 = x, 1 = y, 2 = z) of
+ * variant A, then of variant B.  Returns 0, or 1 (variant A) / 2 (variant B)
+ * for the first non-finite state, with its step index in *bad_step; all three
+ * components are checked, A before B in each step. */
 int lorenz_pair(double x0, double y0, double z0,
                 double sigma, double rho, double beta, double h,
-                int64_t n_steps, double *out, int64_t *bad_step)
+                int64_t n_steps, int c, double *out, int64_t *bad_step)
 {
     double xa = x0, ya = y0, za = z0;
     double xb = x0, yb = y0, zb = z0;
-    for (int64_t n = 0; n < n_steps; n++, out += 6) {
+    for (int64_t n = 0; n < n_steps; n++, out += 2) {
         rk4(&xa, &ya, &za, sigma, rho, beta, h, 0);
         if (!(isfinite(xa) && isfinite(ya) && isfinite(za))) {
             *bad_step = n;
@@ -69,8 +71,8 @@ int lorenz_pair(double x0, double y0, double z0,
             *bad_step = n;
             return 2;
         }
-        out[0] = xa; out[1] = ya; out[2] = za;
-        out[3] = xb; out[4] = yb; out[5] = zb;
+        out[0] = c == 0 ? xa : c == 1 ? ya : za;
+        out[1] = c == 0 ? xb : c == 1 ? yb : zb;
     }
     return 0;
 }

@@ -1,8 +1,8 @@
 """Keystream derivation from the lower bound error of an orbit pair.
 
-Pipeline: integrate both variants, take delta[n] = |a_n - b_n| / 2 on one
-state component, discard a transient prefix, then map the retained window
-to bytes under one of two strategies:
+Pipeline: integrate both variants and keep one state component, take
+delta[n] = |a_n - b_n| / 2, discard a transient prefix, then map the
+retained window to bytes under one of two strategies:
 
   mantissa-lsb   low 8 bits of the binary64 significand field of delta
   minmax-scale   floor((delta - min) / (max - min) * 255) over the window
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InsufficientSamplesError
-from .lorenz import LorenzParams, LorenzState, integrate_pair
+from .lorenz import COMPONENTS, LorenzParams, LorenzState, integrate_pair
 
 __all__ = [
     "TRANSIENT_DEFAULT",
@@ -32,7 +32,6 @@ __all__ = [
 
 TRANSIENT_DEFAULT = 2000
 STRATEGIES = ("mantissa-lsb", "minmax-scale")
-COMPONENTS = ("x", "y", "z")
 
 # Zero delta samples yield byte 0 under both strategies; a keystream made
 # mostly of zeros XORs to near-identity, so it is worth a loud warning.
@@ -92,21 +91,19 @@ class Keystream:
         return self.data.tobytes().hex()
 
 
-def lower_bound_error(orbits: np.ndarray,
-                      component: str = KeystreamConfig.component) -> np.ndarray:
-    """delta[n] = |a_n - b_n| / 2 on the chosen component, for every sample.
+def lower_bound_error(pair: np.ndarray) -> np.ndarray:
+    """delta[n] = |a_n - b_n| / 2, for every sample.
 
-    `orbits` is laid out as integrate_pair returns it: shape (n, 2, 3),
-    indexed [sample, variant A=0 / B=1, x/y/z].
+    `pair` is laid out as integrate_pair returns it: shape (n, 2), indexed
+    [sample, variant A=0 / B=1], one state component.
     """
-    if orbits.shape[1:] != (2, 3) or orbits.shape[0] < 1:
-        raise DomainError(f"orbits must have shape (n, 2, 3) with n >= 1, got {orbits.shape}")
-    if component not in COMPONENTS:
-        raise DomainError(f"unknown component {component!r}, expected one of {COMPONENTS}")
-    c = COMPONENTS.index(component)
-    delta = np.abs(orbits[:, 0, c] - orbits[:, 1, c]) / 2.0
+    if pair.ndim != 2 or pair.shape[1] != 2 or pair.shape[0] < 1:
+        raise DomainError(f"pair must have shape (n, 2) with n >= 1, got {pair.shape}")
+    delta = np.subtract(pair[:, 0], pair[:, 1], dtype=np.float64)
+    np.abs(delta, out=delta)
+    delta /= 2.0
     if not np.isfinite(delta).all():
-        raise DomainError("orbits contain non-finite samples")
+        raise DomainError("pair contains non-finite samples")
     return delta
 
 
@@ -120,13 +117,16 @@ def extract_bytes(delta: np.ndarray, config: KeystreamConfig) -> np.ndarray:
             f"{config.rows}x{config.cols} key), have {delta.shape[0]}")
     window = delta[config.transient:needed]
     if config.strategy == "mantissa-lsb":
-        return (window.view(np.uint64) & np.uint64(0xFF)).astype(np.uint8)
+        # An unsigned narrowing cast keeps the low byte.
+        return window.view(np.uint64).astype(np.uint8)
     lo = window.min()
     hi = window.max()
     if hi == lo:
         return np.zeros(window.shape[0], dtype=np.uint8)
-    scaled = (window - lo) / (hi - lo)
-    return np.floor(scaled * 255.0).astype(np.uint8)
+    scaled = window - lo
+    scaled /= hi - lo
+    scaled *= 255.0
+    return np.floor(scaled, out=scaled).astype(np.uint8)
 
 
 def generate_keystream(params: LorenzParams, initial: LorenzState,
@@ -137,8 +137,8 @@ def generate_keystream(params: LorenzParams, initial: LorenzState,
     Warns (never raises) when the zero-byte fraction exceeds
     ZERO_FRACTION_WARN.
     """
-    orbits = integrate_pair(initial, params, config.n_samples)
-    delta = lower_bound_error(orbits, config.component)
+    delta = lower_bound_error(integrate_pair(initial, params, config.n_samples,
+                                             config.component))
     data = extract_bytes(delta, config)
     zero_fraction = float(np.count_nonzero(data == 0)) / data.shape[0]
     if zero_fraction > ZERO_FRACTION_WARN:

@@ -16,8 +16,9 @@ forms into one destroys the keystream.
 The pure-Python `_deriv`/`_rk4` are the bit-level specification.
 `_kernel.c` mirrors them operation for operation; `integrate_pair` runs
 that compiled mirror when it is available and passes a self-check against
-them, and the pure-Python loop otherwise. Both kernels fill one orbit buffer
-of shape (n_steps, 2, 3), indexed [sample, variant A=0 / B=1, x/y/z].
+them, and the pure-Python loop otherwise. Both kernels integrate all three
+components and store only the requested one, into one pair buffer of
+shape (n_steps, 2), indexed [sample, variant A=0 / B=1].
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import numpy as np
 from .errors import DomainError, IntegrationBlowupError
 
 __all__ = [
+    "COMPONENTS",
     "ExtensionVariant",
     "LorenzParams",
     "LorenzState",
@@ -48,6 +50,9 @@ __all__ = [
     "integrate_pair",
     "kernel_backend",
 ]
+
+
+COMPONENTS = ("x", "y", "z")
 
 
 class ExtensionVariant(enum.Enum):
@@ -154,7 +159,7 @@ def _blowup(variant: str, n: int) -> IntegrationBlowupError:
         variant=variant, step_index=n)
 
 
-def _integrate_python(out, x, y, z, sigma, rho, beta, h):
+def _integrate_python(out, c, x, y, z, sigma, rho, beta, h):
     xa = xb = x
     ya = yb = y
     za = zb = z
@@ -166,18 +171,14 @@ def _integrate_python(out, x, y, z, sigma, rho, beta, h):
         xb, yb, zb = _rk4(xb, yb, zb, sigma, rho, beta, h, True)
         if not (isfinite(xb) and isfinite(yb) and isfinite(zb)):
             raise _blowup("b", n)
-        out[n, 0, 0] = xa
-        out[n, 0, 1] = ya
-        out[n, 0, 2] = za
-        out[n, 1, 0] = xb
-        out[n, 1, 1] = yb
-        out[n, 1, 2] = zb
+        out[n, 0] = (xa, ya, za)[c]
+        out[n, 1] = (xb, yb, zb)[c]
 
 
-def _integrate_compiled(kernel, out, x, y, z, sigma, rho, beta, h):
-    # out comes from np.empty((n, 2, 3)): C-contiguous float64.
+def _integrate_compiled(kernel, out, c, x, y, z, sigma, rho, beta, h):
+    # out comes from np.empty((n, 2)): C-contiguous float64.
     bad_step = ctypes.c_int64()
-    status = kernel(x, y, z, sigma, rho, beta, h, out.shape[0],
+    status = kernel(x, y, z, sigma, rho, beta, h, out.shape[0], c,
                     out.ctypes.data, ctypes.byref(bad_step))
     if status:
         raise _blowup("ab"[status - 1], bad_step.value)
@@ -238,16 +239,18 @@ def _build_kernel():
         _compile_kernel(library)
     kernel = ctypes.CDLL(library).lorenz_pair
     kernel.argtypes = [ctypes.c_double] * 7 + [
-        ctypes.c_int64, ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)]
+        ctypes.c_int64, ctypes.c_int, ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)]
     kernel.restype = ctypes.c_int
     return kernel
 
 
 def _self_check(kernel) -> bool:
-    want = np.empty((_SELF_CHECK_STEPS, 2, 3))
+    # One pair per component, so a wrong component select is caught too.
+    want = np.empty((len(COMPONENTS), _SELF_CHECK_STEPS, 2))
     got = np.empty_like(want)
-    _integrate_python(want, *_SELF_CHECK_KEY)
-    _integrate_compiled(kernel, got, *_SELF_CHECK_KEY)
+    for c in range(len(COMPONENTS)):
+        _integrate_python(want[c], c, *_SELF_CHECK_KEY)
+        _integrate_compiled(kernel, got[c], c, *_SELF_CHECK_KEY)
     return want.tobytes() == got.tobytes()
 
 
@@ -281,31 +284,34 @@ def kernel_backend() -> str:
 
 
 def integrate_pair(initial: LorenzState, params: LorenzParams,
-                   n_steps: int) -> np.ndarray:
+                   n_steps: int, component: str) -> np.ndarray:
     """Integrate both variants from `initial` in lockstep for n_steps steps.
 
-    Returns a read-only, C-contiguous float64 array of shape (n_steps, 2, 3):
-    orbits[n, v] is the (x, y, z) state of variant v (0 = A, 1 = B) after
-    n+1 steps; the shared initial state is not a sample.
+    Returns a read-only, C-contiguous float64 array of shape (n_steps, 2):
+    pair[n, v] is `component` ("x", "y" or "z") of variant v (0 = A, 1 = B)
+    after n+1 steps; the shared initial state is not a sample. All three
+    components are integrated and checked for blow-up either way.
     Bit-exact reproducible: identical arguments yield identical bit patterns,
     whichever kernel runs (see kernel_backend).
     """
+    if component not in COMPONENTS:
+        raise DomainError(f"unknown component {component!r}, expected one of {COMPONENTS}")
     if n_steps < 1:
         # Not str(n_steps), which raises past 4300 digits.
         raise DomainError(f"n_steps must be >= 1, got {'a negative count' if n_steps else 0}")
-    key = (initial.x, initial.y, initial.z,
+    key = (COMPONENTS.index(component), initial.x, initial.y, initial.z,
            params.sigma, params.rho, params.beta, params.h)
     try:
-        orbits = np.empty((n_steps, 2, 3), dtype=np.float64)
+        pair = np.empty((n_steps, 2), dtype=np.float64)
     except (MemoryError, ValueError):  # ValueError: a size numpy cannot represent
         # A power of two, because str() refuses an int past 4300 digits.
         raise DomainError(
-            f"cannot allocate the orbits for n_steps = 2**{math.log2(n_steps):.2f} "
-            f"(48 bytes per step)") from None
+            f"cannot allocate the orbit pair for n_steps = 2**{math.log2(n_steps):.2f} "
+            f"(16 bytes per step)") from None
     kernel = _load_kernel()[0]
     if kernel is None:
-        _integrate_python(orbits, *key)
+        _integrate_python(pair, *key)
     else:
-        _integrate_compiled(kernel, orbits, *key)
-    orbits.setflags(write=False)
-    return orbits
+        _integrate_compiled(kernel, pair, *key)
+    pair.setflags(write=False)
+    return pair

@@ -18,6 +18,13 @@ def reference_img():
     return reference_image()
 
 
+def full_orbits(initial, params, n):
+    """Both orbits as one (n, 2, 3) array, [sample, variant A=0 / B=1, x/y/z],
+    from one integrate_pair call per component."""
+    from lorenzcipher import integrate_pair
+    return np.stack([integrate_pair(initial, params, n, c) for c in "xyz"], axis=2)
+
+
 def make_image(values):
     """Build a GrayImage from a nested list or array of small ints."""
     from lorenzcipher import GrayImage

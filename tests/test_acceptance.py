@@ -31,14 +31,15 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from conftest import full_orbits
 from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, GrayImage,
                           KeystreamConfig, LorenzParams, LorenzState,
                           UndefinedCorrelationError, WorkScores,
                           adjacent_correlation, chi_square_uniform, decrypt,
                           efficiency_index, encode_pgm, encrypt,
-                          generate_keystream, histogram, integrate_pair,
-                          parse_pgm, reference_image, shannon_entropy,
-                          write_pgm, xor_apply)
+                          generate_keystream, histogram, parse_pgm,
+                          reference_image, shannon_entropy, write_pgm,
+                          xor_apply)
 from lorenzcipher.cli import run_command
 from lorenzcipher.keystream import COMPONENTS, STRATEGIES
 from lorenzcipher.lorenz import ExtensionVariant, _deriv
@@ -241,7 +242,7 @@ def test_c7_rk4_order():
     # obeys y' = -y, and each RK4 step on it is exactly the scalar step.
     def global_error(n):
         decay = LorenzParams(0.0, 0.0, 1.0, 1.0 / n)
-        orbits = integrate_pair(LorenzState(0.0, 1.0, 0.0), decay, n)
+        orbits = full_orbits(LorenzState(0.0, 1.0, 0.0), decay, n)
         return abs(orbits[-1, 0, 1] - math.exp(-1.0))
     ratio = global_error(64) / global_error(128)
     _report("C7-rk4-order", 12.8 <= ratio <= 19.2,
@@ -278,8 +279,8 @@ def test_c7_derivative_exactness():
 
 
 def test_c7_bit_determinism():
-    a = integrate_pair(DEFAULT_INITIAL, WORKING_PARAMS, 500)
-    b = integrate_pair(DEFAULT_INITIAL, WORKING_PARAMS, 500)
+    a = full_orbits(DEFAULT_INITIAL, WORKING_PARAMS, 500)
+    b = full_orbits(DEFAULT_INITIAL, WORKING_PARAMS, 500)
     same = (np.array_equal(a[:, 0], b[:, 0])
             and np.array_equal(a[:, 1], b[:, 1]))
     _report("C7-determinism", same,
@@ -287,7 +288,7 @@ def test_c7_bit_determinism():
 
 
 def test_c7_variant_divergence_default_step():
-    orbits = integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, 67536)
+    orbits = full_orbits(DEFAULT_INITIAL, DEFAULT_PARAMS, 67536)
     differing = int((orbits[:, 0] != orbits[:, 1]).any(axis=1).sum())
     _report("C7-divergence-default", differing > 0,
             f"{differing} of 67536 samples differ between the two "
@@ -296,7 +297,7 @@ def test_c7_variant_divergence_default_step():
 
 
 def test_c7_variant_divergence_working_step():
-    orbits = integrate_pair(DEFAULT_INITIAL, WORKING_PARAMS, 3000)
+    orbits = full_orbits(DEFAULT_INITIAL, WORKING_PARAMS, 3000)
     mask = (orbits[:, 0] != orbits[:, 1]).any(axis=1)
     first = int(np.argmax(mask)) if mask.any() else -1
     _report("C7-divergence-working", first >= 0,

@@ -34,19 +34,19 @@ def pure_python():
     return mock.patch.object(lorenz, "_load_kernel", lambda: (None, "oracle"))
 
 
-def outcome(initial, params, n):
-    """The orbit bytes, or the blow-up's message, variant and step index."""
+def outcome(initial, params, n, component):
+    """The pair's A and B bytes, or the blow-up's message, variant and step index."""
     try:
-        orbits = integrate_pair(initial, params, n)
+        pair = integrate_pair(initial, params, n, component)
     except IntegrationBlowupError as e:
         return str(e), e.variant, e.step_index
-    return orbits[:, 0].tobytes(), orbits[:, 1].tobytes()
+    return pair[:, 0].tobytes(), pair[:, 1].tobytes()
 
 
-def assert_matches_oracle(initial, params, n):
-    got = outcome(initial, params, n)
+def assert_matches_oracle(initial, params, n, component):
+    got = outcome(initial, params, n, component)
     with pure_python():
-        want = outcome(initial, params, n)
+        want = outcome(initial, params, n, component)
     assert got == want
     return got
 
@@ -60,17 +60,19 @@ def lorenz_warnings(caplog):
 class TestDifferential:
     @given(st.floats(15.2, 16.8), st.floats(43.6, 48.2), st.floats(3.8, 4.2),
            st.floats(0.5, 1.5), st.floats(0.0, 1.0), st.floats(0.4, 1.4),
-           st.floats(1e-6, 3e-2), st.integers(1, 3000))
-    @example(16.0, 45.92, 4.0, 0.0, 0.0, 0.0, 0.01, 500)
-    def test_jittered_keys(self, sigma, rho, beta, x0, y0, z0, h, n):
+           st.floats(1e-6, 3e-2), st.integers(1, 3000), st.sampled_from(COMPONENTS))
+    @example(16.0, 45.92, 4.0, 0.0, 0.0, 0.0, 0.01, 500, "x")
+    @example(16.0, 45.92, 4.0, 1.0, 0.5, 0.9, 0.01, 500, "z")
+    def test_jittered_keys(self, sigma, rho, beta, x0, y0, z0, h, n, component):
         assert_matches_oracle(LorenzState(x0, y0, z0),
-                              LorenzParams(sigma, rho, beta, h), n)
+                              LorenzParams(sigma, rho, beta, h), n, component)
 
     @pytest.mark.parametrize("h", [DEFAULT_PARAMS.h, WORKING.h])
     def test_default_key_256x256_window(self, h):
         params = LorenzParams(16.0, 45.92, 4.0, h)
-        a, b = assert_matches_oracle(DEFAULT_INITIAL, params, 67536)
-        assert len(a) == len(b) == 67536 * 3 * 8
+        for component in COMPONENTS:
+            a, b = assert_matches_oracle(DEFAULT_INITIAL, params, 67536, component)
+            assert len(a) == len(b) == 67536 * 8
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("component", COMPONENTS)
@@ -85,8 +87,9 @@ class TestDifferential:
 
     @pytest.mark.parametrize("h", BLOWUP_STEPS)
     def test_blowup_at_paper_key(self, h):
-        message, variant, step = assert_matches_oracle(
-            DEFAULT_INITIAL, LorenzParams(16.0, 45.92, 4.0, h), 200)
+        params = LorenzParams(16.0, 45.92, 4.0, h)
+        got = {assert_matches_oracle(DEFAULT_INITIAL, params, 200, c) for c in COMPONENTS}
+        [(message, variant, step)] = got
         assert message == f"variant A produced a non-finite state at step {step}"
         assert variant == "a"
 
@@ -96,15 +99,16 @@ class TestDifferential:
         initial = LorenzState(-0.5413349849971425, -9.481188946409766, 42.94378725037812)
         params = LorenzParams(15.467243504088904, 46.677155448041326,
                               4.1493423342906475, 0.1)
-        assert assert_matches_oracle(initial, params, 200) == (
-            "variant B produced a non-finite state at step 99", "b", 99)
+        for component in COMPONENTS:
+            assert assert_matches_oracle(initial, params, 200, component) == (
+                "variant B produced a non-finite state at step 99", "b", 99)
 
     @given(st.floats(15.2, 16.8), st.floats(43.6, 48.2), st.floats(3.8, 4.2),
            st.floats(-25, 25), st.floats(-25, 25), st.floats(0, 50),
-           st.sampled_from(BLOWUP_STEPS))
-    def test_blowup_over_jittered_keys(self, sigma, rho, beta, x0, y0, z0, h):
+           st.sampled_from(BLOWUP_STEPS), st.sampled_from(COMPONENTS))
+    def test_blowup_over_jittered_keys(self, sigma, rho, beta, x0, y0, z0, h, component):
         assert_matches_oracle(LorenzState(x0, y0, z0),
-                              LorenzParams(sigma, rho, beta, h), 200)
+                              LorenzParams(sigma, rho, beta, h), 200, component)
 
 
 def _refuse(*args):
@@ -121,7 +125,7 @@ def _refuse(*args):
 ], ids=["int", "np.int64", "np.float64", "np.float32", "Fraction"])
 def test_every_real_key_takes_compiled_path(monkeypatch, key):
     def orbits(sigma, rho, beta, x, y, z, h):
-        return outcome(LorenzState(x, y, z), LorenzParams(sigma, rho, beta, h), 3000)
+        return outcome(LorenzState(x, y, z), LorenzParams(sigma, rho, beta, h), 3000, "y")
     want = orbits(*map(float, key))
     monkeypatch.setattr(lorenz, "_integrate_python", _refuse)
     assert orbits(*key) == want
@@ -141,7 +145,7 @@ def test_cached_load_imports_neither_hashlib_nor_subprocess():
 class TestFallback:
     @pytest.fixture(scope="class")
     def reference(self):
-        return outcome(DEFAULT_INITIAL, WORKING, 3000)
+        return outcome(DEFAULT_INITIAL, WORKING, 3000, "y")
 
     @pytest.fixture
     def cache(self, monkeypatch, tmp_path):
@@ -153,8 +157,8 @@ class TestFallback:
 
     def check_fallback(self, caplog, reference, cause):
         with caplog.at_level(logging.WARNING, logger="lorenzcipher"):
-            assert outcome(DEFAULT_INITIAL, WORKING, 3000) == reference
-            assert outcome(DEFAULT_INITIAL, WORKING, 3000) == reference
+            assert outcome(DEFAULT_INITIAL, WORKING, 3000, "y") == reference
+            assert outcome(DEFAULT_INITIAL, WORKING, 3000, "y") == reference
             assert kernel_backend() == "pure-python"
         [message] = lorenz_warnings(caplog)
         assert cause in message
@@ -171,15 +175,27 @@ class TestFallback:
         self.check_fallback(caplog, reference, "broken kernel")
         assert not any(cache.iterdir())
 
-    @needs_cc
-    def test_self_check_mismatch(self, cache, monkeypatch, caplog, reference, tmp_path):
+    def use_mutant(self, monkeypatch, tmp_path, right, wrong):
+        """Point the loader at a copy of _kernel.c with one line changed."""
         with open(lorenz._KERNEL_SOURCE) as fh:
             source = fh.read()
-        expanded = "*dy = x * rho - x * z - y;"
-        assert source.count(expanded) == 1
-        merged = tmp_path / "merged.c"
-        merged.write_text(source.replace(expanded, "*dy = x * (rho - z) - y;"))
-        monkeypatch.setattr(lorenz, "_KERNEL_SOURCE", str(merged))
+        assert source.count(right) == 1
+        mutant = tmp_path / "mutant.c"
+        mutant.write_text(source.replace(right, wrong))
+        monkeypatch.setattr(lorenz, "_KERNEL_SOURCE", str(mutant))
+
+    @needs_cc
+    def test_self_check_mismatch(self, cache, monkeypatch, caplog, reference, tmp_path):
+        self.use_mutant(monkeypatch, tmp_path, "*dy = x * rho - x * z - y;",
+                        "*dy = x * (rho - z) - y;")
+        self.check_fallback(caplog, reference, "self-check mismatch")
+
+    @needs_cc
+    def test_self_check_catches_a_wrong_component_select(
+            self, cache, monkeypatch, caplog, reference, tmp_path):
+        # Variant B stores x where z is asked for. The default component y
+        # is still right, so only a self-check of every component sees it.
+        self.use_mutant(monkeypatch, tmp_path, "c == 1 ? yb : zb", "c == 1 ? yb : xb")
         self.check_fallback(caplog, reference, "self-check mismatch")
 
     @needs_c

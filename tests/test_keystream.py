@@ -4,6 +4,7 @@ generation, and the working-regime regression pins."""
 import hashlib
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,7 +18,6 @@ from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, DomainError,
                           KeystreamConfig, KeystreamQualityWarning,
                           LorenzParams, LorenzState, extract_bytes,
                           generate_keystream, lower_bound_error)
-from lorenzcipher.keystream import COMPONENTS
 
 WORKING_PARAMS = LorenzParams(16.0, 45.92, 4.0, 0.01)
 
@@ -28,13 +28,10 @@ def quiet_keystream(params, initial, config):
         return generate_keystream(params, initial, config)
 
 
-def pair_from_components(a_values, b_values, component="y"):
-    """Build (n, 2, 3) orbits with the given values in one component column."""
-    orbits = np.zeros((len(a_values), 2, 3))
-    col = COMPONENTS.index(component)
-    orbits[:, 0, col] = a_values
-    orbits[:, 1, col] = b_values
-    return orbits
+def make_pair(a_values, b_values):
+    """Build an (n, 2) pair: variant A's samples, then variant B's."""
+    return np.column_stack([np.asarray(a_values, dtype=np.float64),
+                            np.asarray(b_values, dtype=np.float64)])
 
 
 class TestSampleCount:
@@ -82,39 +79,42 @@ class TestConfigValidation:
 
 class TestLowerBoundError:
     def test_hand_values(self):
-        pair = pair_from_components([1.0, 3.0, 5.0], [0.5, 3.0, -5.0])
-        delta = lower_bound_error(pair, "y")
+        pair = make_pair([1.0, 3.0, 5.0], [0.5, 3.0, -5.0])
+        delta = lower_bound_error(pair)
         assert delta.tolist() == [0.25, 0.0, 5.0]
 
     def test_identical_orbits_give_zero(self):
-        pair = pair_from_components([1.0, -2.0], [1.0, -2.0])
-        assert not lower_bound_error(pair, "y").any()
+        pair = make_pair([1.0, -2.0], [1.0, -2.0])
+        assert not lower_bound_error(pair).any()
 
     def test_antisymmetric_pair_gives_magnitude(self):
         v = [0.75, -1.5, 2.25]
-        pair = pair_from_components(v, [-e for e in v])
-        assert lower_bound_error(pair, "y").tolist() == [abs(e) for e in v]
+        pair = make_pair(v, [-e for e in v])
+        assert lower_bound_error(pair).tolist() == [abs(e) for e in v]
 
     def test_rejects_nonfinite_samples(self):
-        broken = pair_from_components([1.0, 2.0], [1.0, 2.0])
-        broken[1, 0, 1] = np.inf
-        with pytest.raises(DomainError):
-            lower_bound_error(broken, "y")
+        for bad in (np.inf, -np.inf, np.nan):
+            broken = make_pair([1.0, 2.0], [1.0, 2.0])
+            broken[1, 0] = bad
+            with pytest.raises(DomainError):
+                lower_bound_error(broken)
 
     def test_rejects_malformed_orbits(self):
-        for shape in ((4, 3), (4, 2, 3, 1), (4, 3, 2), (4, 2, 2), (0, 2, 3)):
+        for shape in ((4,), (4, 1), (4, 3), (2, 4), (4, 2, 1), (4, 2, 3), (0, 2)):
             with pytest.raises(DomainError):
-                lower_bound_error(np.zeros(shape), "y")
+                lower_bound_error(np.zeros(shape))
 
-    def test_rejects_unknown_component(self):
-        with pytest.raises(DomainError):
-            lower_bound_error(pair_from_components([1.0], [1.0]), "w")
+    def test_leaves_the_pair_unchanged(self):
+        pair = make_pair([1.0, 3.0], [0.5, -3.0])
+        before = pair.tobytes()
+        lower_bound_error(pair)
+        assert pair.tobytes() == before
 
     @given(arrays(np.float64, 8, elements=st.floats(-1e150, 1e150)),
            arrays(np.float64, 8, elements=st.floats(-1e150, 1e150)))
     def test_nonnegative_and_swap_symmetric(self, a, b):
-        d1 = lower_bound_error(pair_from_components(a, b))
-        d2 = lower_bound_error(pair_from_components(b, a))
+        d1 = lower_bound_error(make_pair(a, b))
+        d2 = lower_bound_error(make_pair(b, a))
         assert (d1 >= 0).all()
         assert d1.tobytes() == d2.tobytes()
 
@@ -132,11 +132,31 @@ class TestExtractBytes:
         config = KeystreamConfig(rows=1, cols=1, transient=0)
         assert extract_bytes(np.array([value]), config)[0] == 0xAB
 
+    @given(st.lists(st.integers(0, 0x7FEF_FFFF_FFFF_FFFF), min_size=1, max_size=64))
+    def test_mantissa_lsb_is_the_low_byte_of_any_nonnegative_finite_pattern(self, bits):
+        n = len(bits)
+        delta = np.array(struct.unpack(f"<{n}d", struct.pack(f"<{n}Q", *bits)))
+        config = KeystreamConfig(rows=1, cols=n, transient=0)
+        assert extract_bytes(delta, config).tolist() == [b & 0xFF for b in bits]
+
     def test_minmax_examples(self):
         config = KeystreamConfig(rows=1, cols=3, transient=0,
                                  strategy="minmax-scale")
         out = extract_bytes(np.array([0.0, 0.5, 1.0]), config)
         assert out.tolist() == [0, 127, 255]
+
+    @given(arrays(np.float64, st.integers(2, 64),
+                  elements=st.floats(0.0, 1e300, allow_subnormal=True)))
+    def test_minmax_matches_the_plain_expression(self, delta):
+        lo, hi = delta.min(), delta.max()
+        config = KeystreamConfig(rows=1, cols=delta.shape[0], transient=0,
+                                 strategy="minmax-scale")
+        got = extract_bytes(delta, config)
+        if hi == lo:
+            assert not got.any()
+        else:
+            want = np.floor((delta - lo) / (hi - lo) * 255.0).astype(np.uint8)
+            assert got.tobytes() == want.tobytes()
 
     def test_minmax_degenerate_window_maps_to_zero(self):
         config = KeystreamConfig(rows=2, cols=2, transient=0,
@@ -204,6 +224,18 @@ class TestGenerateKeystream:
         with warnings.catch_warnings():
             warnings.simplefilter("error", KeystreamQualityWarning)
             generate_keystream(WORKING_PARAMS, DEFAULT_INITIAL, config)
+
+    def test_peak_memory_per_sample(self):
+        # The (n, 2) pair (16 B/sample), delta (8) and the finiteness mask (1)
+        # are the largest buffers alive at once.
+        config = KeystreamConfig(rows=512, cols=512)
+        tracemalloc.start()
+        try:
+            quiet_keystream(WORKING_PARAMS, DEFAULT_INITIAL, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / config.n_samples <= 26
 
     def test_hex_export_matches_bytes(self):
         config = KeystreamConfig(rows=4, cols=4)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import full_orbits
 from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, DomainError,
                           ExtensionVariant, IntegrationBlowupError,
                           LorenzParams, LorenzState, integrate_pair,
@@ -182,17 +183,23 @@ class TestRk4:
             assert abs((mp.mpf(got_c) - want_c) / want_c) < mp.mpf("1e-12")
 
     def test_blowup_raises_with_context(self):
+        # All three components are checked whichever one is stored, so the
+        # error is the same for each.
         params = LorenzParams(16.0, 45.92, 4.0, 10.0)
-        with pytest.raises(IntegrationBlowupError) as err:
-            integrate_pair(DEFAULT_INITIAL, params, 50)
-        assert err.value.variant in ("a", "b")
-        assert isinstance(err.value.step_index, int)
-        assert err.value.step_index >= 0
+        errors = set()
+        for c in "xyz":
+            with pytest.raises(IntegrationBlowupError) as err:
+                integrate_pair(DEFAULT_INITIAL, params, 50, c)
+            errors.add((str(err.value), err.value.variant, err.value.step_index))
+        [(_, variant, step_index)] = errors
+        assert variant in ("a", "b")
+        assert isinstance(step_index, int)
+        assert step_index >= 0
 
 
 class TestIntegratePair:
     def test_sample_n_is_state_after_n_plus_one_steps(self):
-        orbits = integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, 5)
+        orbits = full_orbits(DEFAULT_INITIAL, DEFAULT_PARAMS, 5)
         assert len(orbits) == 5
         state = DEFAULT_INITIAL
         for n in range(5):
@@ -203,7 +210,7 @@ class TestIntegratePair:
         # Every sample of both orbits, not only the delta: a fault that
         # shifted both orbits alike would leave the delta unchanged.
         params = LorenzParams(16.0, 45.92, 4.0, 1e-3)
-        orbits = integrate_pair(DEFAULT_INITIAL, params, 200)
+        orbits = full_orbits(DEFAULT_INITIAL, params, 200)
         for v, variant in enumerate((A, B)):
             state = DEFAULT_INITIAL
             for n in range(200):
@@ -211,13 +218,13 @@ class TestIntegratePair:
                 assert tuple(orbits[n, v]) == (state.x, state.y, state.z)
 
     def test_origin_orbits_stay_exactly_zero(self):
-        orbits = integrate_pair(LorenzState(0.0, 0.0, 0.0), DEFAULT_PARAMS, 10)
+        orbits = full_orbits(LorenzState(0.0, 0.0, 0.0), DEFAULT_PARAMS, 10)
         assert not orbits[:, 0].any()
         assert not orbits[:, 1].any()
 
     def test_bit_determinism(self):
-        p1 = integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, 500)
-        p2 = integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, 500)
+        p1 = full_orbits(DEFAULT_INITIAL, DEFAULT_PARAMS, 500)
+        p2 = full_orbits(DEFAULT_INITIAL, DEFAULT_PARAMS, 500)
         assert p1[:, 0].tobytes() == p2[:, 0].tobytes()
         assert p1[:, 1].tobytes() == p2[:, 1].tobytes()
 
@@ -226,44 +233,51 @@ class TestIntegratePair:
         # try to print it.
         for n in (0, -1, -3, -10**5000):
             with pytest.raises(DomainError, match=r"n_steps must be >= 1, got "):
-                integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, n)
+                integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, n, "y")
 
     def test_unallocatable_orbits_are_a_domain_error(self):
-        # 4.8 PB fails malloc (MemoryError); 2**62 samples overflow the
+        # 1.6 PB fails malloc (MemoryError); 2**62 samples overflow the
         # address space and 10**5000 numpy's dimension limit (both raise
         # ValueError), so nothing is allocated. 10**5000 has too many digits
         # for str(), so the message gives the size as a power of two.
         for n in (10**14 + 2000, 2**62, 10**5000):
             with pytest.raises(DomainError, match=rf"n_steps = 2\*\*{math.log2(n):.2f} "):
-                integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, n)
+                integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, n, "y")
+
+    def test_rejects_unknown_component_before_allocating(self):
+        # 10**5000 steps cannot be allocated; the component is refused first.
+        for component in ("w", "Y", 1, None):
+            with pytest.raises(DomainError, match="unknown component"):
+                integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, 10**5000, component)
 
     def test_samples_are_read_only(self):
-        orbits = integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, 3)
+        pair = integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, 3, "y")
         with pytest.raises(ValueError):
-            orbits[0, 0, 0] = 1.0
+            pair[0, 0] = 1.0
 
     def test_result_is_one_c_contiguous_float64_array(self):
-        orbits = integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, 7)
-        assert isinstance(orbits, np.ndarray)
-        assert orbits.shape == (7, 2, 3)
-        assert orbits.dtype == np.float64
-        assert orbits.flags.c_contiguous and not orbits.flags.writeable
+        for component in "xyz":
+            pair = integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, 7, component)
+            assert isinstance(pair, np.ndarray)
+            assert pair.shape == (7, 2)
+            assert pair.dtype == np.float64
+            assert pair.flags.c_contiguous and not pair.flags.writeable
 
     def test_desk_scale_bit_divergence(self):
         # With a step large enough to exercise the dynamics the two
         # variants separate quickly; at h=0.01 the first y sample with a
         # differing bit pattern is sample 8 (pinned regression value).
         params = LorenzParams(16.0, 45.92, 4.0, 0.01)
-        orbits = integrate_pair(DEFAULT_INITIAL, params, 3000)
-        diff = np.nonzero(orbits[:, 0, 1] != orbits[:, 1, 1])[0]
+        pair = integrate_pair(DEFAULT_INITIAL, params, 3000, "y")
+        diff = np.nonzero(pair[:, 0] != pair[:, 1])[0]
         assert diff.size > 0
         assert diff[0] == 8
 
     @given(st.floats(-50, 50), st.floats(-50, 50), st.floats(0.1, 50),
            st.floats(1e-6, 2e-2))
     def test_origin_fixed_point_for_any_parameters(self, sigma, rho, beta, h):
-        orbits = integrate_pair(LorenzState(0.0, 0.0, 0.0),
-                                LorenzParams(sigma, rho, beta, h), 20)
+        orbits = full_orbits(LorenzState(0.0, 0.0, 0.0),
+                             LorenzParams(sigma, rho, beta, h), 20)
         assert not orbits[:, 0].any() and not orbits[:, 1].any()
 
     @given(st.floats(-25, 25), st.floats(-25, 25), st.floats(0, 50),
@@ -271,7 +285,7 @@ class TestIntegratePair:
     def test_determinism_over_random_inputs(self, x, y, z, h):
         initial = LorenzState(x, y, z)
         params = LorenzParams(16.0, 45.92, 4.0, h)
-        p1 = integrate_pair(initial, params, 40)
-        p2 = integrate_pair(initial, params, 40)
+        p1 = full_orbits(initial, params, 40)
+        p2 = full_orbits(initial, params, 40)
         assert p1[:, 0].tobytes() == p2[:, 0].tobytes()
         assert p1[:, 1].tobytes() == p2[:, 1].tobytes()
