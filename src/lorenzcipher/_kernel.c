@@ -6,10 +6,18 @@
  * binary64 round-to-nearest-even operation, so lorenz.py builds this file
  * with -ffp-contract=off (no fused multiply-add) and -fno-fast-math (no
  * reassociation, no flush-to-zero), and refuses any platform that evaluates
- * double expressions in a wider format.  Do not vectorise or reassociate.
- * lorenz_pair integrates all three components of both orbits and writes
- * only the requested one, two doubles per step, through one pointer into the
- * caller's C-contiguous float64 buffer, integrate_pair's (n_steps, 2) array.
+ * double expressions in a wider format.
+ *
+ * Variants A and B are two independent orbits, integrated together in the
+ * two lanes of one v2d vector: lane 0 is A, lane 1 is B.  An operation on
+ * v2d is the same binary64 operation applied to each lane on its own (SSE2
+ * on x86-64, NEON on aarch64), so each lane performs exactly the oracle's
+ * operations in the oracle's order.  Lanes never mix, and no operation is
+ * reordered in time or fused; the only per-lane difference is dy, where
+ * both forms are computed and lane 0 keeps A's, lane 1 B's.
+ * lorenz_pair writes only the requested component, two doubles per step,
+ * through one pointer into the caller's C-contiguous float64 buffer,
+ * integrate_pair's (n_steps, 2) array.
  */
 
 #include <float.h>
@@ -20,34 +28,34 @@
 #error "the Lorenz kernel needs FLT_EVAL_METHOD == 0 (no excess precision)"
 #endif
 
-static void deriv(double x, double y, double z,
-                  double sigma, double rho, double beta, int expanded,
-                  double *dx, double *dy, double *dz)
+typedef double v2d __attribute__((vector_size(16)));
+
+static void deriv(v2d x, v2d y, v2d z, v2d sigma, v2d rho, v2d beta,
+                  v2d *dx, v2d *dy, v2d *dz)
 {
     *dx = sigma * (y - x);
-    if (expanded)
-        *dy = x * rho - x * z - y;
-    else
-        *dy = x * (rho - z) - y;
+    v2d a = x * (rho - z) - y;
+    v2d b = x * rho - x * z - y;
+    *dy = (v2d){a[0], b[1]};
     *dz = x * y - beta * z;
 }
 
-static void rk4(double *x, double *y, double *z,
-                double sigma, double rho, double beta, double h, int expanded)
+static void rk4(v2d *x, v2d *y, v2d *z, v2d sigma, v2d rho, v2d beta, v2d h)
 {
-    double k1x, k1y, k1z, k2x, k2y, k2z, k3x, k3y, k3z, k4x, k4y, k4z;
-    double h2 = h * 0.5;
-    deriv(*x, *y, *z, sigma, rho, beta, expanded, &k1x, &k1y, &k1z);
+    const v2d half = {0.5, 0.5}, two = {2.0, 2.0}, six = {6.0, 6.0};
+    v2d k1x, k1y, k1z, k2x, k2y, k2z, k3x, k3y, k3z, k4x, k4y, k4z;
+    v2d h2 = h * half;
+    deriv(*x, *y, *z, sigma, rho, beta, &k1x, &k1y, &k1z);
     deriv(*x + h2 * k1x, *y + h2 * k1y, *z + h2 * k1z,
-          sigma, rho, beta, expanded, &k2x, &k2y, &k2z);
+          sigma, rho, beta, &k2x, &k2y, &k2z);
     deriv(*x + h2 * k2x, *y + h2 * k2y, *z + h2 * k2z,
-          sigma, rho, beta, expanded, &k3x, &k3y, &k3z);
+          sigma, rho, beta, &k3x, &k3y, &k3z);
     deriv(*x + h * k3x, *y + h * k3y, *z + h * k3z,
-          sigma, rho, beta, expanded, &k4x, &k4y, &k4z);
-    double h6 = h / 6.0;
-    *x = *x + h6 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x);
-    *y = *y + h6 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y);
-    *z = *z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z);
+          sigma, rho, beta, &k4x, &k4y, &k4z);
+    v2d h6 = h / six;
+    *x = *x + h6 * (k1x + two * k2x + two * k3x + k4x);
+    *y = *y + h6 * (k1y + two * k2y + two * k3y + k4y);
+    *z = *z + h6 * (k1z + two * k2z + two * k3z + k4z);
 }
 
 /* Write two doubles per step to out: component c (0 = x, 1 = y, 2 = z) of
@@ -58,21 +66,17 @@ int lorenz_pair(double x0, double y0, double z0,
                 double sigma, double rho, double beta, double h,
                 int64_t n_steps, int c, double *out, int64_t *bad_step)
 {
-    double xa = x0, ya = y0, za = z0;
-    double xb = x0, yb = y0, zb = z0;
+    v2d x = {x0, x0}, y = {y0, y0}, z = {z0, z0};
+    const v2d s = {sigma, sigma}, r = {rho, rho}, b = {beta, beta}, hh = {h, h};
     for (int64_t n = 0; n < n_steps; n++, out += 2) {
-        rk4(&xa, &ya, &za, sigma, rho, beta, h, 0);
-        if (!(isfinite(xa) && isfinite(ya) && isfinite(za))) {
-            *bad_step = n;
-            return 1;
-        }
-        rk4(&xb, &yb, &zb, sigma, rho, beta, h, 1);
-        if (!(isfinite(xb) && isfinite(yb) && isfinite(zb))) {
-            *bad_step = n;
-            return 2;
-        }
-        out[0] = c == 0 ? xa : c == 1 ? ya : za;
-        out[1] = c == 0 ? xb : c == 1 ? yb : zb;
+        rk4(&x, &y, &z, s, r, b, hh);
+        for (int v = 0; v < 2; v++)
+            if (!(isfinite(x[v]) && isfinite(y[v]) && isfinite(z[v]))) {
+                *bad_step = n;
+                return v + 1;
+            }
+        out[0] = c == 0 ? x[0] : c == 1 ? y[0] : z[0];
+        out[1] = c == 0 ? x[1] : c == 1 ? y[1] : z[1];
     }
     return 0;
 }

@@ -59,7 +59,8 @@ def xor_apply(image: GrayImage, key: Keystream) -> GrayImage:
         raise DimensionMismatchError(
             f"key is {kc.rows}x{kc.cols} but image is {image.rows}x{image.cols}")
     out = image.pixels ^ key.data.reshape(image.rows, image.cols)
-    return GrayImage.from_array(out)
+    out.setflags(write=False)  # a fresh uint8 array, so GrayImage keeps it uncopied
+    return GrayImage(out)
 
 
 def encrypt(image: GrayImage, params: LorenzParams, initial: LorenzState,

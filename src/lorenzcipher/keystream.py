@@ -101,7 +101,7 @@ def lower_bound_error(pair: np.ndarray) -> np.ndarray:
         raise DomainError(f"pair must have shape (n, 2) with n >= 1, got {pair.shape}")
     delta = np.subtract(pair[:, 0], pair[:, 1], dtype=np.float64)
     np.abs(delta, out=delta)
-    delta /= 2.0
+    delta *= 0.5  # the same bits as / 2.0 for every double, in about half the time
     if not np.isfinite(delta).all():
         raise DomainError("pair contains non-finite samples")
     return delta

@@ -9,16 +9,18 @@ equivalent but floating-point-distinct forms:
 CPython executes each binary float operation as one IEEE-754 binary64
 round-to-nearest-even operation, strictly left to right, with no fused
 multiply-add and no reassociation, so writing the two expressions as plain
-Python is itself the evaluation-order guarantee. Do not vectorize or
-otherwise rewrite the kernels below: an optimizer that collapses the two
-forms into one destroys the keystream.
+Python is itself the evaluation-order guarantee. Do not reorder, fuse or
+reassociate the kernels below: an optimizer that collapses the two forms
+into one destroys the keystream.
 
 The pure-Python `_deriv`/`_rk4` are the bit-level specification.
-`_kernel.c` mirrors them operation for operation; `integrate_pair` runs
-that compiled mirror when it is available and passes a self-check against
-them, and the pure-Python loop otherwise. Both kernels integrate all three
-components and store only the requested one, into one pair buffer of
-shape (n_steps, 2), indexed [sample, variant A=0 / B=1].
+`_kernel.c` mirrors them operation for operation, with variants A and B
+in the two lanes of one SIMD vector, each lane an independent orbit;
+`integrate_pair` runs that compiled mirror when it is available and
+passes a self-check against them, and the pure-Python loop otherwise.
+Both kernels integrate all three components and store only the requested
+one, into one pair buffer of shape (n_steps, 2), indexed
+[sample, variant A=0 / B=1].
 """
 
 from __future__ import annotations

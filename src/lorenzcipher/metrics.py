@@ -105,6 +105,8 @@ def shannon_entropy(image: GrayImage) -> float:
 def chi_square_uniform(counts: np.ndarray) -> float:
     """Chi-square statistic of `counts` against a uniform distribution."""
     counts = np.asarray(counts, dtype=np.float64)
+    if not (np.isfinite(counts) & (counts >= 0)).all():
+        raise DomainError("chi-square counts must be finite and non-negative")
     if counts.size < 2 or counts.sum() <= 0:
         raise DomainError("chi-square needs >= 2 bins with a positive total")
     expected = counts.sum() / counts.size

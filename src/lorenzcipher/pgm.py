@@ -38,7 +38,13 @@ def _read_int(buf: bytes, pos: int, name: str) -> tuple[int, int]:
         pos += 1
     if pos == start:
         raise PgmError(f"malformed header: expected a decimal {name} at byte {start}")
-    return int(buf[start:pos]), pos
+    digits = buf[start:pos].lstrip(b"0")
+    # Past 10**18 bytes no image fits in memory; the cap also keeps int() and
+    # str() of width*height inside Python's 4300-digit limit.
+    if len(digits) > 18:
+        raise PgmError(f"malformed header: {name} at byte {start} has "
+                       f"{len(digits)} significant digits, more than 18")
+    return int(digits or b"0"), pos
 
 
 def parse_pgm(buf: bytes) -> GrayImage:

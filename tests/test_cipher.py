@@ -130,6 +130,8 @@ class TestXorApply:
                         DEFAULT_PARAMS, DEFAULT_INITIAL)
         cipher = xor_apply(img, key)
         assert (cipher.rows, cipher.cols) == (img.rows, img.cols)
+        assert not cipher.pixels.flags.writeable and cipher.pixels.flags.c_contiguous
+        assert not np.shares_memory(cipher.pixels, img.pixels)
         back = xor_apply(cipher, key)
         assert np.array_equal(back.pixels, img.pixels)
 

@@ -107,7 +107,9 @@ class TestCrypt:
         bad = tmp_path / "bad.pgm"
         for payload, why in ((b"not a pgm", "magic"),
                              (b"P5 2 1 100 \x42\xc8",
-                              "pixel value 200 exceeds maxval 100")):
+                              "pixel value 200 exceeds maxval 100"),
+                             (b"P5 " + b"1" * 5000 + b" 1 255\n\x00",
+                              "width at byte 3 has 5000 significant digits")):
             bad.write_bytes(payload)
             code, _, err = run("encrypt", str(bad), str(tmp_path / "o.pgm"))
             assert code == 2

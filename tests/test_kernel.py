@@ -186,8 +186,16 @@ class TestFallback:
 
     @needs_cc
     def test_self_check_mismatch(self, cache, monkeypatch, caplog, reference, tmp_path):
-        self.use_mutant(monkeypatch, tmp_path, "*dy = x * rho - x * z - y;",
-                        "*dy = x * (rho - z) - y;")
+        # Lane B computes dy in variant A's form.
+        self.use_mutant(monkeypatch, tmp_path, "v2d b = x * rho - x * z - y;",
+                        "v2d b = x * (rho - z) - y;")
+        self.check_fallback(caplog, reference, "self-check mismatch")
+
+    @needs_cc
+    def test_self_check_catches_a_swapped_lane_select(
+            self, cache, monkeypatch, caplog, reference, tmp_path):
+        # Lane A keeps variant B's dy and lane B keeps A's.
+        self.use_mutant(monkeypatch, tmp_path, "(v2d){a[0], b[1]}", "(v2d){b[0], a[1]}")
         self.check_fallback(caplog, reference, "self-check mismatch")
 
     @needs_cc
@@ -195,8 +203,20 @@ class TestFallback:
             self, cache, monkeypatch, caplog, reference, tmp_path):
         # Variant B stores x where z is asked for. The default component y
         # is still right, so only a self-check of every component sees it.
-        self.use_mutant(monkeypatch, tmp_path, "c == 1 ? yb : zb", "c == 1 ? yb : xb")
+        self.use_mutant(monkeypatch, tmp_path, "c == 1 ? y[1] : z[1]", "c == 1 ? y[1] : x[1]")
         self.check_fallback(caplog, reference, "self-check mismatch")
+
+    @needs_cc
+    def test_blowup_tests_catch_lane_b_checked_first(self, cache, monkeypatch, tmp_path):
+        # The self-check key never blows up, so this mutant loads. At the
+        # paper key both lanes overflow in the same step, where the oracle
+        # names variant A and the mutant names B.
+        self.use_mutant(monkeypatch, tmp_path, "for (int v = 0; v < 2; v++)",
+                        "for (int v = 1; v >= 0; v--)")
+        assert kernel_backend() == "c"
+        for h in BLOWUP_STEPS:
+            with pytest.raises(AssertionError):
+                TestDifferential().test_blowup_at_paper_key(h)
 
     @needs_c
     def test_builds_into_empty_cache(self, cache, caplog):

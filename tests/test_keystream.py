@@ -110,6 +110,12 @@ class TestLowerBoundError:
         lower_bound_error(pair)
         assert pair.tobytes() == before
 
+    @given(arrays(np.float64, 8, elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_halving_is_division_by_two(self, a):
+        # Subnormal halves included: x * 0.5 and x / 2.0 round the same real.
+        delta = lower_bound_error(make_pair(a, np.zeros(8)))
+        assert delta.tobytes() == (np.abs(a) / 2.0).tobytes()
+
     @given(arrays(np.float64, 8, elements=st.floats(-1e150, 1e150)),
            arrays(np.float64, 8, elements=st.floats(-1e150, 1e150)))
     def test_nonnegative_and_swap_symmetric(self, a, b):

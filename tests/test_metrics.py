@@ -6,6 +6,7 @@ numeric mismatch rather than a silent bias.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -276,6 +277,14 @@ class TestChiSquare:
     def test_requires_observations(self):
         with pytest.raises(DomainError):
             chi_square_uniform(np.zeros(256, dtype=np.int64))
+
+    @pytest.mark.parametrize("counts", [
+        [-5, 10], [10, -5], [np.nan, 1], [1, np.inf], [-np.inf, 1]])
+    def test_rejects_counts_no_histogram_has(self, counts):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite and non-negative"):
+                chi_square_uniform(counts)
 
 
 class TestEfficiencyIndex:

@@ -73,6 +73,19 @@ class TestParse:
         with pytest.raises(PgmError):
             parse_pgm(b"P5 one 1 255 \x00")
 
+    @pytest.mark.parametrize("header", [
+        b"P5 " + b"1" * 5000 + b" 1 255",  # past int()'s 4300-digit limit
+        b"P5 " + b"9" * 3000 + b" " + b"9" * 3000 + b" 255",  # width*height past str()'s
+        b"P5 1 1 " + b"2" * 19,
+    ])
+    def test_oversized_header_number_rejected(self, header):
+        with pytest.raises(PgmError, match="significant digits"):
+            parse_pgm(header + b"\n\x00")
+
+    def test_leading_zeros_do_not_count_as_digits(self):
+        image = parse_pgm(b"P5 " + b"0" * 5000 + b"1 01 0255 \x07")
+        assert image.pixels.tolist() == [[7]]
+
 
 class TestEncode:
     def test_canonical_header(self):
