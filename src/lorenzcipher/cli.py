@@ -16,23 +16,37 @@ from functools import partial
 
 from .cipher import encrypt
 from .errors import DomainError, FileFormatError
-from .keystream import (COMPONENTS, STRATEGIES, KeystreamConfig,
-                        generate_keystream)
-from .lorenz import DEFAULT_INITIAL, DEFAULT_PARAMS, LorenzParams, LorenzState
+from .keystream import STRATEGIES, KeystreamConfig, generate_keystream
+from .lorenz import (COMPONENTS, DEFAULT_INITIAL, DEFAULT_PARAMS, LorenzParams,
+                     LorenzState)
 from .metrics import (DIRECTIONS, WorkScores, adjacent_correlation,
                       efficiency_index, histogram, shannon_entropy)
 from .pgm import read_pgm, write_pgm
 
 __all__ = ["run_command", "main"]
 
-# The key settings, each both a flag and a JSON config key. Each sets the
-# LorenzParams, LorenzState or KeystreamConfig field of the same name, or
-# the one _FIELD_NAMES gives; unset ones keep the library defaults.
-_KEY_SETTINGS = ("sigma", "rho", "beta", "x0", "y0", "z0", "step",
-                 "transient", "strategy", "component")
-_FIELD_NAMES = {"step": "h", "x0": "x", "y0": "y", "z0": "z"}
+# The key settings, each both a flag and a JSON config key, in flag order:
+# name -> (owner, field, help blurb, choices). Each sets one field of its
+# owner; its type and default are the owner's, so unset ones keep the
+# library defaults.
+_KEY_SETTINGS = {
+    "sigma": (DEFAULT_PARAMS, "sigma", "", None),
+    "rho": (DEFAULT_PARAMS, "rho", "", None),
+    "beta": (DEFAULT_PARAMS, "beta", "", None),
+    "x0": (DEFAULT_INITIAL, "x", "initial x", None),
+    "y0": (DEFAULT_INITIAL, "y", "initial y", None),
+    "z0": (DEFAULT_INITIAL, "z", "initial z", None),
+    "step": (DEFAULT_PARAMS, "h", "integration step h", None),
+    "transient": (KeystreamConfig, "transient", "leading samples to discard", None),
+    "strategy": (KeystreamConfig, "strategy", "byte extraction strategy", STRATEGIES),
+    "component": (KeystreamConfig, "component",
+                  "state component fed to the error bound", COMPONENTS),
+}
+# What a config value of each setting type must be, as the error says it.
+_KINDS = {float: ((int, float), "a number"), int: (int, "an integer"),
+          str: (str, "a string")}
 
-_SCORES_HEADER = ["label", "corr_h", "corr_v", "corr_d", "entropy"]
+_SCORES_HEADER = [f.name for f in fields(WorkScores)]
 
 
 class _UsageError(Exception):
@@ -47,26 +61,14 @@ class _Parser(argparse.ArgumentParser):
 def _add_key_flags(p: argparse.ArgumentParser) -> None:
     grp = p.add_argument_group(
         "key settings",
-        "the full key is (sigma, rho, beta, x0, y0, z0, step, transient, "
-        "strategy, component); defaults in parentheses")
+        f"the full key is ({', '.join(_KEY_SETTINGS)}); defaults in parentheses")
     grp.add_argument("--config", metavar="FILE",
                      help="JSON file supplying any of the key settings; "
                           "explicit flags override it")
-    params, state, config = DEFAULT_PARAMS, DEFAULT_INITIAL, KeystreamConfig
-    grp.add_argument("--sigma", type=float, help=f"({params.sigma:g})")
-    grp.add_argument("--rho", type=float, help=f"({params.rho:g})")
-    grp.add_argument("--beta", type=float, help=f"({params.beta:g})")
-    grp.add_argument("--x0", type=float, help=f"initial x ({state.x:g})")
-    grp.add_argument("--y0", type=float, help=f"initial y ({state.y:g})")
-    grp.add_argument("--z0", type=float, help=f"initial z ({state.z:g})")
-    grp.add_argument("--step", type=float, help=f"integration step h ({params.h:g})")
-    grp.add_argument("--transient", type=int,
-                     help=f"leading samples to discard ({config.transient})")
-    grp.add_argument("--strategy", choices=STRATEGIES,
-                     help=f"byte extraction strategy ({config.strategy})")
-    grp.add_argument("--component", choices=COMPONENTS,
-                     help="state component fed to the error bound "
-                          f"({config.component})")
+    for name, (owner, field, blurb, choices) in _KEY_SETTINGS.items():
+        default = getattr(owner, field)
+        grp.add_argument(f"--{name}", type=type(default), choices=choices,
+                         help=f"{blurb} ({default})".lstrip())
 
 
 def _load_config_file(path) -> dict:
@@ -82,42 +84,31 @@ def _load_config_file(path) -> dict:
     if unknown:
         raise FileFormatError(f"config {path}: unknown keys {unknown}")
     for key, value in raw.items():
-        if key in ("strategy", "component"):
-            if not isinstance(value, str):
-                raise FileFormatError(f"config {path}: {key} must be a string")
-        elif key == "transient":
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise FileFormatError(f"config {path}: transient must be an integer")
-        elif not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise FileFormatError(f"config {path}: {key} must be a number")
-    if raw.get("strategy") not in (None, *STRATEGIES):
-        raise FileFormatError(f"config {path}: strategy must be one of {STRATEGIES}")
-    if raw.get("component") not in (None, *COMPONENTS):
-        raise FileFormatError(f"config {path}: component must be one of {COMPONENTS}")
+        owner, field, _, _ = _KEY_SETTINGS[key]
+        accepted, what = _KINDS[type(getattr(owner, field))]
+        if not isinstance(value, accepted) or isinstance(value, bool):
+            raise FileFormatError(f"config {path}: {key} must be {what}")
+    for key, (_, _, _, choices) in _KEY_SETTINGS.items():
+        if choices and key in raw and raw[key] not in choices:
+            raise FileFormatError(f"config {path}: {key} must be one of {choices}")
     return raw
-
-
-def _resolve_key(args) -> dict:
-    settings = _load_config_file(args.config) if args.config else {}
-    for key in _KEY_SETTINGS:
-        value = getattr(args, key)
-        if value is not None:
-            settings[key] = value
-    return settings
 
 
 def _build_key_inputs(args) -> tuple[LorenzParams, LorenzState, partial]:
     """Params, initial state and a KeystreamConfig factory of (rows, cols)."""
-    s = {_FIELD_NAMES.get(k, k): v for k, v in _resolve_key(args).items()}
+    settings = _load_config_file(args.config) if args.config else {}
+    settings.update((name, getattr(args, name)) for name in _KEY_SETTINGS
+                    if getattr(args, name) is not None)
+    chosen = {DEFAULT_PARAMS: {}, DEFAULT_INITIAL: {}, KeystreamConfig: {}}
+    for name, value in settings.items():
+        owner, field, _, _ = _KEY_SETTINGS[name]
+        chosen[owner][field] = value
+    return (replace(DEFAULT_PARAMS, **chosen[DEFAULT_PARAMS]),
+            replace(DEFAULT_INITIAL, **chosen[DEFAULT_INITIAL]),
+            partial(KeystreamConfig, **chosen[KeystreamConfig]))
 
-    def pick(cls):
-        return {f.name: s[f.name] for f in fields(cls) if f.name in s}
-    return (replace(DEFAULT_PARAMS, **pick(LorenzParams)),
-            replace(DEFAULT_INITIAL, **pick(LorenzState)),
-            partial(KeystreamConfig, **pick(KeystreamConfig)))
 
-
-def _cmd_crypt(args, stdout, stderr) -> int:
+def _cmd_crypt(args, stdout) -> int:
     params, initial, make_config = _build_key_inputs(args)
     image = read_pgm(args.input)
     config = make_config(image.rows, image.cols)
@@ -125,7 +116,7 @@ def _cmd_crypt(args, stdout, stderr) -> int:
     return 0
 
 
-def _cmd_keystream(args, stdout, stderr) -> int:
+def _cmd_keystream(args, stdout) -> int:
     params, initial, make_config = _build_key_inputs(args)
     key = generate_keystream(params, initial, make_config(args.rows, args.cols))
     if args.format == "hex":
@@ -152,7 +143,7 @@ def _write_report(rows: list[tuple[str, object]], fh) -> None:
         fh.write(f"{name},{value!r}\n")
 
 
-def _cmd_analyze(args, stdout, stderr) -> int:
+def _cmd_analyze(args, stdout) -> int:
     image = read_pgm(args.input)
     rows: list[tuple[str, object]] = [("entropy", shannon_entropy(image))]
     for direction in DIRECTIONS:
@@ -185,8 +176,9 @@ def _read_scores(path) -> list[WorkScores]:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 5:
-                raise FileFormatError(f"scores {path}: line {lineno}: expected 5 fields")
+            if len(row) != len(_SCORES_HEADER):
+                raise FileFormatError(f"scores {path}: line {lineno}: "
+                                      f"expected {len(_SCORES_HEADER)} fields")
             try:
                 values = [float(v) for v in row[1:]]
             except ValueError:
@@ -198,7 +190,7 @@ def _read_scores(path) -> list[WorkScores]:
     return scores
 
 
-def _cmd_index(args, stdout, stderr) -> int:
+def _cmd_index(args, stdout) -> int:
     scores = _read_scores(args.scores)
     print("label,ic", file=stdout)
     for work, ic in zip(scores, efficiency_index(scores)):
@@ -243,8 +235,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("index", help="efficiency index from a scores CSV",
-                       description="read label,corr_h,corr_v,corr_d,entropy "
-                                   "rows and print one Ic per work")
+                       description=f"read {','.join(_SCORES_HEADER)} rows "
+                                   "and print one Ic per work")
     p.add_argument("scores", help="CSV of works to compare")
     p.set_defaults(func=_cmd_index)
 
@@ -255,20 +247,15 @@ def run_command(argv, stdout=None, stderr=None) -> int:
     """Parse argv and run one subcommand, returning the exit status."""
     stdout = sys.stdout if stdout is None else stdout
     stderr = sys.stderr if stderr is None else stderr
-    parser = _build_parser()
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            args = parser.parse_args(argv)
+            args = _build_parser().parse_args(argv)
+        return args.func(args, stdout)
     except _UsageError as e:
         print(f"usage error: {e}", file=stderr)
         return 1
     except SystemExit as e:  # --help
         return int(e.code or 0)
-    try:
-        return args.func(args, stdout, stderr)
-    except _UsageError as e:
-        print(f"usage error: {e}", file=stderr)
-        return 1
     except FileFormatError as e:
         print(f"file format error: {e}", file=stderr)
         return 2

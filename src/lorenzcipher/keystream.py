@@ -19,9 +19,7 @@ from .errors import DomainError, InsufficientSamplesError
 from .lorenz import COMPONENTS, LorenzParams, LorenzState, integrate_pair
 
 __all__ = [
-    "TRANSIENT_DEFAULT",
     "STRATEGIES",
-    "COMPONENTS",
     "KeystreamConfig",
     "Keystream",
     "KeystreamQualityWarning",
@@ -30,7 +28,6 @@ __all__ = [
     "generate_keystream",
 ]
 
-TRANSIENT_DEFAULT = 2000
 STRATEGIES = ("mantissa-lsb", "minmax-scale")
 
 # Zero delta samples yield byte 0 under both strategies; a keystream made
@@ -48,7 +45,7 @@ class KeystreamConfig:
 
     rows: int
     cols: int
-    transient: int = TRANSIENT_DEFAULT
+    transient: int = 2000
     strategy: str = "mantissa-lsb"
     component: str = "y"
 

@@ -208,37 +208,34 @@ class _KernelUnavailable(Exception):
     """The compiled kernel cannot be built or loaded; the message says why."""
 
 
-def _compile_kernel(library: str) -> None:
+def _build_kernel():
     import shutil
-    import subprocess
     cc = shutil.which("cc")
     if cc is None:
         raise _KernelUnavailable("cc not found")
-    os.makedirs(_KERNEL_CACHE, exist_ok=True)
-    # Build under a private name and rename into place, so a concurrent
-    # process never loads a half-written library.
-    tmp = f"{library}.{os.getpid()}.tmp"
-    try:
-        proc = subprocess.run([cc, *_CFLAGS, "-o", tmp, _KERNEL_SOURCE],
-                              capture_output=True, text=True)
-        if proc.returncode != 0:
-            lines = proc.stderr.strip().splitlines()
-            raise _KernelUnavailable(
-                lines[0] if lines else f"cc exited with status {proc.returncode}")
-        os.replace(tmp, library)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
-def _build_kernel():
     with open(_KERNEL_SOURCE, "rb") as fh:
         source = fh.read()
     tag = zlib.crc32(b"\0".join([source, " ".join(_CFLAGS).encode(),
-                                 f"{sys.platform}-{platform.machine()}".encode()]))
+                                 f"{sys.platform}-{platform.machine()}".encode(),
+                                 os.path.realpath(cc).encode()]))
     library = os.path.join(_KERNEL_CACHE, f"_kernel-{tag:08x}.so")
     if not os.path.exists(library):
-        _compile_kernel(library)
+        import subprocess
+        os.makedirs(_KERNEL_CACHE, exist_ok=True)
+        # Build under a private name and rename into place, so a concurrent
+        # process never loads a half-written library.
+        tmp = f"{library}.{os.getpid()}.tmp"
+        try:
+            proc = subprocess.run([cc, *_CFLAGS, "-o", tmp, _KERNEL_SOURCE],
+                                  capture_output=True, text=True)
+            if proc.returncode != 0:
+                lines = proc.stderr.strip().splitlines()
+                raise _KernelUnavailable(
+                    lines[0] if lines else f"cc exited with status {proc.returncode}")
+            os.replace(tmp, library)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
     kernel = ctypes.CDLL(library).lorenz_pair
     kernel.argtypes = [ctypes.c_double] * 7 + [
         ctypes.c_int64, ctypes.c_int, ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)]
@@ -260,10 +257,11 @@ def _self_check(kernel) -> bool:
 def _load_kernel():
     """Return (compiled kernel, None), or (None, why it is unavailable).
 
-    Compiles _kernel.c on first use into __pycache__ next to this file,
-    under a checksum of source, flags and platform, and loads it with
-    ctypes. A build or load failure, or any difference from the pure-Python
-    kernel on a short self-check, logs one WARNING naming the cause.
+    Compiles _kernel.c with `cc` on first use into __pycache__ next to
+    this file, under a checksum of source, flags, platform and the path `cc`
+    resolves to, and loads it with ctypes. No `cc`, a build or load failure,
+    or any difference from the pure-Python kernel on a short self-check
+    logs one WARNING naming the cause.
     """
     with _load_lock:
         try:

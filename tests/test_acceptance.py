@@ -41,8 +41,8 @@ from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, GrayImage,
                           reference_image, shannon_entropy, write_pgm,
                           xor_apply)
 from lorenzcipher.cli import run_command
-from lorenzcipher.keystream import COMPONENTS, STRATEGIES
-from lorenzcipher.lorenz import ExtensionVariant, _deriv
+from lorenzcipher.keystream import STRATEGIES
+from lorenzcipher.lorenz import COMPONENTS, ExtensionVariant, _deriv
 
 WORKING_PARAMS = LorenzParams(16.0, 45.92, 4.0, 0.01)
 

@@ -8,13 +8,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, GrayImage,
-                          KeystreamConfig, LorenzParams, WorkScores,
+from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, FileFormatError,
+                          GrayImage, KeystreamConfig, LorenzParams, WorkScores,
                           adjacent_correlation, efficiency_index,
                           generate_keystream, read_pgm, reference_image,
                           shannon_entropy, write_pgm)
-from lorenzcipher.cli import run_command
+from lorenzcipher.cli import _load_config_file, run_command
+from lorenzcipher.keystream import STRATEGIES
+from lorenzcipher.lorenz import COMPONENTS
 
 WORKING = ["--step", "0.01", "--transient", "3000"]
 
@@ -390,3 +394,102 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"transient": 10.5}))
         assert run("keystream", "--rows", "4", "--cols", "4",
                    "--config", str(cfg))[0] == 2
+
+
+# Each key setting with a non-default value, and the argument of
+# generate_keystream and the field it must set: written out here, apart
+# from the CLI's own table, so that a wrong row in it fails.
+ONE_SETTING = [
+    ("sigma", 10.0, "params", "sigma"),
+    ("rho", 28.0, "params", "rho"),
+    ("beta", 2.5, "params", "beta"),
+    ("x0", 0.3, "initial", "x"),
+    ("y0", 0.7, "initial", "y"),
+    ("z0", 1.3, "initial", "z"),
+    ("step", 0.02, "params", "h"),
+    ("transient", 3500, "config", "transient"),
+    ("strategy", "minmax-scale", "config", "strategy"),
+    ("component", "x", "config", "component"),
+]
+
+# What a config file may hold for each setting: a float setting takes any
+# JSON number but a bool, an int setting an integer, a str one a choice.
+CONFIG_KINDS = {"sigma": float, "rho": float, "beta": float, "x0": float,
+                "y0": float, "z0": float, "step": float, "transient": int,
+                "strategy": STRATEGIES, "component": COMPONENTS}
+
+
+def json_text(obj):
+    """JSON for a dict whose ("digits", n) values become n-digit integers,
+    which json.dumps refuses past Python's conversion limit."""
+    def value(v):
+        return "1" + "0" * (v[1] - 1) if isinstance(v, tuple) else json.dumps(v)
+    return "{" + ", ".join(f"{json.dumps(k)}: {value(v)}" for k, v in obj.items()) + "}"
+
+
+config_values = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10, 3000),
+    st.integers(10**308, 10**4299), st.integers(4301, 4400).map(lambda n: ("digits", n)),
+    st.floats(), st.floats(-60, 60), st.text(max_size=12),
+    st.sampled_from(STRATEGIES + COMPONENTS),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.floats(), max_size=3))
+configs = st.one_of(
+    st.dictionaries(st.sampled_from(sorted(CONFIG_KINDS)), config_values, max_size=4),
+    st.dictionaries(st.text(max_size=8), config_values, max_size=2))
+
+
+def has_kind(value, kind):
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float))
+    if kind is int:
+        return isinstance(value, int)
+    return isinstance(value, str) and value in kind
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "key.json"
+
+
+class TestKeySettings:
+    @pytest.mark.parametrize("name, value, argument, field", ONE_SETTING)
+    def test_each_setting_sets_its_field(self, tmp_path, name, value, argument, field):
+        key = {"params": replace(DEFAULT_PARAMS, h=0.01), "initial": DEFAULT_INITIAL,
+               "config": KeystreamConfig(4, 4, transient=3000)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            base = generate_keystream(**key).hex()
+            key[argument] = replace(key[argument], **{field: value})
+            want = generate_keystream(**key).hex()
+        assert want != base
+        cfg = tmp_path / "key.json"
+        cfg.write_text(json.dumps({"step": 0.01, "transient": 3000, name: value}))
+        shape = ("keystream", "--rows", "4", "--cols", "4")
+        via_flag = run(*shape, *WORKING, f"--{name}", str(value))
+        via_config = run(*shape, "--config", str(cfg))
+        assert via_flag == via_config == (0, want + "\n", "")
+
+    @settings(max_examples=300)
+    @given(configs)
+    def test_config_loader_checks_every_value(self, config_path, obj):
+        config_path.write_text(json_text(obj))
+        try:
+            loaded = _load_config_file(config_path)
+        except FileFormatError:
+            return
+        assert set(loaded) <= set(CONFIG_KINDS)
+        for name, value in loaded.items():
+            assert has_kind(value, CONFIG_KINDS[name]), (name, value)
+
+    @given(configs)
+    def test_any_config_exits_cleanly(self, config_path, obj):
+        # A transient from 1001 to 10**18 could run or allocate a long orbit.
+        transient = obj.get("transient")
+        assume(not (type(transient) is int and 1000 < transient <= 10**18))
+        config_path.write_text(json_text(obj))
+        code, _, err = run("keystream", "--rows", "2", "--cols", "2",
+                           "--config", str(config_path))
+        assert code in (0, 2, 3), err

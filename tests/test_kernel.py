@@ -18,7 +18,8 @@ from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS,
                           IntegrationBlowupError, KeystreamConfig,
                           LorenzParams, LorenzState, generate_keystream,
                           integrate_pair, kernel_backend, lorenz)
-from lorenzcipher.keystream import COMPONENTS, STRATEGIES
+from lorenzcipher.keystream import STRATEGIES
+from lorenzcipher.lorenz import COMPONENTS
 
 WORKING = LorenzParams(16.0, 45.92, 4.0, 0.01)
 BLOWUP_STEPS = (0.1, 0.2, 0.5, 1.0, 10.0)
@@ -166,6 +167,26 @@ class TestFallback:
     def test_no_compiler(self, cache, monkeypatch, caplog, reference):
         monkeypatch.setattr(shutil, "which", lambda name: None)
         self.check_fallback(caplog, reference, "cc not found")
+
+    @needs_c
+    def test_no_compiler_with_a_cached_library(self, cache, monkeypatch, caplog, reference):
+        assert kernel_backend() == "c"
+        lorenz._load_kernel.cache_clear()
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+        self.check_fallback(caplog, reference, "cc not found")
+
+    @needs_c
+    def test_cache_is_keyed_by_compiler(self, cache, monkeypatch, caplog, reference, tmp_path):
+        # The real cc fills the cache, then cc names a compiler that fails:
+        # the library the first one built must not be loaded for it.
+        assert kernel_backend() == "c"
+        lorenz._load_kernel.cache_clear()
+        shim = tmp_path / "bin" / "cc"
+        shim.parent.mkdir()
+        shim.write_text('#!/bin/sh\necho "shim compiler: broken" >&2\nexit 1\n')
+        shim.chmod(0o755)
+        monkeypatch.setenv("PATH", f"{shim.parent}{os.pathsep}{os.environ['PATH']}")
+        self.check_fallback(caplog, reference, "shim compiler: broken")
 
     @needs_cc
     def test_compile_error(self, cache, monkeypatch, caplog, reference, tmp_path):
