@@ -47,7 +47,7 @@ def main(argv=None) -> int:
         diff = np.flatnonzero(delta)
         key = lc.GrayImage.from_array(data.reshape(config.rows, config.cols))
         counts = histogram(key)
-        cipher = lc.xor_apply(plain, lc.Keystream(data, config, params, lc.DEFAULT_INITIAL))
+        cipher = lc.xor_apply(plain, lc.Keystream(data, config))
         worst = max(abs(adjacent_correlation(cipher, d))
                     for d in ("horizontal", "vertical", "diagonal"))
         print(f"{step:>8.0e} {diff[0] if diff.size else '-':>10} "

@@ -9,8 +9,8 @@ CLI round out the package.
 
 from .cipher import GrayImage, decrypt, encrypt, xor_apply
 from .errors import (DimensionMismatchError, DomainError, FileFormatError,
-                     InsufficientSamplesError, IntegrationBlowupError,
-                     LorenzCipherError, PgmError, UndefinedCorrelationError)
+                     IntegrationBlowupError, LorenzCipherError, PgmError,
+                     UndefinedCorrelationError)
 from .keystream import (Keystream, KeystreamConfig, KeystreamQualityWarning,
                         extract_bytes, generate_keystream, lower_bound_error)
 from .lorenz import (DEFAULT_INITIAL, DEFAULT_PARAMS, ExtensionVariant,
@@ -33,7 +33,6 @@ __all__ = [
     "ExtensionVariant",
     "FileFormatError",
     "GrayImage",
-    "InsufficientSamplesError",
     "IntegrationBlowupError",
     "Keystream",
     "KeystreamConfig",

@@ -38,10 +38,6 @@ class IntegrationBlowupError(DomainError):
         self.step_index = step_index
 
 
-class InsufficientSamplesError(DomainError):
-    """An orbit is too short for the requested transient plus key window."""
-
-
 class DimensionMismatchError(DomainError):
     """Image and keystream (or config) dimensions disagree."""
 

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InsufficientSamplesError
-from .lorenz import COMPONENTS, LorenzParams, LorenzState, integrate_pair
+from .errors import DomainError
+from .lorenz import (COMPONENTS, LorenzParams, LorenzState, _check_count,
+                     integrate_pair)
 
 __all__ = [
     "STRATEGIES",
@@ -51,9 +52,7 @@ class KeystreamConfig:
 
     def __post_init__(self):
         for name, least in (("rows", 1), ("cols", 1), ("transient", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < least:
-                raise DomainError(f"{name} must be an int >= {least}, got {value!r}")
+            _check_count(name, getattr(self, name), least)
         if self.strategy not in STRATEGIES:
             raise DomainError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
         if self.component not in COMPONENTS:
@@ -67,12 +66,11 @@ class KeystreamConfig:
 
 @dataclass(frozen=True)
 class Keystream:
-    """rows*cols key bytes plus everything needed to regenerate them."""
+    """rows*cols key bytes, stored read-only (a writable `data` array is
+    copied first), and the config that shapes them."""
 
     data: np.ndarray
     config: KeystreamConfig
-    params: LorenzParams
-    initial: LorenzState
 
     def __post_init__(self):
         expected = self.config.rows * self.config.cols
@@ -80,9 +78,10 @@ class Keystream:
             raise DomainError(
                 f"keystream must be {expected} uint8 values, got "
                 f"{self.data.dtype} array of shape {self.data.shape}")
-
-    def __len__(self) -> int:
-        return self.data.shape[0]
+        if self.data.flags.writeable:
+            data = self.data.copy()
+            data.setflags(write=False)
+            object.__setattr__(self, "data", data)
 
     def hex(self) -> str:
         return self.data.tobytes().hex()
@@ -109,7 +108,7 @@ def extract_bytes(delta: np.ndarray, config: KeystreamConfig) -> np.ndarray:
     delta = np.asarray(delta, dtype=np.float64)
     needed = config.n_samples
     if delta.shape[0] < needed:
-        raise InsufficientSamplesError(
+        raise DomainError(
             f"need {needed} delta samples (transient {config.transient} + "
             f"{config.rows}x{config.cols} key), have {delta.shape[0]}")
     window = delta[config.transient:needed]
@@ -145,4 +144,4 @@ def generate_keystream(params: LorenzParams, initial: LorenzState,
             f"map (try a larger step h or more iterations)",
             KeystreamQualityWarning, stacklevel=2)
     data.setflags(write=False)
-    return Keystream(data=data, config=config, params=params, initial=initial)
+    return Keystream(data=data, config=config)

@@ -81,6 +81,16 @@ def _store_floats(key, what: str, names: tuple[str, ...]) -> None:
             raise DomainError(f"{what} {name} must be finite, got {value!r}")
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse anything but a plain int >= least (a bool is not a count). The
+    message never echoes an int that str() could refuse (over 4300 digits)."""
+    if type(value) is not int:
+        raise DomainError(f"{name} must be an int, got {type(value).__name__}")
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got "
+                          f"{value if value > -2**63 else 'a huge negative int'}")
+
+
 @dataclass(frozen=True)
 class LorenzParams:
     """System parameters and integration step, all dimensionless."""
@@ -296,9 +306,7 @@ def integrate_pair(initial: LorenzState, params: LorenzParams,
     """
     if component not in COMPONENTS:
         raise DomainError(f"unknown component {component!r}, expected one of {COMPONENTS}")
-    if n_steps < 1:
-        # Not str(n_steps), which raises past 4300 digits.
-        raise DomainError(f"n_steps must be >= 1, got {'a negative count' if n_steps else 0}")
+    _check_count("n_steps", n_steps, 1)
     key = (COMPONENTS.index(component), initial.x, initial.y, initial.z,
            params.sigma, params.rho, params.beta, params.h)
     try:

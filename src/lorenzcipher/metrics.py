@@ -41,21 +41,20 @@ class WorkScores:
                 raise DomainError(f"{name} must be in [{lo}, {hi}], got {value!r}")
 
 
+# The (row, col) offset from each pixel to its neighbour, per direction.
+_OFFSETS = dict(zip(DIRECTIONS, ((0, 1), (1, 0), (1, 1))))
+
+
 def _pair_series(image: GrayImage, direction: str) -> tuple[np.ndarray, np.ndarray]:
+    if direction not in DIRECTIONS:
+        raise DomainError(f"unknown direction {direction!r}, expected one of {DIRECTIONS}")
+    dr, dc = _OFFSETS[direction]
     p = image.pixels
-    if direction == "horizontal":
-        if image.cols < 2:
-            raise DomainError("horizontal pairs need at least 2 columns")
-        return p[:, :-1], p[:, 1:]
-    if direction == "vertical":
-        if image.rows < 2:
-            raise DomainError("vertical pairs need at least 2 rows")
-        return p[:-1, :], p[1:, :]
-    if direction == "diagonal":
-        if image.rows < 2 or image.cols < 2:
-            raise DomainError("diagonal pairs need at least 2 rows and 2 columns")
-        return p[:-1, :-1], p[1:, 1:]
-    raise DomainError(f"unknown direction {direction!r}, expected one of {DIRECTIONS}")
+    rows, cols = p.shape
+    if rows <= dr or cols <= dc:
+        raise DomainError(f"{direction} pairs need an image of at least "
+                          f"{dr + 1}x{dc + 1}, got {rows}x{cols}")
+    return p[:rows - dr, :cols - dc], p[dr:, dc:]
 
 
 def adjacent_correlation(image: GrayImage, direction: str) -> float:

@@ -9,6 +9,8 @@ them above maxval.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .cipher import GrayImage
@@ -17,34 +19,23 @@ from .errors import PgmError
 __all__ = ["read_pgm", "write_pgm", "parse_pgm", "encode_pgm"]
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
-
-
-def _skip_separators(buf: bytes, pos: int) -> int:
-    while pos < len(buf):
-        if buf[pos] in _WHITESPACE:
-            pos += 1
-        elif buf[pos] == 0x23:  # '#'
-            while pos < len(buf) and buf[pos] not in b"\r\n":
-                pos += 1
-        else:
-            break
-    return pos
+# One or more separators (a whitespace byte, or a '#' comment running to the
+# end of the line), then the digits of one header number.
+_FIELD = re.compile(rb"(?:[%s]|#[^\r\n]*)+([0-9]*)" % re.escape(_WHITESPACE))
 
 
 def _read_int(buf: bytes, pos: int, name: str) -> tuple[int, int]:
-    pos = _skip_separators(buf, pos)
-    start = pos
-    while pos < len(buf) and 0x30 <= buf[pos] <= 0x39:
-        pos += 1
-    if pos == start:
+    m = _FIELD.match(buf, pos)
+    start = m.start(1) if m else pos
+    if not (m and m.group(1)):
         raise PgmError(f"malformed header: expected a decimal {name} at byte {start}")
-    digits = buf[start:pos].lstrip(b"0")
+    digits = m.group(1).lstrip(b"0")
     # Past 10**18 bytes no image fits in memory; the cap also keeps int() and
     # str() of width*height inside Python's 4300-digit limit.
     if len(digits) > 18:
         raise PgmError(f"malformed header: {name} at byte {start} has "
                        f"{len(digits)} significant digits, more than 18")
-    return int(digits or b"0"), pos
+    return int(digits or b"0"), m.end()
 
 
 def parse_pgm(buf: bytes) -> GrayImage:

@@ -20,7 +20,7 @@ WORKING_PARAMS = LorenzParams(16.0, 45.92, 4.0, 0.01)
 def key_from_bytes(data):
     data = np.asarray(data, dtype=np.uint8)
     config = KeystreamConfig(rows=1, cols=data.size)
-    return Keystream(data, config, DEFAULT_PARAMS, DEFAULT_INITIAL)
+    return Keystream(data, config)
 
 
 def image_and_key(pixels):
@@ -95,8 +95,7 @@ class TestXorApply:
     def test_zero_image_yields_key_bytes(self):
         img = image_and_key(np.zeros((2, 3), dtype=np.uint8))
         key = key_from_bytes([1, 2, 3, 4, 5, 6])
-        key = Keystream(key.data, KeystreamConfig(rows=2, cols=3),
-                        DEFAULT_PARAMS, DEFAULT_INITIAL)
+        key = Keystream(key.data, KeystreamConfig(rows=2, cols=3))
         out = xor_apply(img, key)
         assert out.pixels.ravel().tolist() == [1, 2, 3, 4, 5, 6]
 
@@ -108,8 +107,7 @@ class TestXorApply:
     def test_dimension_mismatch_names_both_shapes(self):
         img = image_and_key(np.zeros((3, 4), dtype=np.uint8))
         key_cfg = KeystreamConfig(rows=2, cols=2)
-        key = Keystream(np.zeros(4, dtype=np.uint8), key_cfg,
-                        DEFAULT_PARAMS, DEFAULT_INITIAL)
+        key = Keystream(np.zeros(4, dtype=np.uint8), key_cfg)
         with pytest.raises(DimensionMismatchError, match=r"2x2.*3x4"):
             xor_apply(img, key)
 
@@ -117,8 +115,7 @@ class TestXorApply:
         rng = np.random.default_rng(5)
         img = image_and_key(rng.integers(0, 256, (8, 8), dtype=np.uint8))
         key = Keystream(rng.integers(0, 256, 64, dtype=np.uint8),
-                        KeystreamConfig(rows=8, cols=8),
-                        DEFAULT_PARAMS, DEFAULT_INITIAL)
+                        KeystreamConfig(rows=8, cols=8))
         cipher = xor_apply(img, key)
         recovered = cipher.pixels ^ img.pixels
         assert recovered.ravel().tolist() == key.data.tolist()
@@ -126,8 +123,7 @@ class TestXorApply:
     @given(arrays(np.uint8, (6, 9)), arrays(np.uint8, 54))
     def test_involution_and_shape_preservation(self, pixels, key_bytes):
         img = GrayImage.from_array(pixels)
-        key = Keystream(key_bytes, KeystreamConfig(rows=6, cols=9),
-                        DEFAULT_PARAMS, DEFAULT_INITIAL)
+        key = Keystream(key_bytes, KeystreamConfig(rows=6, cols=9))
         cipher = xor_apply(img, key)
         assert (cipher.rows, cipher.cols) == (img.rows, img.cols)
         assert not cipher.pixels.flags.writeable and cipher.pixels.flags.c_contiguous

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, DomainError,
-                          InsufficientSamplesError, Keystream,
-                          KeystreamConfig, KeystreamQualityWarning,
+                          Keystream, KeystreamConfig, KeystreamQualityWarning,
                           LorenzParams, LorenzState, extract_bytes,
                           generate_keystream, lower_bound_error)
 
@@ -70,11 +69,40 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             KeystreamConfig(rows=4, cols=4, transient=bad)
 
+    @pytest.mark.parametrize("field", ["rows", "cols", "transient"])
+    def test_rejects_a_negative_count_too_long_to_print(self, field):
+        # -10**5000 has too many digits for str(); the message must not
+        # try to print it.
+        sizes = {"rows": 4, "cols": 4, field: -10**5000}
+        with pytest.raises(DomainError, match=f"{field} must be >= "):
+            KeystreamConfig(**sizes)
+
     def test_keystream_length_is_validated(self):
         config = KeystreamConfig(rows=2, cols=2)
         with pytest.raises(DomainError):
-            Keystream(np.zeros(5, dtype=np.uint8), config,
-                      DEFAULT_PARAMS, DEFAULT_INITIAL)
+            Keystream(np.zeros(5, dtype=np.uint8), config)
+
+
+class TestKeystreamData:
+    def test_writable_source_is_copied_read_only(self):
+        source = np.arange(4, dtype=np.uint8)
+        ks = Keystream(source, KeystreamConfig(rows=2, cols=2))
+        assert not ks.data.flags.writeable
+        assert not np.shares_memory(ks.data, source)
+        source[0] = 99
+        assert ks.data.tolist() == [0, 1, 2, 3]
+        with pytest.raises(ValueError):
+            ks.data[0] = 7
+
+    def test_read_only_source_is_kept(self):
+        source = np.arange(4, dtype=np.uint8)
+        source.setflags(write=False)
+        assert Keystream(source, KeystreamConfig(rows=2, cols=2)).data is source
+
+    def test_generated_data_is_read_only(self):
+        ks = quiet_keystream(WORKING_PARAMS, DEFAULT_INITIAL,
+                             KeystreamConfig(rows=4, cols=4))
+        assert not ks.data.flags.writeable
 
 
 class TestLowerBoundError:
@@ -177,7 +205,7 @@ class TestExtractBytes:
 
     def test_insufficient_samples_message_names_both_counts(self):
         config = KeystreamConfig(rows=4, cols=4, transient=10)
-        with pytest.raises(InsufficientSamplesError, match=r"26.*20"):
+        with pytest.raises(DomainError, match=r"26.*20"):
             extract_bytes(np.zeros(20), config)
 
     def test_output_dtype_and_length(self):
@@ -215,7 +243,7 @@ class TestGenerateKeystream:
     def test_length_law(self, rows, cols):
         config = KeystreamConfig(rows=rows, cols=cols)
         ks = quiet_keystream(WORKING_PARAMS, DEFAULT_INITIAL, config)
-        assert len(ks) == rows * cols
+        assert ks.data.shape == (rows * cols,)
 
     @pytest.mark.parametrize("component", ["x", "y", "z"])
     @pytest.mark.parametrize("strategy", ["mantissa-lsb", "minmax-scale"])

@@ -15,7 +15,7 @@ from conftest import full_orbits
 from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, DomainError,
                           ExtensionVariant, IntegrationBlowupError,
                           LorenzParams, LorenzState, integrate_pair,
-                          rk4_step)
+                          lorenz, rk4_step)
 from lorenzcipher.lorenz import _deriv
 
 A, B = ExtensionVariant.A, ExtensionVariant.B
@@ -234,6 +234,15 @@ class TestIntegratePair:
         for n in (0, -1, -3, -10**5000):
             with pytest.raises(DomainError, match=r"n_steps must be >= 1, got "):
                 integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, n, "y")
+
+    @pytest.mark.parametrize("pure_python", [False, True], ids=["loaded-kernel", "pure-python"])
+    @pytest.mark.parametrize("n", [2.5, True, "3", None, np.int64(3)])
+    def test_rejects_non_int_step_count(self, monkeypatch, pure_python, n):
+        # Only a plain int counts: a bool or a numpy integer is refused too.
+        if pure_python:
+            monkeypatch.setattr(lorenz, "_load_kernel", lambda: (None, "oracle"))
+        with pytest.raises(DomainError, match=r"n_steps must be an int, got "):
+            integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, n, "y")
 
     def test_unallocatable_orbits_are_a_domain_error(self):
         # 1.6 PB fails malloc (MemoryError); 2**62 samples overflow the

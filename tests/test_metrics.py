@@ -198,6 +198,15 @@ class TestAdjacentCorrelation:
         with pytest.raises(DomainError):
             adjacent_correlation(img([[7]]), "horizontal")
 
+    @pytest.mark.parametrize("shape,direction", [
+        ((3, 1), "horizontal"), ((1, 3), "vertical"),
+        ((1, 3), "diagonal"), ((3, 1), "diagonal")])
+    def test_too_small_image_error_names_direction_and_shape(self, shape, direction):
+        image = img(np.arange(3).reshape(shape))
+        rows, cols = shape
+        with pytest.raises(DomainError, match=f"{direction} .*{rows}x{cols}"):
+            adjacent_correlation(image, direction)
+
     def test_unknown_direction_rejected(self):
         with pytest.raises(DomainError):
             adjacent_correlation(img([[1, 2], [3, 4]]), "antidiagonal")

@@ -69,6 +69,10 @@ class TestParse:
         with pytest.raises(PgmError):
             parse_pgm(b"P5 1 1 ")
 
+    def test_magic_needs_a_separator_before_the_width(self):
+        with pytest.raises(PgmError, match="width at byte 2"):
+            parse_pgm(b"P51 1 255 A")
+
     def test_non_numeric_dimension_rejected(self):
         with pytest.raises(PgmError):
             parse_pgm(b"P5 one 1 255 \x00")
@@ -85,6 +89,26 @@ class TestParse:
     def test_leading_zeros_do_not_count_as_digits(self):
         image = parse_pgm(b"P5 " + b"0" * 5000 + b"1 01 0255 \x07")
         assert image.pixels.tolist() == [[7]]
+
+
+HEADER_TOKENS = st.sampled_from([
+    b"P5", b"P2", b" ", b"\t", b"\n", b"\r", b"\x0b", b"#", b"# note\n",
+    b"0", b"1", b"2", b"255", b"256", b"65535", b"9" * 19, b"-1", b"+1",
+    b"\x00", b"\xff", b"A"])
+
+
+class TestFuzz:
+    # Any input yields an image or a PgmError, never another exception.
+    @given(st.one_of(
+        st.binary(max_size=64),
+        st.lists(HEADER_TOKENS, max_size=12).map(b"".join),
+        st.lists(HEADER_TOKENS, max_size=12).map(lambda t: b"P5" + b"".join(t))))
+    def test_parse_returns_image_or_raises_pgm_error(self, raw):
+        try:
+            image = parse_pgm(raw)
+        except PgmError:
+            return
+        assert isinstance(image, GrayImage)
 
 
 class TestEncode:
