@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-from .keystream import Keystream, KeystreamConfig, generate_keystream
+from .keystream import Keystream, KeystreamConfig, _read_only, generate_keystream
 from .lorenz import LorenzParams, LorenzState
 
 __all__ = ["GrayImage", "xor_apply", "encrypt", "decrypt"]
@@ -21,15 +21,12 @@ class GrayImage:
     pixels: np.ndarray
 
     def __post_init__(self):
-        shape = self.pixels.shape
-        if len(shape) != 2 or 0 in shape:
-            raise DomainError(f"pixels must be a non-empty 2-d array, got shape {shape}")
-        if self.pixels.dtype != np.uint8:
-            raise DomainError(f"pixels must be uint8, got {self.pixels.dtype}")
-        if self.pixels.flags.writeable or not self.pixels.flags.c_contiguous:
-            pixels = np.array(self.pixels, order="C")
-            pixels.setflags(write=False)
-            object.__setattr__(self, "pixels", pixels)
+        pixels = _read_only(self.pixels, "pixels")
+        if pixels.ndim != 2 or 0 in pixels.shape:
+            raise DomainError(f"pixels must be a non-empty 2-d array, got shape {pixels.shape}")
+        if pixels.dtype != np.uint8:
+            raise DomainError(f"pixels must be uint8, got {pixels.dtype}")
+        object.__setattr__(self, "pixels", pixels)
 
     @property
     def rows(self) -> int:
@@ -47,8 +44,8 @@ class GrayImage:
                 raise DomainError(f"pixels must be integers, got dtype {arr.dtype}")
             if arr.size and (arr.min() < 0 or arr.max() > 255):
                 raise DomainError("pixel values must lie in [0, 255]")
-        arr = np.array(arr, dtype=np.uint8, order="C")
-        arr.setflags(write=False)
+            arr = arr.astype(np.uint8, order="C")
+            arr.setflags(write=False)  # a fresh array, so the constructor keeps it
         return cls(arr)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import sys
 from dataclasses import fields, replace
@@ -71,12 +72,38 @@ def _add_key_flags(p: argparse.ArgumentParser) -> None:
                          help=f"{blurb} ({default})".lstrip())
 
 
+def _read_text(path, kind: str) -> str:
+    """The text of the `kind` file at `path`, which must be UTF-8."""
+    with open(path, "rb") as fh:
+        try:
+            return fh.read().decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FileFormatError(f"{kind} {path}: not UTF-8 at byte {e.start}") from None
+
+
+def _write(output: str | bytes, path, stdout) -> None:
+    """Write one command's whole output to the file at `path`, or to stdout."""
+    if path:
+        with open(path, "wb") as fh:
+            fh.write(output if isinstance(output, bytes) else output.encode("utf-8"))
+    elif isinstance(output, str):
+        stdout.write(output)
+    elif hasattr(stdout, "buffer"):
+        stdout.buffer.write(output)
+    else:
+        raise _UsageError("raw keystream output needs --output or a binary stdout")
+
+
+def _csv_text(*rows) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def _load_config_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        raw = json.loads(text)
-    except ValueError as e:  # JSONDecodeError, or an int past the digit limit
+        raw = json.loads(_read_text(path, "config"))
+    except (ValueError, RecursionError) as e:  # also a too-long int or too-deep nesting
         raise FileFormatError(f"config {path}: invalid JSON ({e})") from None
     if not isinstance(raw, dict):
         raise FileFormatError(f"config {path}: expected a JSON object")
@@ -84,12 +111,11 @@ def _load_config_file(path) -> dict:
     if unknown:
         raise FileFormatError(f"config {path}: unknown keys {unknown}")
     for key, value in raw.items():
-        owner, field, _, _ = _KEY_SETTINGS[key]
+        owner, field, _, choices = _KEY_SETTINGS[key]
         accepted, what = _KINDS[type(getattr(owner, field))]
         if not isinstance(value, accepted) or isinstance(value, bool):
             raise FileFormatError(f"config {path}: {key} must be {what}")
-    for key, (_, _, _, choices) in _KEY_SETTINGS.items():
-        if choices and key in raw and raw[key] not in choices:
+        if choices and value not in choices:
             raise FileFormatError(f"config {path}: {key} must be one of {choices}")
     return raw
 
@@ -108,94 +134,61 @@ def _build_key_inputs(args) -> tuple[LorenzParams, LorenzState, partial]:
             partial(KeystreamConfig, **chosen[KeystreamConfig]))
 
 
-def _cmd_crypt(args, stdout) -> int:
+def _cmd_crypt(args, stdout) -> None:
     params, initial, make_config = _build_key_inputs(args)
     image = read_pgm(args.input)
     config = make_config(image.rows, image.cols)
     write_pgm(encrypt(image, params, initial, config), args.output)
-    return 0
 
 
-def _cmd_keystream(args, stdout) -> int:
+def _cmd_keystream(args, stdout) -> None:
     params, initial, make_config = _build_key_inputs(args)
     key = generate_keystream(params, initial, make_config(args.rows, args.cols))
-    if args.format == "hex":
-        if args.output:
-            with open(args.output, "w", encoding="ascii") as fh:
-                fh.write(key.hex() + "\n")
-        else:
-            print(key.hex(), file=stdout)
-        return 0
-    if args.output:
-        with open(args.output, "wb") as fh:
-            fh.write(key.data.tobytes())
-        return 0
-    buffer = getattr(stdout, "buffer", None)
-    if buffer is None:
-        raise _UsageError("raw keystream output needs --output or a binary stdout")
-    buffer.write(key.data.tobytes())
-    return 0
+    _write(key.hex() + "\n" if args.format == "hex" else key.data.tobytes(),
+           args.output, stdout)
 
 
-def _write_report(rows: list[tuple[str, object]], fh) -> None:
-    fh.write("metric,value\n")
-    for name, value in rows:
-        fh.write(f"{name},{value!r}\n")
-
-
-def _cmd_analyze(args, stdout) -> int:
+def _cmd_analyze(args, stdout) -> None:
     image = read_pgm(args.input)
-    rows: list[tuple[str, object]] = [("entropy", shannon_entropy(image))]
-    for direction in DIRECTIONS:
-        rows.append((f"corr_{direction}", adjacent_correlation(image, direction)))
-    if args.report:
-        with open(args.report, "w", encoding="ascii", newline="") as fh:
-            _write_report(rows, fh)
-    else:
-        _write_report(rows, stdout)
-    if args.histogram:
-        counts = histogram(image)
-        with open(args.histogram, "w", encoding="ascii", newline="") as fh:
-            fh.write("level,count\n")
-            for level, count in enumerate(counts):
-                fh.write(f"{level},{count}\n")
-    return 0
+    report = _csv_text(("metric", "value"), ("entropy", shannon_entropy(image)), *(
+        (f"corr_{d}", adjacent_correlation(image, d)) for d in DIRECTIONS))
+    counts = args.histogram and _csv_text(("level", "count"), *enumerate(histogram(image)))
+    _write(report, args.report, stdout)
+    if counts:
+        _write(counts, args.histogram, stdout)
 
 
 def _read_scores(path) -> list[WorkScores]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        rows = list(csv.reader(io.StringIO(_read_text(path, "scores"), newline="")))
+    except csv.Error as e:  # a field past the csv module's size limit
+        raise FileFormatError(f"scores {path}: {e}") from None
+    if not rows:
+        raise FileFormatError(f"scores {path}: empty file")
+    if [c.strip() for c in rows[0]] != _SCORES_HEADER:
+        raise FileFormatError(f"scores {path}: header must be {','.join(_SCORES_HEADER)}")
+    scores = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(_SCORES_HEADER):
+            raise FileFormatError(f"scores {path}: line {lineno}: "
+                                  f"expected {len(_SCORES_HEADER)} fields")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FileFormatError(f"scores {path}: empty file") from None
-        if [c.strip() for c in header] != _SCORES_HEADER:
+            values = [float(v) for v in row[1:]]
+        except ValueError:
             raise FileFormatError(
-                f"scores {path}: header must be {','.join(_SCORES_HEADER)}")
-        scores = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(_SCORES_HEADER):
-                raise FileFormatError(f"scores {path}: line {lineno}: "
-                                      f"expected {len(_SCORES_HEADER)} fields")
-            try:
-                values = [float(v) for v in row[1:]]
-            except ValueError:
-                raise FileFormatError(
-                    f"scores {path}: line {lineno}: non-numeric value") from None
-            scores.append(WorkScores(row[0].strip(), *values))
+                f"scores {path}: line {lineno}: non-numeric value") from None
+        scores.append(WorkScores(row[0].strip(), *values))
     if not scores:
         raise FileFormatError(f"scores {path}: no data rows")
     return scores
 
 
-def _cmd_index(args, stdout) -> int:
+def _cmd_index(args, stdout) -> None:
     scores = _read_scores(args.scores)
-    print("label,ic", file=stdout)
-    for work, ic in zip(scores, efficiency_index(scores)):
-        print(f"{work.label},{ic:.4f}", file=stdout)
-    return 0
+    rows = [(work.label, f"{ic:.4f}") for work, ic in zip(scores, efficiency_index(scores))]
+    _write(_csv_text(("label", "ic"), *rows), None, stdout)
 
 
 def _build_parser() -> _Parser:
@@ -250,7 +243,8 @@ def run_command(argv, stdout=None, stderr=None) -> int:
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             args = _build_parser().parse_args(argv)
-        return args.func(args, stdout)
+        args.func(args, stdout)
+        return 0
     except _UsageError as e:
         print(f"usage error: {e}", file=stderr)
         return 1

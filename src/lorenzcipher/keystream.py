@@ -64,24 +64,32 @@ class KeystreamConfig:
         return self.transient + self.rows * self.cols
 
 
+def _read_only(value, name: str) -> np.ndarray:
+    """`value` as a read-only, C-contiguous array, copying a writable or strided one."""
+    if not isinstance(value, np.ndarray):
+        raise DomainError(f"{name} must be a numpy array, got {type(value).__name__}")
+    if value.flags.writeable or not value.flags.c_contiguous:
+        value = np.array(value, order="C")
+        value.setflags(write=False)
+    return value
+
+
 @dataclass(frozen=True)
 class Keystream:
-    """rows*cols key bytes, stored read-only (a writable `data` array is
-    copied first), and the config that shapes them."""
+    """rows*cols key bytes, stored read-only and C-contiguous (a writable or
+    strided `data` array is copied first), and the config that shapes them."""
 
     data: np.ndarray
     config: KeystreamConfig
 
     def __post_init__(self):
+        data = _read_only(self.data, "keystream data")
         expected = self.config.rows * self.config.cols
-        if self.data.dtype != np.uint8 or self.data.shape != (expected,):
+        if data.dtype != np.uint8 or data.shape != (expected,):
             raise DomainError(
                 f"keystream must be {expected} uint8 values, got "
-                f"{self.data.dtype} array of shape {self.data.shape}")
-        if self.data.flags.writeable:
-            data = self.data.copy()
-            data.setflags(write=False)
-            object.__setattr__(self, "data", data)
+                f"{data.dtype} array of shape {data.shape}")
+        object.__setattr__(self, "data", data)
 
     def hex(self) -> str:
         return self.data.tobytes().hex()
@@ -107,10 +115,10 @@ def extract_bytes(delta: np.ndarray, config: KeystreamConfig) -> np.ndarray:
     """Discard the transient prefix and map the key window to bytes."""
     delta = np.asarray(delta, dtype=np.float64)
     needed = config.n_samples
-    if delta.shape[0] < needed:
+    if delta.ndim != 1 or delta.shape[0] < needed:
         raise DomainError(
-            f"need {needed} delta samples (transient {config.transient} + "
-            f"{config.rows}x{config.cols} key), have {delta.shape[0]}")
+            f"need a 1-d delta of {needed} samples (transient {config.transient} + "
+            f"{config.rows}x{config.cols} key), got shape {delta.shape}")
     window = delta[config.transient:needed]
     if config.strategy == "mantissa-lsb":
         # An unsigned narrowing cast keeps the low byte.

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -10,12 +9,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repo")
-
-
-@pytest.fixture(scope="session")
-def reference_img():
-    from lorenzcipher import reference_image
-    return reference_image()
 
 
 def full_orbits(initial, params, n):

@@ -56,8 +56,10 @@ class TestGrayImage:
         img = GrayImage.from_array(np.zeros((2, 2), dtype=np.uint8))
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 1
-        # Already read-only and C-contiguous: the constructor copies nothing.
+        # Already read-only and C-contiguous: neither the constructor nor
+        # from_array copies it.
         assert GrayImage(img.pixels).pixels is img.pixels
+        assert GrayImage.from_array(img.pixels).pixels is img.pixels
 
     def test_constructor_stores_a_read_only_copy(self):
         source = np.zeros((2, 2), np.uint8)
@@ -86,7 +88,8 @@ class TestGrayImage:
 
     def test_constructor_rejects_bad_pixel_arrays(self):
         for pixels in (np.zeros(4, np.uint8), np.zeros((1, 2, 2), np.uint8),
-                       np.zeros((0, 2), np.uint8), np.zeros((1, 2), np.int64)):
+                       np.zeros((0, 2), np.uint8), np.zeros((1, 2), np.int64),
+                       [[1, 2]]):
             with pytest.raises(DomainError):
                 GrayImage(pixels)
 

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, file round trips, report formats, config files."""
 
+import csv
 import io
 import json
 import sys
@@ -8,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, FileFormatError,
@@ -244,6 +245,19 @@ class TestAnalyze:
         assert abs(float(values["corr_horizontal"])) > 0.5
 
 
+# Scores rows after a valid header: fields mixing text, numbers, zeros and
+# non-finite values, so that rows reach both the parser and the index.
+score_rows = st.lists(st.lists(st.one_of(
+    st.text(max_size=6), st.floats(-2, 2).map(repr),
+    st.sampled_from(["0", "nan", "inf", "7.99", '"a,b"', '"x\ny"'])), max_size=6).map(",".join),
+    max_size=4).map("\n".join)
+
+
+@pytest.fixture(scope="module")
+def scores_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "scores.csv"
+
+
 class TestIndex:
     HEADER = "label,corr_h,corr_v,corr_d,entropy\n"
     ROWS = ("work-a,0.00045,0.0015,0.0040,7.9973\n"
@@ -309,9 +323,31 @@ class TestIndex:
     def test_zero_correlation_row(self, tmp_path):
         scores = tmp_path / "s.csv"
         scores.write_text(self.HEADER + "w,0.0,0.001,0.001,7.9\n")
-        code, _, err = run("index", str(scores))
+        code, out, err = run("index", str(scores))
         assert code == 3
         assert "domain error" in err
+        assert out == ""
+
+    def test_label_with_a_comma_is_one_field(self, tmp_path):
+        scores = tmp_path / "s.csv"
+        scores.write_text(self.HEADER + '"smith, 2019",0.0028,0.0059,0.0031,7.9969\n'
+                          + self.ROWS)
+        code, out, _ = run("index", str(scores))
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["label", "ic"] and len(rows) == 6
+        assert rows[1] == ["smith, 2019", rows[3][1]]  # the same scores as work-b
+
+    @example(b"label,corr_h,corr_v,corr_d,entropy\n\xffw,0.1,0.1,0.1,7.9\n")
+    @example(b"label,corr_h,corr_v,corr_d,entropy\n" + b"x" * 200_000 + b",0.1,0.1,0.1,7.9\n")
+    @given(st.one_of(st.binary(), score_rows))
+    def test_any_scores_exit_cleanly(self, scores_path, payload):
+        if isinstance(payload, str):
+            payload = (self.HEADER + payload).encode()
+        scores_path.write_bytes(payload)
+        code, out, err = run("index", str(scores_path))
+        assert code in (0, 2, 3), err
+        assert code == 0 or (out == "" and err.count("\n") == 1), (out, err)
 
 
 class TestConfigFile:
@@ -484,12 +520,18 @@ class TestKeySettings:
         for name, value in loaded.items():
             assert has_kind(value, CONFIG_KINDS[name]), (name, value)
 
-    @given(configs)
+    @example(b"\xff\xfe{}")
+    @example(b"[" * 200_000)
+    @given(st.one_of(configs, st.binary()))
     def test_any_config_exits_cleanly(self, config_path, obj):
-        # A transient from 1001 to 10**18 could run or allocate a long orbit.
-        transient = obj.get("transient")
-        assume(not (type(transient) is int and 1000 < transient <= 10**18))
-        config_path.write_text(json_text(obj))
-        code, _, err = run("keystream", "--rows", "2", "--cols", "2",
-                           "--config", str(config_path))
+        if isinstance(obj, bytes):
+            config_path.write_bytes(obj)
+        else:
+            # A transient from 1001 to 10**18 could run or allocate a long orbit.
+            transient = obj.get("transient")
+            assume(not (type(transient) is int and 1000 < transient <= 10**18))
+            config_path.write_text(json_text(obj))
+        code, out, err = run("keystream", "--rows", "2", "--cols", "2",
+                             "--config", str(config_path))
         assert code in (0, 2, 3), err
+        assert code == 0 or (out == "" and err.count("\n") == 1), (out, err)

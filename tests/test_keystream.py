@@ -99,6 +99,17 @@ class TestKeystreamData:
         source.setflags(write=False)
         assert Keystream(source, KeystreamConfig(rows=2, cols=2)).data is source
 
+    def test_strided_source_is_copied_contiguous(self):
+        source = np.arange(8, dtype=np.uint8)
+        source.setflags(write=False)
+        ks = Keystream(source[::2], KeystreamConfig(rows=2, cols=2))
+        assert ks.data.flags.c_contiguous and not ks.data.flags.writeable
+        assert ks.data.tolist() == [0, 2, 4, 6]
+
+    def test_rejects_a_list(self):
+        with pytest.raises(DomainError, match="list"):
+            Keystream([0, 0, 0, 0], KeystreamConfig(rows=2, cols=2))
+
     def test_generated_data_is_read_only(self):
         ks = quiet_keystream(WORKING_PARAMS, DEFAULT_INITIAL,
                              KeystreamConfig(rows=4, cols=4))
@@ -207,6 +218,13 @@ class TestExtractBytes:
         config = KeystreamConfig(rows=4, cols=4, transient=10)
         with pytest.raises(DomainError, match=r"26.*20"):
             extract_bytes(np.zeros(20), config)
+
+    def test_rejects_delta_that_is_not_1d(self):
+        # An (n, 2) pair passed in place of its delta has enough rows.
+        config = KeystreamConfig(rows=2, cols=2, transient=1)
+        for shape in ((30, 2), (5, 1), ()):
+            with pytest.raises(DomainError, match="1-d"):
+                extract_bytes(np.zeros(shape), config)
 
     def test_output_dtype_and_length(self):
         config = KeystreamConfig(rows=3, cols=5, transient=2)

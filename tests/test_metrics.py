@@ -14,7 +14,8 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lorenzcipher import (DIRECTIONS, DomainError, GrayImage,
+from conftest import make_image
+from lorenzcipher import (DIRECTIONS, DomainError,
                           LorenzCipherError, UndefinedCorrelationError,
                           WorkScores, adjacent_correlation,
                           chi_square_uniform, efficiency_index, histogram,
@@ -27,10 +28,6 @@ BENCHMARK = [
     WorkScores("work-c", 0.00083, 0.00223, 0.00650, 7.9998),
     WorkScores("work-d", 0.0016, 0.0025, 0.0003, 7.9826),
 ]
-
-
-def img(values):
-    return GrayImage.from_array(np.asarray(values, dtype=np.uint8))
 
 
 def oracle_correlation(xs, ys):
@@ -119,7 +116,7 @@ class TestBitIdentity:
     @example(np.array([[9, 9], [9, 9]], np.uint8))
     @example(np.array([[0, 255, 0], [255, 0, 255]], np.uint8))
     def test_matches_reference_on_small_images(self, pixels):
-        image = img(pixels)
+        image = make_image(pixels)
         for direction in DIRECTIONS:
             assert (outcome(adjacent_correlation, image, direction)
                     == outcome(reference_correlation, image, direction))
@@ -134,7 +131,7 @@ class TestBitIdentity:
         c = np.pad(np.pad(up, 8, mode="edge"), ((1, 0), (1, 0))).cumsum(0).cumsum(1)
         smooth = (c[17:, 17:] - c[:-17, 17:] - c[17:, :-17] + c[:-17, :-17]) // 289
         for pixels in (noise, smooth):
-            image = img(pixels)
+            image = make_image(pixels)
             for direction in DIRECTIONS:
                 got = adjacent_correlation(image, direction)
                 assert got == reference_correlation(image, direction)
@@ -146,74 +143,74 @@ class TestPopulationCorrelation:
     # cases put the series x and y in the two rows.
     def test_perfect_positive(self):
         x = np.array([1, 2, 3])
-        r = adjacent_correlation(img([x, 2 * x + 7]), "vertical")
+        r = adjacent_correlation(make_image([x, 2 * x + 7]), "vertical")
         assert r == pytest.approx(1.0)
 
     def test_perfect_negative(self):
         x = np.array([1, 2, 3])
-        r = adjacent_correlation(img([x, 255 - x]), "vertical")
+        r = adjacent_correlation(make_image([x, 255 - x]), "vertical")
         assert r == pytest.approx(-1.0)
 
     def test_shift_and_scale_invariance(self):
         rng = np.random.default_rng(3)
         x = rng.integers(4, 85, 50)
         y = 2 * rng.integers(0, 100, 50)
-        base = adjacent_correlation(img([x, y]), "vertical")
-        moved = adjacent_correlation(img([3 * x - 11, y // 2 + 4]), "vertical")
+        base = adjacent_correlation(make_image([x, y]), "vertical")
+        moved = adjacent_correlation(make_image([3 * x - 11, y // 2 + 4]), "vertical")
         assert moved == pytest.approx(base, rel=1e-12)
 
     def test_constant_series_is_undefined(self):
         with pytest.raises(UndefinedCorrelationError):
-            adjacent_correlation(img([[5, 5], [1, 2]]), "vertical")
+            adjacent_correlation(make_image([[5, 5], [1, 2]]), "vertical")
 
     def test_result_is_clamped(self):
         x = [1, 2, 3, 4]
-        r = adjacent_correlation(img([x, x]), "vertical")
+        r = adjacent_correlation(make_image([x, x]), "vertical")
         assert -1.0 <= r <= 1.0
 
 
 class TestAdjacentCorrelation:
     def test_row_constant_image_horizontal_is_one(self):
-        image = img([[10, 10, 10], [200, 200, 200]])
+        image = make_image([[10, 10, 10], [200, 200, 200]])
         assert adjacent_correlation(image, "horizontal") == pytest.approx(1.0)
 
     def test_checkerboard_correlations(self):
-        image = img([[0, 255, 0], [255, 0, 255], [0, 255, 0]])
+        image = make_image([[0, 255, 0], [255, 0, 255], [0, 255, 0]])
         assert adjacent_correlation(image, "diagonal") == pytest.approx(1.0)
         assert adjacent_correlation(image, "horizontal") == pytest.approx(-1.0)
         assert adjacent_correlation(image, "vertical") == pytest.approx(-1.0)
 
     def test_two_by_two_antidiagonal_horizontal(self):
-        image = img([[0, 255], [255, 0]])
+        image = make_image([[0, 255], [255, 0]])
         assert adjacent_correlation(image, "horizontal") == pytest.approx(-1.0)
 
     def test_striped_columns_horizontal_is_undefined(self):
         # Horizontal pairs here are (0,255) twice: the left series is
         # constant 0 and the right constant 255, so std is zero.
-        image = img([[0, 255], [0, 255]])
+        image = make_image([[0, 255], [0, 255]])
         with pytest.raises(UndefinedCorrelationError):
             adjacent_correlation(image, "horizontal")
 
     def test_single_pixel_rejected(self):
         with pytest.raises(DomainError):
-            adjacent_correlation(img([[7]]), "horizontal")
+            adjacent_correlation(make_image([[7]]), "horizontal")
 
     @pytest.mark.parametrize("shape,direction", [
         ((3, 1), "horizontal"), ((1, 3), "vertical"),
         ((1, 3), "diagonal"), ((3, 1), "diagonal")])
     def test_too_small_image_error_names_direction_and_shape(self, shape, direction):
-        image = img(np.arange(3).reshape(shape))
+        image = make_image(np.arange(3).reshape(shape))
         rows, cols = shape
         with pytest.raises(DomainError, match=f"{direction} .*{rows}x{cols}"):
             adjacent_correlation(image, direction)
 
     def test_unknown_direction_rejected(self):
         with pytest.raises(DomainError):
-            adjacent_correlation(img([[1, 2], [3, 4]]), "antidiagonal")
+            adjacent_correlation(make_image([[1, 2], [3, 4]]), "antidiagonal")
 
     def test_matches_brute_force_on_fixed_image(self):
         rng = np.random.default_rng(9)
-        image = img(rng.integers(0, 256, (3, 4), dtype=np.uint8))
+        image = make_image(rng.integers(0, 256, (3, 4), dtype=np.uint8))
         for direction in DIRECTIONS:
             xs, ys = oracle_pairs(image.pixels, direction)
             want = oracle_correlation(xs, ys)
@@ -222,8 +219,8 @@ class TestAdjacentCorrelation:
 
     @given(arrays(np.uint8, (4, 5)), st.sampled_from(DIRECTIONS))
     def test_flip_symmetry(self, pixels, direction):
-        image = img(pixels)
-        flipped = img(pixels[::-1, ::-1])
+        image = make_image(pixels)
+        flipped = make_image(pixels[::-1, ::-1])
         try:
             a = adjacent_correlation(image, direction)
             b = adjacent_correlation(flipped, direction)
@@ -234,37 +231,37 @@ class TestAdjacentCorrelation:
 
 class TestEntropyAndHistogram:
     def test_constant_image_entropy_zero_positive_sign(self):
-        h = shannon_entropy(img(np.full((4, 4), 9, dtype=np.uint8)))
+        h = shannon_entropy(make_image(np.full((4, 4), 9, dtype=np.uint8)))
         assert h == 0.0
         assert math.copysign(1.0, h) == 1.0
 
     def test_uniform_image_entropy_exactly_eight(self):
         values = np.arange(256, dtype=np.uint8).reshape(16, 16)
-        assert shannon_entropy(img(values)) == 8.0
+        assert shannon_entropy(make_image(values)) == 8.0
 
     def test_two_symbol_image(self):
-        assert shannon_entropy(img([[0, 0], [255, 255]])) == pytest.approx(1.0)
+        assert shannon_entropy(make_image([[0, 0], [255, 255]])) == pytest.approx(1.0)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(21)
         pixels = rng.integers(0, 256, (8, 8), dtype=np.uint8)
-        got = shannon_entropy(img(pixels))
+        got = shannon_entropy(make_image(pixels))
         assert got == pytest.approx(oracle_entropy(pixels), rel=1e-12)
 
     @given(arrays(np.uint8, (6, 6)))
     def test_entropy_bounds(self, pixels):
-        h = shannon_entropy(img(pixels))
+        h = shannon_entropy(make_image(pixels))
         assert 0.0 <= h <= 8.0
 
     def test_histogram_counts(self):
-        counts = histogram(img([[0, 0, 255], [3, 3, 3]]))
+        counts = histogram(make_image([[0, 0, 255], [3, 3, 3]]))
         assert counts.shape == (256,)
         assert counts[0] == 2 and counts[3] == 3 and counts[255] == 1
         assert counts.sum() == 6
 
     @given(arrays(np.uint8, (5, 7)))
     def test_histogram_conserves_pixels(self, pixels):
-        assert histogram(img(pixels)).sum() == pixels.size
+        assert histogram(make_image(pixels)).sum() == pixels.size
 
 
 class TestChiSquare:

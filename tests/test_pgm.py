@@ -6,12 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import make_image
 from lorenzcipher import (GrayImage, PgmError, encode_pgm, parse_pgm,
                           read_pgm, write_pgm)
-
-
-def img(values):
-    return GrayImage.from_array(np.asarray(values, dtype=np.uint8))
 
 
 class TestParse:
@@ -113,22 +110,22 @@ class TestFuzz:
 
 class TestEncode:
     def test_canonical_header(self):
-        assert encode_pgm(img([[0]])) == b"P5\n1 1\n255\n\x00"
+        assert encode_pgm(make_image([[0]])) == b"P5\n1 1\n255\n\x00"
 
     def test_payload_is_row_major(self):
-        raw = encode_pgm(img([[1, 2, 3], [4, 5, 6]]))
+        raw = encode_pgm(make_image([[1, 2, 3], [4, 5, 6]]))
         assert raw.endswith(b"\x01\x02\x03\x04\x05\x06")
         assert b"3 2" in raw
 
     @given(arrays(np.uint8, st.tuples(st.integers(1, 8), st.integers(1, 8))))
     def test_round_trip(self, pixels):
-        back = parse_pgm(encode_pgm(img(pixels)))
+        back = parse_pgm(encode_pgm(make_image(pixels)))
         assert np.array_equal(back.pixels, pixels)
 
 
 class TestFileIo:
     def test_file_round_trip(self, tmp_path):
-        image = img([[9, 8], [7, 6], [5, 4]])
+        image = make_image([[9, 8], [7, 6], [5, 4]])
         path = tmp_path / "t.pgm"
         write_pgm(image, path)
         back = read_pgm(path)
