@@ -15,9 +15,6 @@ from dataclasses import replace
 import numpy as np
 
 import lorenzcipher as lc
-from lorenzcipher.keystream import STRATEGIES
-from lorenzcipher.metrics import (adjacent_correlation, chi_square_uniform,
-                                  histogram, shannon_entropy)
 
 DEFAULT_STEPS = (1e-6, 1e-5, 1e-4, 1e-3, 5e-3, 1e-2, 2e-2)
 
@@ -26,7 +23,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--size", type=int, default=256)
     ap.add_argument("--steps", type=float, nargs="+", default=list(DEFAULT_STEPS))
-    ap.add_argument("--strategy", choices=STRATEGIES,
+    ap.add_argument("--strategy", choices=lc.STRATEGIES,
                     default=lc.KeystreamConfig.strategy)
     args = ap.parse_args(argv)
 
@@ -46,14 +43,13 @@ def main(argv=None) -> int:
         data = lc.extract_bytes(delta, config)
         diff = np.flatnonzero(delta)
         key = lc.GrayImage.from_array(data.reshape(config.rows, config.cols))
-        counts = histogram(key)
+        counts = lc.histogram(key)
         cipher = lc.xor_apply(plain, lc.Keystream(data, config))
-        worst = max(abs(adjacent_correlation(cipher, d))
-                    for d in ("horizontal", "vertical", "diagonal"))
+        worst = max(abs(lc.adjacent_correlation(cipher, d)) for d in lc.DIRECTIONS)
         print(f"{step:>8.0e} {diff[0] if diff.size else '-':>10} "
               f"{100.0 * float(np.mean(data == 0)):>8.3f} {len(np.unique(data)):>8} "
-              f"{shannon_entropy(key):>8.4f} {chi_square_uniform(counts):>12.1f} "
-              f"{shannon_entropy(cipher):>8.4f} {worst:>10.2e}")
+              f"{lc.shannon_entropy(key):>8.4f} {lc.chi_square_uniform(counts):>12.1f} "
+              f"{lc.shannon_entropy(cipher):>8.4f} {worst:>10.2e}")
     return 0
 
 

@@ -20,35 +20,28 @@ from dataclasses import replace
 import numpy as np
 
 import lorenzcipher as lc
-from lorenzcipher.keystream import STRATEGIES
-from lorenzcipher.metrics import (WorkScores, adjacent_correlation,
-                                  chi_square_uniform, efficiency_index,
-                                  histogram, shannon_entropy)
 
 # Fixed cross-method benchmark rows used as the efficiency-index baseline
 # (correlation magnitudes horizontal/vertical/diagonal, then entropy).
 BENCHMARK_ROWS = [
-    WorkScores("work-a", 0.00045, 0.0015, 0.0040, 7.9973),
-    WorkScores("work-b", 0.0028, 0.0059, 0.0031, 7.9969),
-    WorkScores("work-c", 0.00083, 0.00223, 0.00650, 7.9998),
-    WorkScores("work-d", 0.0016, 0.0025, 0.0003, 7.9826),
+    lc.WorkScores("work-a", 0.00045, 0.0015, 0.0040, 7.9973),
+    lc.WorkScores("work-b", 0.0028, 0.0059, 0.0031, 7.9969),
+    lc.WorkScores("work-c", 0.00083, 0.00223, 0.00650, 7.9998),
+    lc.WorkScores("work-d", 0.0016, 0.0025, 0.0003, 7.9826),
 ]
 
 
 def image_metrics(image):
-    return {
-        "entropy": shannon_entropy(image),
-        "corr_h": adjacent_correlation(image, "horizontal"),
-        "corr_v": adjacent_correlation(image, "vertical"),
-        "corr_d": adjacent_correlation(image, "diagonal"),
-    }
+    """Entropy, then corr_h, corr_v and corr_d: one per direction, by initial."""
+    return {"entropy": lc.shannon_entropy(image),
+            **{f"corr_{d[0]}": lc.adjacent_correlation(image, d) for d in lc.DIRECTIONS}}
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--step", type=float, default=0.01)
     ap.add_argument("--size", type=int, default=256)
-    ap.add_argument("--strategy", choices=STRATEGIES,
+    ap.add_argument("--strategy", choices=lc.STRATEGIES,
                     default=lc.KeystreamConfig.strategy)
     ap.add_argument("--outdir", help="also write plain/cipher/decrypted PGMs here")
     args = ap.parse_args(argv)
@@ -74,23 +67,23 @@ def main(argv=None) -> int:
 
     print(f"\n{'metric':<12}{'plaintext':>14}{'ciphertext':>14}")
     pm, cm = image_metrics(plain), image_metrics(cipher)
-    for name in ("entropy", "corr_h", "corr_v", "corr_d"):
+    for name in pm:
         print(f"{name:<12}{pm[name]:>14.6f}{cm[name]:>14.6f}")
-    hc = histogram(cipher)
+    hc = lc.histogram(cipher)
     print(f"\nciphertext histogram: min {hc.min()}, max {hc.max()}, "
-          f"chi2 {chi_square_uniform(hc):.1f}")
+          f"chi2 {lc.chi_square_uniform(hc):.1f}")
 
     key_image = lc.GrayImage.from_array(key.data.reshape(args.size, args.size))
     print(f"keystream: zero fraction {float(np.mean(key.data == 0)):.4%}, "
           f"distinct {len(np.unique(key.data))}, "
-          f"entropy {shannon_entropy(key_image):.4f}, "
-          f"chi2 {chi_square_uniform(histogram(key_image)):.1f}")
+          f"entropy {lc.shannon_entropy(key_image):.4f}, "
+          f"chi2 {lc.chi_square_uniform(lc.histogram(key_image)):.1f}")
 
     rows = BENCHMARK_ROWS + [
-        WorkScores("this-run", abs(cm["corr_h"]), abs(cm["corr_v"]),
-                   abs(cm["corr_d"]), cm["entropy"])]
+        lc.WorkScores("this-run", abs(cm["corr_h"]), abs(cm["corr_v"]),
+                      abs(cm["corr_d"]), cm["entropy"])]
     print("\nefficiency index (vs fixed benchmark rows):")
-    for work, ic in zip(rows, efficiency_index(rows)):
+    for work, ic in zip(rows, lc.efficiency_index(rows)):
         print(f"  {work.label:<10}{ic:.4f}")
 
     if args.outdir:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError
+from .errors import DomainError
 from .keystream import Keystream, KeystreamConfig, _read_only, generate_keystream
 from .lorenz import LorenzParams, LorenzState
 
@@ -53,7 +53,7 @@ def xor_apply(image: GrayImage, key: Keystream) -> GrayImage:
     """XOR each pixel with the matching key byte, row-major."""
     kc = key.config
     if (kc.rows, kc.cols) != (image.rows, image.cols):
-        raise DimensionMismatchError(
+        raise DomainError(
             f"key is {kc.rows}x{kc.cols} but image is {image.rows}x{image.cols}")
     out = image.pixels ^ key.data.reshape(image.rows, image.cols)
     out.setflags(write=False)  # a fresh uint8 array, so GrayImage keeps it uncopied
@@ -67,7 +67,7 @@ def encrypt(image: GrayImage, params: LorenzParams, initial: LorenzState,
     Applying the same call to the ciphertext restores the plaintext.
     """
     if (config.rows, config.cols) != (image.rows, image.cols):
-        raise DimensionMismatchError(
+        raise DomainError(
             f"config is {config.rows}x{config.cols} but image is "
             f"{image.rows}x{image.cols}")
     key = generate_keystream(params, initial, config)

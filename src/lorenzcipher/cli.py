@@ -241,7 +241,7 @@ def run_command(argv, stdout=None, stderr=None) -> int:
     stdout = sys.stdout if stdout is None else stdout
     stderr = sys.stderr if stderr is None else stderr
     try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with contextlib.redirect_stdout(stdout):  # where --help prints
             args = _build_parser().parse_args(argv)
         args.func(args, stdout)
         return 0

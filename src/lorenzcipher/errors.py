@@ -7,6 +7,9 @@ structurally invalid data. The CLI maps these onto distinct exit codes.
 
 from __future__ import annotations
 
+__all__ = ["LorenzCipherError", "FileFormatError", "DomainError",
+           "IntegrationBlowupError"]
+
 
 class LorenzCipherError(Exception):
     """Base class for all package-specific errors."""
@@ -14,10 +17,6 @@ class LorenzCipherError(Exception):
 
 class FileFormatError(LorenzCipherError):
     """An input file exists but does not match its expected format."""
-
-
-class PgmError(FileFormatError):
-    """A PGM file violates the binary (P5) format rules."""
 
 
 class DomainError(LorenzCipherError):
@@ -36,11 +35,3 @@ class IntegrationBlowupError(DomainError):
         super().__init__(message)
         self.variant = variant
         self.step_index = step_index
-
-
-class DimensionMismatchError(DomainError):
-    """Image and keystream (or config) dimensions disagree."""
-
-
-class UndefinedCorrelationError(DomainError):
-    """A correlation is requested for a series with zero standard deviation."""

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cipher import GrayImage
-from .errors import DomainError, UndefinedCorrelationError
+from .errors import DomainError
 
 __all__ = [
     "DIRECTIONS",
@@ -76,7 +76,7 @@ def adjacent_correlation(image: GrayImage, direction: str) -> float:
     b *= b
     sy = np.sqrt(b.sum() / m)
     if sx == 0.0 or sy == 0.0:
-        raise UndefinedCorrelationError(
+        raise DomainError(
             "correlation undefined: a series has zero standard deviation")
     r = float(a.sum() / m / (sx * sy))
     # One rounding step can push |r| a few ulp past 1; the result is a

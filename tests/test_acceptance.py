@@ -32,14 +32,13 @@ import pytest
 import scipy.stats
 
 from conftest import full_orbits
-from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, GrayImage,
-                          KeystreamConfig, LorenzParams, LorenzState,
-                          UndefinedCorrelationError, WorkScores,
-                          adjacent_correlation, chi_square_uniform, decrypt,
-                          efficiency_index, encode_pgm, encrypt,
-                          generate_keystream, histogram, parse_pgm,
-                          reference_image, shannon_entropy, write_pgm,
-                          xor_apply)
+from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, DomainError,
+                          GrayImage, KeystreamConfig, LorenzParams,
+                          LorenzState, WorkScores, adjacent_correlation,
+                          chi_square_uniform, decrypt, efficiency_index,
+                          encode_pgm, encrypt, generate_keystream, histogram,
+                          parse_pgm, reference_image, shannon_entropy,
+                          write_pgm, xor_apply)
 from lorenzcipher.cli import run_command
 from lorenzcipher.keystream import STRATEGIES
 from lorenzcipher.lorenz import COMPONENTS, ExtensionVariant, _deriv
@@ -344,7 +343,7 @@ def test_c8_metric_oracle():
     assert shannon_entropy(uniform) == 8.0
     flat = GrayImage.from_array(np.full((4, 4), 9, dtype=np.uint8))
     assert shannon_entropy(flat) == 0.0
-    with pytest.raises(UndefinedCorrelationError):
+    with pytest.raises(DomainError, match="zero standard deviation"):
         adjacent_correlation(flat, "horizontal")
     _report("C8-metrics", True,
             f"{checked} correlation values match a direct-definition "

@@ -1,5 +1,7 @@
-"""XOR cipher unit tests: involution, shape rules, keystream recovery."""
+"""XOR cipher unit tests: involution, shape rules, keystream recovery; and
+the package namespace the cipher is used through."""
 
+import importlib
 import warnings
 
 import numpy as np
@@ -8,11 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS,
-                          DimensionMismatchError, DomainError, GrayImage,
-                          Keystream, KeystreamConfig, KeystreamQualityWarning,
-                          LorenzParams, LorenzState, decrypt, encrypt,
-                          xor_apply)
+import lorenzcipher
+from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, DomainError,
+                          GrayImage, Keystream, KeystreamConfig,
+                          KeystreamQualityWarning, LorenzParams, LorenzState,
+                          decrypt, encrypt, xor_apply)
 
 WORKING_PARAMS = LorenzParams(16.0, 45.92, 4.0, 0.01)
 
@@ -111,7 +113,7 @@ class TestXorApply:
         img = image_and_key(np.zeros((3, 4), dtype=np.uint8))
         key_cfg = KeystreamConfig(rows=2, cols=2)
         key = Keystream(np.zeros(4, dtype=np.uint8), key_cfg)
-        with pytest.raises(DimensionMismatchError, match=r"2x2.*3x4"):
+        with pytest.raises(DomainError, match=r"key is 2x2 but image is 3x4"):
             xor_apply(img, key)
 
     def test_keystream_recoverability(self):
@@ -159,5 +161,26 @@ class TestEncryptDecrypt:
     def test_config_image_mismatch_is_rejected(self):
         img = GrayImage.from_array(np.zeros((4, 4), dtype=np.uint8))
         config = KeystreamConfig(rows=8, cols=8)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DomainError, match="config is 8x8 but image is 4x4"):
             encrypt(img, WORKING_PARAMS, DEFAULT_INITIAL, config)
+
+
+class TestPackageApi:
+    MODULES = [importlib.import_module(f"lorenzcipher.{name}") for name in (
+        "cipher", "errors", "keystream", "lorenz", "metrics", "pgm", "reference")]
+
+    def test_namespace_is_the_modules_declared_api(self):
+        declared = [name for module in self.MODULES for name in module.__all__]
+        assert len(set(declared)) == len(declared)
+        assert sorted(lorenzcipher.__all__) == sorted(declared)
+
+    def test_every_public_name_resolves_to_its_module_object(self):
+        for module in self.MODULES:
+            for name in module.__all__:
+                assert getattr(lorenzcipher, name) is getattr(module, name)
+
+    def test_star_import_binds_only_the_public_names(self):
+        namespace = {}
+        exec("from lorenzcipher import *", namespace)
+        namespace.pop("__builtins__")
+        assert sorted(namespace) == sorted(lorenzcipher.__all__)

@@ -12,14 +12,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, FileFormatError,
-                          GrayImage, KeystreamConfig, LorenzParams, WorkScores,
+from lorenzcipher import (COMPONENTS, DEFAULT_INITIAL, DEFAULT_PARAMS,
+                          STRATEGIES, FileFormatError, GrayImage,
+                          KeystreamConfig, LorenzParams, WorkScores,
                           adjacent_correlation, efficiency_index,
                           generate_keystream, read_pgm, reference_image,
                           shannon_entropy, write_pgm)
 from lorenzcipher.cli import _load_config_file, run_command
-from lorenzcipher.keystream import STRATEGIES
-from lorenzcipher.lorenz import COMPONENTS
 
 WORKING = ["--step", "0.01", "--transient", "3000"]
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import make_image
-from lorenzcipher import (GrayImage, PgmError, encode_pgm, parse_pgm,
+from lorenzcipher import (FileFormatError, GrayImage, encode_pgm, parse_pgm,
                           read_pgm, write_pgm)
 
 
@@ -32,46 +32,46 @@ class TestParse:
         assert parse_pgm(raw).pixels.ravel().tolist() == [0x0A, 0x20]
 
     def test_ascii_pgm_rejected(self):
-        with pytest.raises(PgmError, match="P2"):
+        with pytest.raises(FileFormatError, match="P2"):
             parse_pgm(b"P2 1 1 255 65")
 
     def test_wrong_magic_rejected(self):
-        with pytest.raises(PgmError, match="magic"):
+        with pytest.raises(FileFormatError, match="magic"):
             parse_pgm(b"P6 1 1 255 abc")
 
     def test_sixteen_bit_maxval_rejected(self):
-        with pytest.raises(PgmError, match="16-bit"):
+        with pytest.raises(FileFormatError, match="16-bit"):
             parse_pgm(b"P5 1 1 65535 \x00\x00")
 
     def test_nonstandard_low_maxval_accepted(self):
         assert parse_pgm(b"P5 1 1 100 \x42").pixels[0, 0] == 0x42
 
     def test_pixel_above_maxval_rejected(self):
-        with pytest.raises(PgmError, match="200 exceeds maxval 100"):
+        with pytest.raises(FileFormatError, match="200 exceeds maxval 100"):
             parse_pgm(b"P5 2 1 100 \x42\xc8")
 
     def test_zero_maxval_rejected(self):
-        with pytest.raises(PgmError):
+        with pytest.raises(FileFormatError, match="invalid maxval 0"):
             parse_pgm(b"P5 1 1 0 \x00")
 
     def test_zero_dimension_rejected(self):
-        with pytest.raises(PgmError):
+        with pytest.raises(FileFormatError, match="invalid dimensions 0x1"):
             parse_pgm(b"P5 0 1 255 ")
 
     def test_truncated_payload_reports_counts(self):
-        with pytest.raises(PgmError, match="6.*4"):
+        with pytest.raises(FileFormatError, match="expected 6 bytes, found 4"):
             parse_pgm(b"P5 2 3 255 \x01\x02\x03\x04")
 
     def test_missing_maxval_rejected(self):
-        with pytest.raises(PgmError):
+        with pytest.raises(FileFormatError, match="expected a decimal maxval"):
             parse_pgm(b"P5 1 1 ")
 
     def test_magic_needs_a_separator_before_the_width(self):
-        with pytest.raises(PgmError, match="width at byte 2"):
+        with pytest.raises(FileFormatError, match="width at byte 2"):
             parse_pgm(b"P51 1 255 A")
 
     def test_non_numeric_dimension_rejected(self):
-        with pytest.raises(PgmError):
+        with pytest.raises(FileFormatError, match="expected a decimal width"):
             parse_pgm(b"P5 one 1 255 \x00")
 
     @pytest.mark.parametrize("header", [
@@ -80,8 +80,18 @@ class TestParse:
         b"P5 1 1 " + b"2" * 19,
     ])
     def test_oversized_header_number_rejected(self, header):
-        with pytest.raises(PgmError, match="significant digits"):
+        with pytest.raises(FileFormatError, match="significant digits"):
             parse_pgm(header + b"\n\x00")
+
+    def test_bytes_past_the_payload_are_ignored(self):
+        assert parse_pgm(b"P5 1 1 255 \x07\x08").pixels.tolist() == [[7]]
+
+    def test_bytearray_input_is_copied(self):
+        # A writable buffer could change under the image, so it is copied.
+        raw = bytearray(b"P5 2 1 255 \x01\x02")
+        image = parse_pgm(raw)
+        raw[-1] = 9
+        assert image.pixels.tolist() == [[1, 2]]
 
     def test_leading_zeros_do_not_count_as_digits(self):
         image = parse_pgm(b"P5 " + b"0" * 5000 + b"1 01 0255 \x07")
@@ -95,7 +105,7 @@ HEADER_TOKENS = st.sampled_from([
 
 
 class TestFuzz:
-    # Any input yields an image or a PgmError, never another exception.
+    # Any input yields an image or a FileFormatError, never another exception.
     @given(st.one_of(
         st.binary(max_size=64),
         st.lists(HEADER_TOKENS, max_size=12).map(b"".join),
@@ -103,7 +113,7 @@ class TestFuzz:
     def test_parse_returns_image_or_raises_pgm_error(self, raw):
         try:
             image = parse_pgm(raw)
-        except PgmError:
+        except FileFormatError:
             return
         assert isinstance(image, GrayImage)
 
@@ -138,5 +148,5 @@ class TestFileIo:
     def test_malformed_file_raises_pgm_error(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"JUNK")
-        with pytest.raises(PgmError):
+        with pytest.raises(FileFormatError, match="magic"):
             read_pgm(path)
