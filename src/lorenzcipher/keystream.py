@@ -125,6 +125,8 @@ def extract_bytes(delta: np.ndarray, config: KeystreamConfig) -> np.ndarray:
         return window.view(np.uint64).astype(np.uint8)
     lo = window.min()
     hi = window.max()
+    if not np.isfinite(float(hi) - float(lo)):  # also a range past the largest float
+        raise DomainError(f"minmax-scale needs a finite window and range, got {lo} to {hi}")
     if hi == lo:
         return np.zeros(window.shape[0], dtype=np.uint8)
     scaled = window - lo

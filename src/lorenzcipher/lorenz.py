@@ -15,9 +15,9 @@ into one destroys the keystream.
 
 The pure-Python `_deriv`/`_rk4` are the bit-level specification.
 `_kernel.c` mirrors them operation for operation, with variants A and B
-in the two lanes of one SIMD vector, each lane an independent orbit;
-`integrate_pair` runs that compiled mirror when it is available and
-passes a self-check against them, and the pure-Python loop otherwise.
+in the two lanes of one SIMD vector, each lane an independent orbit.
+`integrate_pair` runs one integrator chosen once per process: that compiled
+mirror if it builds and passes a self-check against them, else the oracle.
 Both kernels integrate all three components and store only the requested
 one, into one pair buffer of shape (n_steps, 2), indexed
 [sample, variant A=0 / B=1].
@@ -155,6 +155,8 @@ def rk4_step(state: LorenzState, params: LorenzParams,
     Stage combination is k1 + 2*k2 + 2*k3 + k4, left to right, then
     scaled by h/6.
     """
+    if not isinstance(variant, ExtensionVariant):
+        raise DomainError(f"variant must be an ExtensionVariant, got {type(variant).__name__}")
     nx, ny, nz = _rk4(state.x, state.y, state.z,
                       params.sigma, params.rho, params.beta, params.h,
                       variant is ExtensionVariant.B)
@@ -187,15 +189,6 @@ def _integrate_python(out, c, x, y, z, sigma, rho, beta, h):
         out[n, 1] = (xb, yb, zb)[c]
 
 
-def _integrate_compiled(kernel, out, c, x, y, z, sigma, rho, beta, h):
-    # out comes from np.empty((n, 2)): C-contiguous float64.
-    bad_step = ctypes.c_int64()
-    status = kernel(x, y, z, sigma, rho, beta, h, out.shape[0], c,
-                    out.ctypes.data, ctypes.byref(bad_step))
-    if status:
-        raise _blowup("ab"[status - 1], bad_step.value)
-
-
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _KERNEL_SOURCE = os.path.join(_HERE, "_kernel.c")
 _KERNEL_CACHE = os.path.join(_HERE, "__pycache__")
@@ -214,15 +207,12 @@ _SELF_CHECK_STEPS = 64
 _load_lock = threading.Lock()
 
 
-class _KernelUnavailable(Exception):
-    """The compiled kernel cannot be built or loaded; the message says why."""
-
-
 def _build_kernel():
+    """_kernel.c as an integrator like _integrate_python; OSError says why not."""
     import shutil
     cc = shutil.which("cc")
     if cc is None:
-        raise _KernelUnavailable("cc not found")
+        raise OSError("cc not found")
     with open(_KERNEL_SOURCE, "rb") as fh:
         source = fh.read()
     tag = zlib.crc32(b"\0".join([source, " ".join(_CFLAGS).encode(),
@@ -240,8 +230,7 @@ def _build_kernel():
                                   capture_output=True, text=True)
             if proc.returncode != 0:
                 lines = proc.stderr.strip().splitlines()
-                raise _KernelUnavailable(
-                    lines[0] if lines else f"cc exited with status {proc.returncode}")
+                raise OSError(lines[0] if lines else f"cc exited with status {proc.returncode}")
             os.replace(tmp, library)
         finally:
             if os.path.exists(tmp):
@@ -250,22 +239,30 @@ def _build_kernel():
     kernel.argtypes = [ctypes.c_double] * 7 + [
         ctypes.c_int64, ctypes.c_int, ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)]
     kernel.restype = ctypes.c_int
-    return kernel
+
+    def integrate_compiled(out, c, x, y, z, sigma, rho, beta, h):
+        # out comes from np.empty((n, 2)): C-contiguous float64.
+        bad_step = ctypes.c_int64()
+        status = kernel(x, y, z, sigma, rho, beta, h, out.shape[0], c,
+                        out.ctypes.data, ctypes.byref(bad_step))
+        if status:
+            raise _blowup("ab"[status - 1], bad_step.value)
+    return integrate_compiled
 
 
-def _self_check(kernel) -> bool:
+def _self_check(integrate) -> bool:
     # One pair per component, so a wrong component select is caught too.
     want = np.empty((len(COMPONENTS), _SELF_CHECK_STEPS, 2))
     got = np.empty_like(want)
     for c in range(len(COMPONENTS)):
         _integrate_python(want[c], c, *_SELF_CHECK_KEY)
-        _integrate_compiled(kernel, got[c], c, *_SELF_CHECK_KEY)
+        integrate(got[c], c, *_SELF_CHECK_KEY)
     return want.tobytes() == got.tobytes()
 
 
 @functools.cache
 def _load_kernel():
-    """Return (compiled kernel, None), or (None, why it is unavailable).
+    """Return (compiled integrator, None), or (_integrate_python, cause).
 
     Compiles _kernel.c with `cc` on first use into __pycache__ next to
     this file, under a checksum of source, flags, platform and the path `cc`
@@ -275,22 +272,22 @@ def _load_kernel():
     """
     with _load_lock:
         try:
-            kernel = _build_kernel()
-        except (_KernelUnavailable, OSError, AttributeError) as e:
+            integrate = _build_kernel()
+        except (OSError, AttributeError) as e:
             cause = str(e)
         else:
-            if _self_check(kernel):
-                return kernel, None
+            if _self_check(integrate):
+                return integrate, None
             cause = "self-check mismatch"
     import logging
     logging.getLogger("lorenzcipher").warning(
         "compiled RK4 kernel unavailable (%s); using the pure-Python kernel", cause)
-    return None, cause
+    return _integrate_python, cause
 
 
 def kernel_backend() -> str:
     """Which kernel integrate_pair runs: "c" or "pure-python"."""
-    return "pure-python" if _load_kernel()[0] is None else "c"
+    return "c" if _load_kernel()[1] is None else "pure-python"
 
 
 def integrate_pair(initial: LorenzState, params: LorenzParams,
@@ -316,10 +313,6 @@ def integrate_pair(initial: LorenzState, params: LorenzParams,
         raise DomainError(
             f"cannot allocate the orbit pair for n_steps = 2**{math.log2(n_steps):.2f} "
             f"(16 bytes per step)") from None
-    kernel = _load_kernel()[0]
-    if kernel is None:
-        _integrate_python(pair, *key)
-    else:
-        _integrate_compiled(kernel, pair, *key)
+    _load_kernel()[0](pair, *key)
     pair.setflags(write=False)
     return pair

@@ -1,5 +1,11 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 from hypothesis import HealthCheck, settings
+
+from lorenzcipher import (GrayImage, KeystreamQualityWarning, LorenzParams,
+                          WorkScores, generate_keystream, integrate_pair, lorenz)
 
 settings.register_profile(
     "repo",
@@ -10,15 +16,42 @@ settings.register_profile(
 )
 settings.load_profile("repo")
 
+# The paper's parameters at the desk-scale step 0.01, where the two
+# variants diverge inside a small image's window.
+WORKING_PARAMS = LorenzParams(16.0, 45.92, 4.0, 0.01)
+
+# The four works the paper compares, as (label, corr_h, corr_v, corr_d,
+# entropy); their published efficiency indices are 0.7687, 0.3778, 0.5652
+# and 0.7198.
+PUBLISHED_WORKS = [
+    WorkScores("work-a", 0.00045, 0.0015, 0.0040, 7.9973),
+    WorkScores("work-b", 0.0028, 0.0059, 0.0031, 7.9969),
+    WorkScores("work-c", 0.00083, 0.00223, 0.00650, 7.9998),
+    WorkScores("work-d", 0.0016, 0.0025, 0.0003, 7.9826),
+]
+
+
+def quiet_keystream(params, initial, config):
+    """generate_keystream with its quality warning silenced; any other
+    warning is raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", KeystreamQualityWarning)
+        return generate_keystream(params, initial, config)
+
+
+def pure_python():
+    """Route integrate_pair to the pure-Python oracle while active."""
+    return mock.patch.object(lorenz, "_load_kernel",
+                             lambda: (lorenz._integrate_python, "oracle"))
+
 
 def full_orbits(initial, params, n):
     """Both orbits as one (n, 2, 3) array, [sample, variant A=0 / B=1, x/y/z],
     from one integrate_pair call per component."""
-    from lorenzcipher import integrate_pair
     return np.stack([integrate_pair(initial, params, n, c) for c in "xyz"], axis=2)
 
 
 def make_image(values):
     """Build a GrayImage from a nested list or array of small ints."""
-    from lorenzcipher import GrayImage
     return GrayImage.from_array(np.asarray(values, dtype=np.uint8))

@@ -31,41 +31,27 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import full_orbits
+from conftest import PUBLISHED_WORKS, WORKING_PARAMS, full_orbits
+from conftest import quiet_keystream as _quiet_keystream
 from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, DomainError,
                           GrayImage, KeystreamConfig, LorenzParams,
-                          LorenzState, WorkScores, adjacent_correlation,
+                          LorenzState, adjacent_correlation,
                           chi_square_uniform, decrypt, efficiency_index,
-                          encode_pgm, encrypt, generate_keystream, histogram,
-                          parse_pgm, reference_image, shannon_entropy,
-                          write_pgm, xor_apply)
+                          encode_pgm, encrypt, histogram, parse_pgm,
+                          reference_image, shannon_entropy, write_pgm,
+                          xor_apply)
 from lorenzcipher.cli import run_command
 from lorenzcipher.keystream import STRATEGIES
 from lorenzcipher.lorenz import COMPONENTS, ExtensionVariant, _deriv
 
-WORKING_PARAMS = LorenzParams(16.0, 45.92, 4.0, 0.01)
-
 # 0.1% point of chi-square with 255 degrees of freedom.
 CHI2_CUTOFF = float(scipy.stats.chi2.isf(0.001, 255))
-
-BENCHMARK = [
-    WorkScores("work-a", 0.00045, 0.0015, 0.0040, 7.9973),
-    WorkScores("work-b", 0.0028, 0.0059, 0.0031, 7.9969),
-    WorkScores("work-c", 0.00083, 0.00223, 0.00650, 7.9998),
-    WorkScores("work-d", 0.0016, 0.0025, 0.0003, 7.9826),
-]
 
 
 def _report(cid, ok, detail):
     verdict = "PASS" if ok else "FAIL"
     print(f"[acceptance] {cid}: {verdict} - {detail}")
     assert ok, f"{cid}: {detail}"
-
-
-def _quiet_keystream(params, initial, config):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return generate_keystream(params, initial, config)
 
 
 def _bit_fraction(a, b):
@@ -92,7 +78,7 @@ def working_run(ref):
 
 
 def test_c1_efficiency_index_benchmark():
-    got = efficiency_index(BENCHMARK)
+    got = efficiency_index(PUBLISHED_WORKS)
     want = [0.7687, 0.3778, 0.5652, 0.7198]
     ok = all(abs(g - w) <= 5e-4 for g, w in zip(got, want))
     _report("C1-index", ok,

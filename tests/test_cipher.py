@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lorenzcipher
+from conftest import WORKING_PARAMS
 from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, DomainError,
                           GrayImage, Keystream, KeystreamConfig,
-                          KeystreamQualityWarning, LorenzParams, LorenzState,
-                          decrypt, encrypt, xor_apply)
-
-WORKING_PARAMS = LorenzParams(16.0, 45.92, 4.0, 0.01)
+                          KeystreamQualityWarning, LorenzState, decrypt,
+                          encrypt, xor_apply)
 
 
 def key_from_bytes(data):

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import PUBLISHED_WORKS, WORKING_PARAMS, quiet_keystream
 from lorenzcipher import (COMPONENTS, DEFAULT_INITIAL, DEFAULT_PARAMS,
                           STRATEGIES, FileFormatError, GrayImage,
-                          KeystreamConfig, LorenzParams, WorkScores,
-                          adjacent_correlation, efficiency_index,
-                          generate_keystream, read_pgm, reference_image,
+                          KeystreamConfig, adjacent_correlation,
+                          efficiency_index, read_pgm, reference_image,
                           shannon_entropy, write_pgm)
 from lorenzcipher.cli import _load_config_file, run_command
 
@@ -138,8 +138,7 @@ class TestCrypt:
 class TestKeystream:
     def test_hex_matches_library(self):
         cases = [
-            (WORKING, LorenzParams(16.0, 45.92, 4.0, 0.01),
-             KeystreamConfig(rows=8, cols=8, transient=3000)),
+            (WORKING, WORKING_PARAMS, KeystreamConfig(rows=8, cols=8, transient=3000)),
             # Only the step given: every other setting must be the library's.
             (["--step", "0.01"], replace(DEFAULT_PARAMS, h=0.01),
              KeystreamConfig(8, 8)),
@@ -147,9 +146,7 @@ class TestKeystream:
         for flags, params, config in cases:
             code, out, _ = run("keystream", "--rows", "8", "--cols", "8", *flags)
             assert code == 0
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                key = generate_keystream(params, DEFAULT_INITIAL, config)
+            key = quiet_keystream(params, DEFAULT_INITIAL, config)
             assert out == key.hex() + "\n"
             assert out.strip() == out.strip().lower()
 
@@ -167,12 +164,21 @@ class TestKeystream:
         code, _, _ = run("keystream", "--rows", "8", "--cols", "8",
                          "--format", "raw", "--output", str(path), *WORKING)
         assert code == 0
-        params = LorenzParams(16.0, 45.92, 4.0, 0.01)
         config = KeystreamConfig(rows=8, cols=8, transient=3000)
+        key = quiet_keystream(WORKING_PARAMS, DEFAULT_INITIAL, config)
+        assert path.read_bytes() == key.data.tobytes()
+
+    def test_raw_to_binary_stdout(self):
+        stdout = io.TextIOWrapper(io.BytesIO())
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            key = generate_keystream(params, DEFAULT_INITIAL, config)
-        assert path.read_bytes() == key.data.tobytes()
+            code = run_command(["keystream", "--rows", "8", "--cols", "8",
+                                "--format", "raw", *WORKING],
+                               stdout=stdout, stderr=io.StringIO())
+        assert code == 0
+        config = KeystreamConfig(rows=8, cols=8, transient=3000)
+        key = quiet_keystream(WORKING_PARAMS, DEFAULT_INITIAL, config)
+        assert stdout.buffer.getvalue() == key.data.tobytes()
 
     def test_raw_needs_binary_stdout(self):
         code, _, err = run("keystream", "--rows", "2", "--cols", "2",
@@ -259,10 +265,8 @@ def scores_path(tmp_path_factory):
 
 class TestIndex:
     HEADER = "label,corr_h,corr_v,corr_d,entropy\n"
-    ROWS = ("work-a,0.00045,0.0015,0.0040,7.9973\n"
-            "work-b,0.0028,0.0059,0.0031,7.9969\n"
-            "work-c,0.00083,0.00223,0.00650,7.9998\n"
-            "work-d,0.0016,0.0025,0.0003,7.9826\n")
+    ROWS = "".join(f"{w.label},{w.corr_h},{w.corr_v},{w.corr_d},{w.entropy}\n"
+                   for w in PUBLISHED_WORKS)
 
     def test_benchmark_table(self, tmp_path):
         scores = tmp_path / "s.csv"
@@ -282,11 +286,7 @@ class TestIndex:
         scores = tmp_path / "s.csv"
         scores.write_text(self.HEADER + self.ROWS)
         _, out, _ = run("index", str(scores))
-        table = [WorkScores("work-a", 0.00045, 0.0015, 0.0040, 7.9973),
-                 WorkScores("work-b", 0.0028, 0.0059, 0.0031, 7.9969),
-                 WorkScores("work-c", 0.00083, 0.00223, 0.00650, 7.9998),
-                 WorkScores("work-d", 0.0016, 0.0025, 0.0003, 7.9826)]
-        want = efficiency_index(table)
+        want = efficiency_index(PUBLISHED_WORKS)
         got = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
         assert got == pytest.approx(want, abs=5e-5)
 
@@ -325,6 +325,14 @@ class TestIndex:
         code, out, err = run("index", str(scores))
         assert code == 3
         assert "domain error" in err
+        assert out == ""
+
+    def test_zero_entropy_row(self, tmp_path):
+        scores = tmp_path / "s.csv"
+        scores.write_text(self.HEADER + self.ROWS + "w,0.001,0.001,0.001,0.0\n")
+        code, out, err = run("index", str(scores))
+        assert code == 3
+        assert "domain error" in err and "non-positive entropy" in err
         assert out == ""
 
     def test_label_with_a_comma_is_one_field(self, tmp_path):
@@ -391,6 +399,15 @@ class TestConfigFile:
         cfg.write_text("{not json")
         assert run("keystream", "--rows", "4", "--cols", "4",
                    "--config", str(cfg))[0] == 2
+
+    @pytest.mark.parametrize("text", ["[0.01]", "0.01", '"step"'])
+    def test_json_that_is_not_an_object(self, tmp_path, text):
+        cfg = tmp_path / "key.json"
+        cfg.write_text(text)
+        code, _, err = run("keystream", "--rows", "4", "--cols", "4",
+                           "--config", str(cfg))
+        assert code == 2
+        assert "expected a JSON object" in err
 
     def test_unknown_key(self, tmp_path):
         cfg = tmp_path / "key.json"
@@ -494,11 +511,9 @@ class TestKeySettings:
     def test_each_setting_sets_its_field(self, tmp_path, name, value, argument, field):
         key = {"params": replace(DEFAULT_PARAMS, h=0.01), "initial": DEFAULT_INITIAL,
                "config": KeystreamConfig(4, 4, transient=3000)}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            base = generate_keystream(**key).hex()
-            key[argument] = replace(key[argument], **{field: value})
-            want = generate_keystream(**key).hex()
+        base = quiet_keystream(**key).hex()
+        key[argument] = replace(key[argument], **{field: value})
+        want = quiet_keystream(**key).hex()
         assert want != base
         cfg = tmp_path / "key.json"
         cfg.write_text(json.dumps({"step": 0.01, "transient": 3000, name: value}))

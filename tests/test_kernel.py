@@ -5,34 +5,27 @@ import os
 import shutil
 import subprocess
 import sys
-import warnings
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import WORKING_PARAMS, pure_python, quiet_keystream
 from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS,
                           IntegrationBlowupError, KeystreamConfig,
-                          LorenzParams, LorenzState, generate_keystream,
-                          integrate_pair, kernel_backend, lorenz)
+                          LorenzParams, LorenzState, integrate_pair,
+                          kernel_backend, lorenz)
 from lorenzcipher.keystream import STRATEGIES
 from lorenzcipher.lorenz import COMPONENTS
 
-WORKING = LorenzParams(16.0, 45.92, 4.0, 0.01)
 BLOWUP_STEPS = (0.1, 0.2, 0.5, 1.0, 10.0)
 
-_KERNEL, _CAUSE = lorenz._load_kernel()
+_CAUSE = lorenz._load_kernel()[1]
 needs_c = pytest.mark.skipif(
-    _KERNEL is None, reason=f"compiled kernel unavailable: {_CAUSE}")
+    _CAUSE is not None, reason=f"compiled kernel unavailable: {_CAUSE}")
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="cc not found")
-
-
-def pure_python():
-    """Route integrate_pair to the pure-Python oracle while active."""
-    return mock.patch.object(lorenz, "_load_kernel", lambda: (None, "oracle"))
 
 
 def outcome(initial, params, n, component):
@@ -68,7 +61,7 @@ class TestDifferential:
         assert_matches_oracle(LorenzState(x0, y0, z0),
                               LorenzParams(sigma, rho, beta, h), n, component)
 
-    @pytest.mark.parametrize("h", [DEFAULT_PARAMS.h, WORKING.h])
+    @pytest.mark.parametrize("h", [DEFAULT_PARAMS.h, WORKING_PARAMS.h])
     def test_default_key_256x256_window(self, h):
         params = LorenzParams(16.0, 45.92, 4.0, h)
         for component in COMPONENTS:
@@ -79,11 +72,9 @@ class TestDifferential:
     @pytest.mark.parametrize("component", COMPONENTS)
     def test_keystream_bytes(self, strategy, component):
         config = KeystreamConfig(64, 64, strategy=strategy, component=component)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            got = generate_keystream(WORKING, DEFAULT_INITIAL, config)
-            with pure_python():
-                want = generate_keystream(WORKING, DEFAULT_INITIAL, config)
+        got = quiet_keystream(WORKING_PARAMS, DEFAULT_INITIAL, config)
+        with pure_python():
+            want = quiet_keystream(WORKING_PARAMS, DEFAULT_INITIAL, config)
         assert got.data.tobytes() == want.data.tobytes()
 
     @pytest.mark.parametrize("h", BLOWUP_STEPS)
@@ -112,10 +103,6 @@ class TestDifferential:
                               LorenzParams(sigma, rho, beta, h), 200, component)
 
 
-def _refuse(*args):
-    raise AssertionError("this path must not run")
-
-
 @needs_c
 @pytest.mark.parametrize("key", [
     (16, 46, 4, 1, 0, 1, 0.01),
@@ -128,8 +115,17 @@ def test_every_real_key_takes_compiled_path(monkeypatch, key):
     def orbits(sigma, rho, beta, x, y, z, h):
         return outcome(LorenzState(x, y, z), LorenzParams(sigma, rho, beta, h), 3000, "y")
     want = orbits(*map(float, key))
-    monkeypatch.setattr(lorenz, "_integrate_python", _refuse)
+    compiled = lorenz._load_kernel()[0]
+    assert compiled is not lorenz._integrate_python
+    calls = []
+
+    def spy(out, c, *floats):
+        calls.append(floats)
+        compiled(out, c, *floats)
+    monkeypatch.setattr(lorenz, "_load_kernel", lambda: (spy, None))
     assert orbits(*key) == want
+    [floats] = calls
+    assert all(type(v) is float for v in floats)
     assert isinstance(want[0], bytes)
 
 
@@ -146,7 +142,7 @@ def test_cached_load_imports_neither_hashlib_nor_subprocess():
 class TestFallback:
     @pytest.fixture(scope="class")
     def reference(self):
-        return outcome(DEFAULT_INITIAL, WORKING, 3000, "y")
+        return outcome(DEFAULT_INITIAL, WORKING_PARAMS, 3000, "y")
 
     @pytest.fixture
     def cache(self, monkeypatch, tmp_path):
@@ -158,8 +154,8 @@ class TestFallback:
 
     def check_fallback(self, caplog, reference, cause):
         with caplog.at_level(logging.WARNING, logger="lorenzcipher"):
-            assert outcome(DEFAULT_INITIAL, WORKING, 3000, "y") == reference
-            assert outcome(DEFAULT_INITIAL, WORKING, 3000, "y") == reference
+            assert outcome(DEFAULT_INITIAL, WORKING_PARAMS, 3000, "y") == reference
+            assert outcome(DEFAULT_INITIAL, WORKING_PARAMS, 3000, "y") == reference
             assert kernel_backend() == "pure-python"
         [message] = lorenz_warnings(caplog)
         assert cause in message

@@ -13,18 +13,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import WORKING_PARAMS, quiet_keystream
 from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, DomainError,
                           Keystream, KeystreamConfig, KeystreamQualityWarning,
-                          LorenzParams, LorenzState, extract_bytes,
-                          generate_keystream, lower_bound_error)
-
-WORKING_PARAMS = LorenzParams(16.0, 45.92, 4.0, 0.01)
-
-
-def quiet_keystream(params, initial, config):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", KeystreamQualityWarning)
-        return generate_keystream(params, initial, config)
+                          LorenzState, extract_bytes, generate_keystream,
+                          lower_bound_error)
 
 
 def make_pair(a_values, b_values):
@@ -207,6 +200,17 @@ class TestExtractBytes:
         config = KeystreamConfig(rows=2, cols=2, transient=0,
                                  strategy="minmax-scale")
         assert not extract_bytes(np.full(4, 3.25), config).any()
+
+    @pytest.mark.parametrize("window", [[np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0],
+                                        [-1e308, 1e308]],
+                             ids=["nan", "inf", "-inf", "range-overflows"])
+    def test_minmax_refuses_a_window_that_is_not_finite(self, window):
+        # No NaN or infinity reaches the uint8 cast, whose result numpy leaves undefined.
+        config = KeystreamConfig(1, 2, transient=0, strategy="minmax-scale")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="minmax-scale needs a finite window"):
+                extract_bytes(np.array(window), config)
 
     def test_transient_prefix_is_discarded(self):
         config = KeystreamConfig(rows=2, cols=2, transient=3,

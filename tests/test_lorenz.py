@@ -1,5 +1,6 @@
 """Integrator unit tests: derivative forms, RK4 kernel, lockstep orbit pairs."""
 
+import contextlib
 import math
 import random
 from decimal import Decimal
@@ -11,11 +12,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import full_orbits
+from conftest import WORKING_PARAMS, full_orbits, pure_python
 from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, DomainError,
                           ExtensionVariant, IntegrationBlowupError,
                           LorenzParams, LorenzState, integrate_pair,
-                          lorenz, rk4_step)
+                          rk4_step)
 from lorenzcipher.lorenz import _deriv
 
 A, B = ExtensionVariant.A, ExtensionVariant.B
@@ -196,6 +197,19 @@ class TestRk4:
         assert isinstance(step_index, int)
         assert step_index >= 0
 
+    def test_step_blowup_names_the_variant_but_no_step(self):
+        with pytest.raises(IntegrationBlowupError) as err:
+            rk4_step(LorenzState(1e308, 1e308, 1e308), DEFAULT_PARAMS, A)
+        assert err.value.variant == "a"
+        assert err.value.step_index is None
+
+    @pytest.mark.parametrize("variant", ["a", "b", None, 1])
+    def test_rejects_a_variant_that_is_not_an_extension_variant(self, variant):
+        # "b" is the form IntegrationBlowupError.variant takes: an easy mix-up.
+        with pytest.raises(DomainError, match=rf"^variant must be an ExtensionVariant, "
+                                              rf"got {type(variant).__name__}$"):
+            rk4_step(DEFAULT_INITIAL, DEFAULT_PARAMS, variant)
+
 
 class TestIntegratePair:
     def test_sample_n_is_state_after_n_plus_one_steps(self):
@@ -235,14 +249,13 @@ class TestIntegratePair:
             with pytest.raises(DomainError, match=r"n_steps must be >= 1, got "):
                 integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, n, "y")
 
-    @pytest.mark.parametrize("pure_python", [False, True], ids=["loaded-kernel", "pure-python"])
+    @pytest.mark.parametrize("oracle", [False, True], ids=["loaded-kernel", "pure-python"])
     @pytest.mark.parametrize("n", [2.5, True, "3", None, np.int64(3)])
-    def test_rejects_non_int_step_count(self, monkeypatch, pure_python, n):
+    def test_rejects_non_int_step_count(self, oracle, n):
         # Only a plain int counts: a bool or a numpy integer is refused too.
-        if pure_python:
-            monkeypatch.setattr(lorenz, "_load_kernel", lambda: (None, "oracle"))
-        with pytest.raises(DomainError, match=r"n_steps must be an int, got "):
-            integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, n, "y")
+        with pure_python() if oracle else contextlib.nullcontext():
+            with pytest.raises(DomainError, match=r"n_steps must be an int, got "):
+                integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, n, "y")
 
     def test_unallocatable_orbits_are_a_domain_error(self):
         # 1.6 PB fails malloc (MemoryError); 2**62 samples overflow the
@@ -276,8 +289,7 @@ class TestIntegratePair:
         # With a step large enough to exercise the dynamics the two
         # variants separate quickly; at h=0.01 the first y sample with a
         # differing bit pattern is sample 8 (pinned regression value).
-        params = LorenzParams(16.0, 45.92, 4.0, 0.01)
-        pair = integrate_pair(DEFAULT_INITIAL, params, 3000, "y")
+        pair = integrate_pair(DEFAULT_INITIAL, WORKING_PARAMS, 3000, "y")
         diff = np.nonzero(pair[:, 0] != pair[:, 1])[0]
         assert diff.size > 0
         assert diff[0] == 8

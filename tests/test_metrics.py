@@ -14,20 +14,12 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import make_image
+from conftest import PUBLISHED_WORKS, make_image
 from lorenzcipher import (DIRECTIONS, DomainError, LorenzCipherError,
                           WorkScores, adjacent_correlation,
                           chi_square_uniform, efficiency_index, histogram,
                           shannon_entropy)
 from lorenzcipher.metrics import _pair_series
-
-BENCHMARK = [
-    WorkScores("work-a", 0.00045, 0.0015, 0.0040, 7.9973),
-    WorkScores("work-b", 0.0028, 0.0059, 0.0031, 7.9969),
-    WorkScores("work-c", 0.00083, 0.00223, 0.00650, 7.9998),
-    WorkScores("work-d", 0.0016, 0.0025, 0.0003, 7.9826),
-]
-
 
 def oracle_correlation(xs, ys):
     n = len(xs)
@@ -295,7 +287,7 @@ class TestChiSquare:
 
 class TestEfficiencyIndex:
     def test_single_entry_scores_one(self):
-        out = efficiency_index([BENCHMARK[0]])
+        out = efficiency_index([PUBLISHED_WORKS[0]])
         assert out == [pytest.approx(1.0)]
 
     def test_tied_entries_both_score_one(self):
@@ -306,16 +298,23 @@ class TestEfficiencyIndex:
         assert out[1] == pytest.approx(1.0)
 
     def test_published_benchmark_values(self):
-        out = efficiency_index(BENCHMARK)
+        out = efficiency_index(PUBLISHED_WORKS)
         assert out[0] == pytest.approx(0.7687, abs=5e-4)
         assert out[1] == pytest.approx(0.3778, abs=5e-4)
         assert out[2] == pytest.approx(0.5652, abs=5e-4)
         assert out[3] == pytest.approx(0.7198, abs=5e-4)
 
     def test_zero_correlation_rejected(self):
-        rows = [BENCHMARK[0],
+        rows = [PUBLISHED_WORKS[0],
                 WorkScores("degenerate", 0.0, 0.001, 0.001, 7.9)]
         with pytest.raises(DomainError):
+            efficiency_index(rows)
+
+    def test_empty_table_and_zero_entropy_rejected(self):
+        with pytest.raises(DomainError, match="at least one work"):
+            efficiency_index([])
+        rows = [PUBLISHED_WORKS[0], WorkScores("blank", 0.001, 0.001, 0.001, 0.0)]
+        with pytest.raises(DomainError, match="'blank' has non-positive entropy"):
             efficiency_index(rows)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.5, -1.0001])
@@ -331,14 +330,14 @@ class TestEfficiencyIndex:
             WorkScores("bad", 0.001, 0.001, 0.001, 8.5)
 
     def test_scores_lie_in_unit_interval(self):
-        for value in efficiency_index(BENCHMARK):
+        for value in efficiency_index(PUBLISHED_WORKS):
             assert 0.0 < value <= 1.0
 
     def test_relabeling_does_not_change_values(self):
         renamed = [WorkScores(f"r{i}", s.corr_h, s.corr_v, s.corr_d, s.entropy)
-                   for i, s in enumerate(BENCHMARK)]
+                   for i, s in enumerate(PUBLISHED_WORKS)]
         assert efficiency_index(renamed) == pytest.approx(
-            efficiency_index(BENCHMARK))
+            efficiency_index(PUBLISHED_WORKS))
 
     def test_oracle_on_random_tables(self):
         rng = np.random.default_rng(17)

@@ -31,6 +31,12 @@ class TestParse:
         raw = b"P5 1 2 255\n\x0a\x20"
         assert parse_pgm(raw).pixels.ravel().tolist() == [0x0A, 0x20]
 
+    @pytest.mark.parametrize("raw", [b"P5 1 1 255", b"P5 1 1 255#c\n\x00"],
+                             ids=["nothing-after-maxval", "comment-after-maxval"])
+    def test_maxval_needs_one_whitespace_after_it(self, raw):
+        with pytest.raises(FileFormatError, match="expected single whitespace after maxval"):
+            parse_pgm(raw)
+
     def test_ascii_pgm_rejected(self):
         with pytest.raises(FileFormatError, match="P2"):
             parse_pgm(b"P2 1 1 255 65")
