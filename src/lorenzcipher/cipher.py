@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 from .keystream import Keystream, KeystreamConfig, _read_only, generate_keystream
 from .lorenz import LorenzParams, LorenzState
@@ -21,6 +19,7 @@ class GrayImage:
     pixels: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         pixels = _read_only(self.pixels, "pixels")
         if pixels.ndim != 2 or 0 in pixels.shape:
             raise DomainError(f"pixels must be a non-empty 2-d array, got shape {pixels.shape}")
@@ -38,6 +37,7 @@ class GrayImage:
 
     @classmethod
     def from_array(cls, pixels: np.ndarray) -> "GrayImage":
+        import numpy as np
         arr = np.asarray(pixels)
         if arr.dtype != np.uint8:
             if arr.dtype.kind not in "iu":

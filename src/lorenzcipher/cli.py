@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 usage error, 2 I/O or file format error,
 3 numeric or domain error.
+
+encrypt, decrypt and keystream do not import numpy while the compiled
+kernel is available: they read and write PGM bytes directly and XOR the
+payload in the key kernel. analyze and index import it through the metrics.
 """
 
 from __future__ import annotations
@@ -11,18 +15,18 @@ import contextlib
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import fields, replace
 from functools import partial
 
-from .cipher import encrypt
 from .errors import DomainError, FileFormatError
-from .keystream import STRATEGIES, KeystreamConfig, generate_keystream
+from .keystream import STRATEGIES, KeystreamConfig, _xor_keystream
 from .lorenz import (COMPONENTS, DEFAULT_INITIAL, DEFAULT_PARAMS, LorenzParams,
                      LorenzState)
 from .metrics import (DIRECTIONS, WorkScores, adjacent_correlation,
                       efficiency_index, histogram, shannon_entropy)
-from .pgm import read_pgm, write_pgm
+from .pgm import _decode_pgm, _pgm_header, read_pgm
 
 __all__ = ["run_command", "main"]
 
@@ -85,13 +89,30 @@ def _write(output: str | bytes, path, stdout) -> None:
     """Write one command's whole output to the file at `path`, or to stdout."""
     if path:
         with open(path, "wb") as fh:
-            fh.write(output if isinstance(output, bytes) else output.encode("utf-8"))
+            fh.write(output.encode("utf-8") if isinstance(output, str) else output)
     elif isinstance(output, str):
         stdout.write(output)
     elif hasattr(stdout, "buffer"):
         stdout.buffer.write(output)
     else:
         raise _UsageError("raw keystream output needs --output or a binary stdout")
+
+
+def _write_files(outputs) -> None:
+    """Write each (output, path) pair, or none of them: every file is first
+    written beside its target under a temporary name, and all are renamed
+    into place only once each is complete."""
+    staged = []
+    try:
+        for output, path in outputs:
+            staged.append((f"{path}.{os.getpid()}.tmp", path))
+            _write(output, staged[-1][0], None)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    finally:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def _csv_text(*rows) -> str:
@@ -136,26 +157,28 @@ def _build_key_inputs(args) -> tuple[LorenzParams, LorenzState, partial]:
 
 def _cmd_crypt(args, stdout) -> None:
     params, initial, make_config = _build_key_inputs(args)
-    image = read_pgm(args.input)
-    config = make_config(image.rows, image.cols)
-    write_pgm(encrypt(image, params, initial, config), args.output)
+    with open(args.input, "rb") as fh:
+        rows, cols, payload = _decode_pgm(fh.read())
+    output = _xor_keystream(params, initial, make_config(rows, cols), payload)
+    _write(_pgm_header(rows, cols) + output, args.output, stdout)
 
 
 def _cmd_keystream(args, stdout) -> None:
     params, initial, make_config = _build_key_inputs(args)
-    key = generate_keystream(params, initial, make_config(args.rows, args.cols))
-    _write(key.hex() + "\n" if args.format == "hex" else key.data.tobytes(),
-           args.output, stdout)
+    key = _xor_keystream(params, initial, make_config(args.rows, args.cols))
+    _write(key.hex() + "\n" if args.format == "hex" else key, args.output, stdout)
 
 
 def _cmd_analyze(args, stdout) -> None:
     image = read_pgm(args.input)
     report = _csv_text(("metric", "value"), ("entropy", shannon_entropy(image)), *(
         (f"corr_{d}", adjacent_correlation(image, d)) for d in DIRECTIONS))
-    counts = args.histogram and _csv_text(("level", "count"), *enumerate(histogram(image)))
+    if args.histogram:
+        counts = _csv_text(("level", "count"), *enumerate(histogram(image)))
+        if args.report:
+            return _write_files([(report, args.report), (counts, args.histogram)])
+        _write(counts, args.histogram, stdout)  # first, so a failure prints nothing
     _write(report, args.report, stdout)
-    if counts:
-        _write(counts, args.histogram, stdout)
 
 
 def _read_scores(path) -> list[WorkScores]:

@@ -6,6 +6,9 @@ retained window to bytes under one of two strategies:
 
   mantissa-lsb   low 8 bits of the binary64 significand field of delta
   minmax-scale   floor((delta - min) / (max - min) * 255) over the window
+
+The numpy functions here are the reference. `_xor_keystream` gives the same
+bytes without importing numpy, through the compiled key kernel, for the CLI.
 """
 
 from __future__ import annotations
@@ -13,11 +16,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import lorenz
 from .errors import DomainError
-from .lorenz import (COMPONENTS, LorenzParams, LorenzState, _check_count,
-                     integrate_pair)
+from .lorenz import (_NON_FINITE_PAIR, COMPONENTS, LorenzParams, LorenzState,
+                     _allocation_error, _check_count, integrate_pair)
 
 __all__ = [
     "STRATEGIES",
@@ -66,6 +68,7 @@ class KeystreamConfig:
 
 def _read_only(value, name: str) -> np.ndarray:
     """`value` as a read-only, C-contiguous array, copying a writable or strided one."""
+    import numpy as np
     if not isinstance(value, np.ndarray):
         raise DomainError(f"{name} must be a numpy array, got {type(value).__name__}")
     if value.flags.writeable or not value.flags.c_contiguous:
@@ -83,6 +86,7 @@ class Keystream:
     config: KeystreamConfig
 
     def __post_init__(self):
+        import numpy as np
         data = _read_only(self.data, "keystream data")
         expected = self.config.rows * self.config.cols
         if data.dtype != np.uint8 or data.shape != (expected,):
@@ -101,18 +105,20 @@ def lower_bound_error(pair: np.ndarray) -> np.ndarray:
     `pair` is laid out as integrate_pair returns it: shape (n, 2), indexed
     [sample, variant A=0 / B=1], one state component.
     """
+    import numpy as np
     if pair.ndim != 2 or pair.shape[1] != 2 or pair.shape[0] < 1:
         raise DomainError(f"pair must have shape (n, 2) with n >= 1, got {pair.shape}")
     delta = np.subtract(pair[:, 0], pair[:, 1], dtype=np.float64)
     np.abs(delta, out=delta)
     delta *= 0.5  # the same bits as / 2.0 for every double, in about half the time
     if not np.isfinite(delta).all():
-        raise DomainError("pair contains non-finite samples")
+        raise DomainError(_NON_FINITE_PAIR)
     return delta
 
 
 def extract_bytes(delta: np.ndarray, config: KeystreamConfig) -> np.ndarray:
     """Discard the transient prefix and map the key window to bytes."""
+    import numpy as np
     delta = np.asarray(delta, dtype=np.float64)
     needed = config.n_samples
     if delta.ndim != 1 or delta.shape[0] < needed:
@@ -135,6 +141,18 @@ def extract_bytes(delta: np.ndarray, config: KeystreamConfig) -> np.ndarray:
     return np.floor(scaled, out=scaled).astype(np.uint8)
 
 
+def _warn_if_degenerate(zeros: int, n: int) -> None:
+    """Warn, on behalf of the caller's caller, when more than
+    ZERO_FRACTION_WARN of the n key bytes are zero."""
+    zero_fraction = zeros / n
+    if zero_fraction > ZERO_FRACTION_WARN:
+        warnings.warn(
+            f"keystream zero-byte fraction {zero_fraction:.2%} exceeds "
+            f"{ZERO_FRACTION_WARN:.0%}; the cipher is close to an identity "
+            f"map (try a larger step h or more iterations)",
+            KeystreamQualityWarning, stacklevel=3)
+
+
 def generate_keystream(params: LorenzParams, initial: LorenzState,
                        config: KeystreamConfig) -> Keystream:
     """Integrate, difference, and extract a rows*cols byte keystream.
@@ -143,15 +161,42 @@ def generate_keystream(params: LorenzParams, initial: LorenzState,
     Warns (never raises) when the zero-byte fraction exceeds
     ZERO_FRACTION_WARN.
     """
+    import numpy as np
     delta = lower_bound_error(integrate_pair(initial, params, config.n_samples,
                                              config.component))
     data = extract_bytes(delta, config)
-    zero_fraction = float(np.count_nonzero(data == 0)) / data.shape[0]
-    if zero_fraction > ZERO_FRACTION_WARN:
-        warnings.warn(
-            f"keystream zero-byte fraction {zero_fraction:.2%} exceeds "
-            f"{ZERO_FRACTION_WARN:.0%}; the cipher is close to an identity "
-            f"map (try a larger step h or more iterations)",
-            KeystreamQualityWarning, stacklevel=2)
+    _warn_if_degenerate(int(np.count_nonzero(data == 0)), data.shape[0])
     data.setflags(write=False)
     return Keystream(data=data, config=config)
+
+
+def _xor_keystream(params: LorenzParams, initial: LorenzState,
+                   config: KeystreamConfig, payload=None):
+    """`payload` (rows*cols bytes, any bytes-like object) XOR the keystream
+    of `config`, or the keystream itself when payload is None, as a
+    bytes-like object.
+
+    The bytes, errors and warning are generate_keystream's. The compiled key
+    kernel integrates without storing the orbit pair and XORs each key byte
+    in place, and nothing here imports numpy; without that kernel,
+    generate_keystream runs.
+    """
+    key = lorenz._load_kernel()[1]
+    if key is None:
+        import numpy as np
+        data = generate_keystream(params, initial, config).data
+        if payload is not None:
+            data = np.frombuffer(payload, np.uint8) ^ data
+        return data.tobytes()
+    minmax = config.strategy == "minmax-scale"
+    try:
+        out = bytearray(config.rows * config.cols if payload is None else payload)
+        window = bytearray(8 * len(out)) if minmax else None
+    except (MemoryError, OverflowError):  # OverflowError: a size past sys.maxsize
+        raise _allocation_error("the key", config.n_samples, "9 bytes per key byte"
+                                if minmax else "1 byte per key byte") from None
+    zeros = key(out, window, config.transient, COMPONENTS.index(config.component),
+                initial.x, initial.y, initial.z,
+                params.sigma, params.rho, params.beta, params.h)
+    _warn_if_degenerate(zeros, len(out))
+    return out

@@ -20,7 +20,9 @@ in the two lanes of one SIMD vector, each lane an independent orbit.
 mirror if it builds and passes a self-check against them, else the oracle.
 Both kernels integrate all three components and store only the requested
 one, into one pair buffer of shape (n_steps, 2), indexed
-[sample, variant A=0 / B=1].
+[sample, variant A=0 / B=1]. The compiled library also turns the pair into
+key bytes without storing it, for the keystream's numpy-free route; the
+oracle has no such output. numpy is imported only by `integrate_pair`.
 """
 
 from __future__ import annotations
@@ -32,12 +34,11 @@ import math
 import numbers
 import os
 import platform
+import struct
 import sys
 import threading
 import zlib
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, IntegrationBlowupError
 
@@ -173,6 +174,16 @@ def _blowup(variant: str, n: int) -> IntegrationBlowupError:
         variant=variant, step_index=n)
 
 
+# lower_bound_error's refusal; the compiled key kernel gives the same one.
+_NON_FINITE_PAIR = "pair contains non-finite samples"
+
+
+def _allocation_error(what: str, n_steps: int, per_step: str) -> DomainError:
+    # A power of two, because str() refuses an int past 4300 digits.
+    return DomainError(f"cannot allocate {what} for n_steps = "
+                       f"2**{math.log2(n_steps):.2f} ({per_step})")
+
+
 def _integrate_python(out, c, x, y, z, sigma, rho, beta, h):
     xa = xb = x
     ya = yb = y
@@ -204,11 +215,28 @@ _SELF_CHECK_KEY = (DEFAULT_INITIAL.x, DEFAULT_INITIAL.y, DEFAULT_INITIAL.z,
                    DEFAULT_PARAMS.sigma, DEFAULT_PARAMS.rho, DEFAULT_PARAMS.beta,
                    0.01)
 _SELF_CHECK_STEPS = 64
+# Low mantissa bytes of delta are zero until the orbits have drifted far
+# apart, so the key kernel is checked where they have: the paper key at
+# h = 0.05, whose |a - b| first passes 1.8 at sample 481.
+_KEY_CHECK_KEY = _SELF_CHECK_KEY[:6] + (0.05,)
+_KEY_CHECK_STEPS = 512
+_KEY_CHECK_TRANSIENT = 448
 _load_lock = threading.Lock()
 
 
+def _pair_buffer(n: int) -> memoryview:
+    """A zeroed, writable (n, 2) float64 buffer, made without numpy."""
+    return memoryview(bytearray(16 * n)).cast("d", (n, 2))
+
+
+def _address(buffer):
+    """A pointer argument to a writable, C-contiguous buffer, kept alive for the call."""
+    return ctypes.byref(ctypes.c_char.from_buffer(buffer))
+
+
 def _build_kernel():
-    """_kernel.c as an integrator like _integrate_python; OSError says why not."""
+    """_kernel.c as (an integrator like _integrate_python, a key kernel);
+    OSError says why not."""
     import shutil
     cc = shutil.which("cc")
     if cc is None:
@@ -235,59 +263,98 @@ def _build_kernel():
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
-    kernel = ctypes.CDLL(library).lorenz_pair
-    kernel.argtypes = [ctypes.c_double] * 7 + [
+    compiled = ctypes.CDLL(library)
+    pair, key = compiled.lorenz_pair, compiled.lorenz_key
+    pair.argtypes = [ctypes.c_double] * 7 + [
         ctypes.c_int64, ctypes.c_int, ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)]
-    kernel.restype = ctypes.c_int
+    key.argtypes = [ctypes.c_double] * 7 + [
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.POINTER(ctypes.c_int64)]
+    pair.restype = key.restype = ctypes.c_int
 
     def integrate_compiled(out, c, x, y, z, sigma, rho, beta, h):
-        # out comes from np.empty((n, 2)): C-contiguous float64.
+        # out: a writable, C-contiguous (n, 2) float64 buffer.
         bad_step = ctypes.c_int64()
-        status = kernel(x, y, z, sigma, rho, beta, h, out.shape[0], c,
-                        out.ctypes.data, ctypes.byref(bad_step))
+        status = pair(x, y, z, sigma, rho, beta, h, out.shape[0], c,
+                      _address(out), ctypes.byref(bad_step))
         if status:
             raise _blowup("ab"[status - 1], bad_step.value)
-    return integrate_compiled
+
+    def key_compiled(out, window, transient, c, x, y, z, sigma, rho, beta, h):
+        """XOR len(out) key bytes into the bytearray `out` and return how many
+        are zero. `window` is None for mantissa-lsb, or a bytearray of 8 bytes
+        per key byte for minmax-scale."""
+        count = ctypes.c_int64()
+        status = key(x, y, z, sigma, rho, beta, h, transient, len(out), c, _address(out),
+                     None if window is None else _address(window), ctypes.byref(count))
+        if status == 3:
+            raise DomainError(_NON_FINITE_PAIR)
+        if status:
+            raise _blowup("ab"[status - 1], count.value)
+        return count.value
+    return integrate_compiled, key_compiled
 
 
-def _self_check(integrate) -> bool:
-    # One pair per component, so a wrong component select is caught too.
-    want = np.empty((len(COMPONENTS), _SELF_CHECK_STEPS, 2))
-    got = np.empty_like(want)
+def _self_check(integrate, key) -> bool:
+    """Compare the compiled integrator with the oracle on every component, so
+    a wrong component select is caught too, then the key kernel under both
+    strategies with the extraction written out in Python, over a pair from
+    that integrator; key bytes are XORed onto nonzero bytes."""
     for c in range(len(COMPONENTS)):
-        _integrate_python(want[c], c, *_SELF_CHECK_KEY)
-        integrate(got[c], c, *_SELF_CHECK_KEY)
-    return want.tobytes() == got.tobytes()
+        want, got = _pair_buffer(_SELF_CHECK_STEPS), _pair_buffer(_SELF_CHECK_STEPS)
+        _integrate_python(want, c, *_SELF_CHECK_KEY)
+        integrate(got, c, *_SELF_CHECK_KEY)
+        if want.tobytes() != got.tobytes():
+            return False
+        pair = _pair_buffer(_KEY_CHECK_STEPS)
+        integrate(pair, c, *_KEY_CHECK_KEY)
+        delta = [abs(a - b) * 0.5 for a, b in pair.tolist()[_KEY_CHECK_TRANSIENT:]]
+        lo, hi = min(delta), max(delta)
+        under = bytes(range(len(delta)))
+        for window, key_bytes in (
+                (None, struct.pack(f"<{len(delta)}d", *delta)[::8]),
+                (bytearray(8 * len(delta)),
+                 bytes(math.floor((d - lo) / (hi - lo) * 255.0) for d in delta))):
+            out = bytearray(under)
+            zeros = key(out, window, _KEY_CHECK_TRANSIENT, c, *_KEY_CHECK_KEY)
+            if (out != bytes(k ^ u for k, u in zip(key_bytes, under))
+                    or zeros != key_bytes.count(0)):
+                return False
+    return True
 
 
 @functools.cache
 def _load_kernel():
-    """Return (compiled integrator, None), or (_integrate_python, cause).
+    """Return (compiled integrator, compiled key kernel, None), or
+    (_integrate_python, None, cause).
 
     Compiles _kernel.c with `cc` on first use into __pycache__ next to
     this file, under a checksum of source, flags, platform and the path `cc`
     resolves to, and loads it with ctypes. No `cc`, a build or load failure,
-    or any difference from the pure-Python kernel on a short self-check
-    logs one WARNING naming the cause.
+    or any difference from the pure-Python kernel on a short self-check,
+    an exception inside it included, logs one WARNING naming the cause.
     """
     with _load_lock:
         try:
-            integrate = _build_kernel()
+            integrate, key = _build_kernel()
         except (OSError, AttributeError) as e:
             cause = str(e)
         else:
-            if _self_check(integrate):
-                return integrate, None
-            cause = "self-check mismatch"
+            try:
+                if _self_check(integrate, key):
+                    return integrate, key, None
+                cause = "self-check mismatch"
+            except Exception as e:  # whatever the candidate raises, it fails the check
+                cause = f"self-check raised {type(e).__name__}: {e}"
     import logging
     logging.getLogger("lorenzcipher").warning(
         "compiled RK4 kernel unavailable (%s); using the pure-Python kernel", cause)
-    return _integrate_python, cause
+    return _integrate_python, None, cause
 
 
 def kernel_backend() -> str:
     """Which kernel integrate_pair runs: "c" or "pure-python"."""
-    return "c" if _load_kernel()[1] is None else "pure-python"
+    return "c" if _load_kernel()[2] is None else "pure-python"
 
 
 def integrate_pair(initial: LorenzState, params: LorenzParams,
@@ -306,13 +373,11 @@ def integrate_pair(initial: LorenzState, params: LorenzParams,
     _check_count("n_steps", n_steps, 1)
     key = (COMPONENTS.index(component), initial.x, initial.y, initial.z,
            params.sigma, params.rho, params.beta, params.h)
+    import numpy as np
     try:
         pair = np.empty((n_steps, 2), dtype=np.float64)
     except (MemoryError, ValueError):  # ValueError: a size numpy cannot represent
-        # A power of two, because str() refuses an int past 4300 digits.
-        raise DomainError(
-            f"cannot allocate the orbit pair for n_steps = 2**{math.log2(n_steps):.2f} "
-            f"(16 bytes per step)") from None
+        raise _allocation_error("the orbit pair", n_steps, "16 bytes per step") from None
     _load_kernel()[0](pair, *key)
     pair.setflags(write=False)
     return pair

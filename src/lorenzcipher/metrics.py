@@ -5,8 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cipher import GrayImage
 from .errors import DomainError
 
@@ -66,6 +64,7 @@ def adjacent_correlation(image: GrayImage, direction: str) -> float:
     integer sum divided once, and each moment one pairwise float64 sum in
     row-major order: bit-identical to the oracle in tests/test_metrics.py.
     """
+    import numpy as np
     x, y = _pair_series(image, direction)
     m = x.size
     a = np.subtract(x, float(x.sum(dtype=np.int64)) / m, dtype=np.float64)
@@ -86,6 +85,7 @@ def adjacent_correlation(image: GrayImage, direction: str) -> float:
 
 def histogram(image: GrayImage) -> np.ndarray:
     """Count of each intensity 0..255; counts sum to the pixel count."""
+    import numpy as np
     return np.bincount(image.pixels.ravel(), minlength=256).astype(np.int64)
 
 
@@ -94,6 +94,7 @@ def shannon_entropy(image: GrayImage) -> float:
 
     Levels with zero probability contribute zero.
     """
+    import numpy as np
     counts = histogram(image)
     total = counts.sum()
     p = counts[counts > 0] / total
@@ -103,6 +104,7 @@ def shannon_entropy(image: GrayImage) -> float:
 
 def chi_square_uniform(counts: np.ndarray) -> float:
     """Chi-square statistic of `counts` against a uniform distribution."""
+    import numpy as np
     counts = np.asarray(counts, dtype=np.float64)
     if not (np.isfinite(counts) & (counts >= 0)).all():
         raise DomainError("chi-square counts must be finite and non-negative")
@@ -132,6 +134,7 @@ def efficiency_index(scores: list[WorkScores]) -> list[float]:
                     f"not clamped")
         if s.entropy <= 0.0:
             raise DomainError(f"work {s.label!r} has non-positive entropy")
+    import numpy as np
     ch = np.array([abs(s.corr_h) for s in scores])
     cv = np.array([abs(s.corr_v) for s in scores])
     cd = np.array([abs(s.corr_d) for s in scores])

@@ -5,13 +5,15 @@ maxval as ASCII decimals separated by whitespace, with '#' comments running
 to end of line wherever whitespace may appear, then exactly one whitespace
 byte, then width*height raw intensity bytes (maxval <= 255 only), none of
 them above maxval.
+
+`_decode_pgm` and `_pgm_header` hold the format without numpy; the CLI's
+encrypt, decrypt and keystream use them directly, and parse_pgm and
+encode_pgm wrap them in a GrayImage.
 """
 
 from __future__ import annotations
 
 import re
-
-import numpy as np
 
 from .cipher import GrayImage
 from .errors import FileFormatError
@@ -38,8 +40,10 @@ def _read_int(buf: bytes, pos: int, name: str) -> tuple[int, int]:
     return int(digits or b"0"), m.end()
 
 
-def parse_pgm(buf: bytes) -> GrayImage:
-    """Decode a binary PGM byte string."""
+def _decode_pgm(buf: bytes) -> tuple[int, int, memoryview]:
+    """(rows, cols, payload) of a binary PGM byte string, where payload views
+    its rows*cols pixel bytes; any departure from the format is a
+    FileFormatError."""
     if buf[:2] == b"P2":
         raise FileFormatError("ASCII PGM (P2) is unsupported; use binary PGM (P5)")
     if buf[:2] != b"P5":
@@ -60,16 +64,28 @@ def parse_pgm(buf: bytes) -> GrayImage:
     found = len(buf) - pos
     if found < n:
         raise FileFormatError(f"truncated pixel data: expected {n} bytes, found {found}")
-    pixels = np.frombuffer(buf, dtype=np.uint8, count=n, offset=pos).reshape(height, width)
-    if maxval < 255 and pixels.max() > maxval:
-        raise FileFormatError(f"pixel value {pixels.max()} exceeds maxval {maxval}")
-    return GrayImage.from_array(pixels)
+    if maxval < 255:
+        above = buf[pos:pos + n].translate(None, bytes(range(maxval + 1)))
+        if above:
+            raise FileFormatError(f"pixel value {max(above)} exceeds maxval {maxval}")
+    return height, width, memoryview(buf)[pos:pos + n]
+
+
+def _pgm_header(rows: int, cols: int) -> bytes:
+    """The header encode_pgm writes: maxval 255."""
+    return f"P5\n{cols} {rows}\n255\n".encode("ascii")
+
+
+def parse_pgm(buf: bytes) -> GrayImage:
+    """Decode a binary PGM byte string."""
+    import numpy as np
+    rows, cols, payload = _decode_pgm(buf)
+    return GrayImage.from_array(np.frombuffer(payload, dtype=np.uint8).reshape(rows, cols))
 
 
 def encode_pgm(image: GrayImage) -> bytes:
     """Encode an image as binary PGM with maxval 255."""
-    header = f"P5\n{image.cols} {image.rows}\n255\n".encode("ascii")
-    return header + image.pixels.tobytes()
+    return _pgm_header(image.rows, image.cols) + image.pixels.tobytes()
 
 
 def read_pgm(path) -> GrayImage:

@@ -9,8 +9,6 @@ photograph in the repository.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .cipher import GrayImage
 
 __all__ = ["reference_image"]
@@ -18,6 +16,7 @@ __all__ = ["reference_image"]
 
 def reference_image(rows: int = 256, cols: int = 256) -> GrayImage:
     """Build the reference texture at the given size."""
+    import numpy as np
     i = np.arange(rows, dtype=np.float64)[:, None]
     j = np.arange(cols, dtype=np.float64)[None, :]
     tau = 2.0 * np.pi

@@ -41,9 +41,10 @@ def quiet_keystream(params, initial, config):
 
 
 def pure_python():
-    """Route integrate_pair to the pure-Python oracle while active."""
+    """Route integrate_pair to the pure-Python oracle, and the CLI's key route
+    to generate_keystream, while active."""
     return mock.patch.object(lorenz, "_load_kernel",
-                             lambda: (lorenz._integrate_python, "oracle"))
+                             lambda: (lorenz._integrate_python, None, "oracle"))
 
 
 def full_orbits(initial, params, n):

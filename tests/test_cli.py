@@ -227,6 +227,26 @@ class TestAnalyze:
         counts = [int(line.split(",")[1]) for line in lines[1:]]
         assert sum(counts) == 256
 
+    def test_report_and_histogram_files(self, small_pgm, tmp_path):
+        report, hist = tmp_path / "r.csv", tmp_path / "h.csv"
+        code, out, _ = run("analyze", str(small_pgm), "--report", str(report),
+                           "--histogram", str(hist))
+        assert (code, out) == (0, "")
+        assert report.read_text() == run("analyze", str(small_pgm))[1]
+        assert hist.read_text().startswith("level,count\n0,")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["h.csv", "r.csv"]
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["report-file", "report-stdout"])
+    def test_failing_histogram_leaves_no_output(self, small_pgm, tmp_path, to_file):
+        report = tmp_path / "r.csv"
+        report.write_text("old\n")
+        code, out, err = run("analyze", str(small_pgm),
+                             "--histogram", str(tmp_path / "missing-dir" / "h.csv"),
+                             *(["--report", str(report)] if to_file else []))
+        assert (code, out) == (2, "") and "i/o error" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+        assert report.read_text() == "old\n"
+
     def test_constant_image_is_domain_error(self, tmp_path):
         flat = tmp_path / "flat.pgm"
         write_image(flat, np.full((8, 8), 7, dtype=np.uint8))

@@ -22,7 +22,7 @@ from lorenzcipher.lorenz import COMPONENTS
 
 BLOWUP_STEPS = (0.1, 0.2, 0.5, 1.0, 10.0)
 
-_CAUSE = lorenz._load_kernel()[1]
+_CAUSE = lorenz._load_kernel()[2]
 needs_c = pytest.mark.skipif(
     _CAUSE is not None, reason=f"compiled kernel unavailable: {_CAUSE}")
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="cc not found")
@@ -122,7 +122,7 @@ def test_every_real_key_takes_compiled_path(monkeypatch, key):
     def spy(out, c, *floats):
         calls.append(floats)
         compiled(out, c, *floats)
-    monkeypatch.setattr(lorenz, "_load_kernel", lambda: (spy, None))
+    monkeypatch.setattr(lorenz, "_load_kernel", lambda: (spy, None, None))
     assert orbits(*key) == want
     [floats] = calls
     assert all(type(v) is float for v in floats)
@@ -131,12 +131,13 @@ def test_every_real_key_takes_compiled_path(monkeypatch, key):
 
 @needs_c
 def test_cached_load_imports_neither_hashlib_nor_subprocess():
+    # Nor numpy: the self-check compares memoryviews of bytearrays.
     src = os.path.dirname(os.path.dirname(lorenz.__file__))
     code = ("import sys, lorenzcipher; print(lorenzcipher.kernel_backend(), "
-            "'hashlib' in sys.modules, 'subprocess' in sys.modules)")
+            "*(name in sys.modules for name in ('hashlib', 'subprocess', 'numpy')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split() == ["c", "False", "False"]
+    assert out.stdout.split() == ["c", "False", "False", "False"]
 
 
 class TestFallback:
@@ -222,6 +223,40 @@ class TestFallback:
         # is still right, so only a self-check of every component sees it.
         self.use_mutant(monkeypatch, tmp_path, "c == 1 ? y[1] : z[1]", "c == 1 ? y[1] : x[1]")
         self.check_fallback(caplog, reference, "self-check mismatch")
+
+    @needs_cc
+    @pytest.mark.parametrize("right, wrong", [
+        # The key kernel reads x where z is asked for.
+        ("v2d v = c == 0 ? x : c == 1 ? y : z;", "v2d v = c == 0 ? x : c == 1 ? y : x;"),
+        # It skips one step too few before the window.
+        ("for (int64_t i = -transient; i < n; i++)", "for (int64_t i = 1 - transient; i < n; i++)"),
+        # mantissa-lsb takes the second byte, or a key byte is stored, not XORed.
+        ("xor_key(out + i, (unsigned char)bits)", "xor_key(out + i, (unsigned char)(bits >> 8))"),
+        ("*p ^= k;", "*p = k;"),
+        # minmax-scale scales onto 0..254, or zero bytes are miscounted.
+        ("/ range * 255.0", "/ range * 254.0"),
+        ("return k == 0;", "return k == 1;"),
+    ], ids=["component", "transient", "mantissa-byte", "store", "scale", "zero-count"])
+    def test_self_check_catches_a_wrong_key_byte(
+            self, cache, monkeypatch, caplog, reference, tmp_path, right, wrong):
+        self.use_mutant(monkeypatch, tmp_path, right, wrong)
+        self.check_fallback(caplog, reference, "self-check mismatch")
+
+    def test_self_check_that_raises_falls_back(self, cache, monkeypatch, caplog, reference):
+        # A candidate that reports a blow-up on the self-check key fails the
+        # check like one that differs, and the fallback is cached.
+        builds = []
+
+        def build():
+            builds.append(1)
+
+            def integrate(out, c, *key):
+                raise lorenz._blowup("a", 0)
+            return integrate, None
+        monkeypatch.setattr(lorenz, "_build_kernel", build)
+        self.check_fallback(caplog, reference, "self-check raised IntegrationBlowupError: "
+                                               "variant A produced a non-finite state at step 0")
+        assert builds == [1]
 
     @needs_cc
     def test_blowup_tests_catch_lane_b_checked_first(self, cache, monkeypatch, tmp_path):
