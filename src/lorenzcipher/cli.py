@@ -101,11 +101,13 @@ def _write(output: str | bytes, path, stdout) -> None:
 def _write_files(outputs) -> None:
     """Write each (output, path) pair, or none of them: every file is first
     written beside its target under a temporary name, and all are renamed
-    into place only once each is complete."""
+    into place only once each is complete. Each temporary name is its own,
+    so two outputs to one path leave the last one there, as two plain writes
+    would."""
     staged = []
     try:
-        for output, path in outputs:
-            staged.append((f"{path}.{os.getpid()}.tmp", path))
+        for index, (output, path) in enumerate(outputs):
+            staged.append((f"{path}.{os.getpid()}-{index}.tmp", path))
             _write(output, staged[-1][0], None)
         for tmp, path in staged:
             os.replace(tmp, path)
@@ -160,7 +162,8 @@ def _cmd_crypt(args, stdout) -> None:
     with open(args.input, "rb") as fh:
         rows, cols, payload = _decode_pgm(fh.read())
     output = _xor_keystream(params, initial, make_config(rows, cols), payload)
-    _write(_pgm_header(rows, cols) + output, args.output, stdout)
+    with open(args.output, "wb") as fh:  # the output is always a file, never stdout
+        fh.write(_pgm_header(rows, cols) + output)
 
 
 def _cmd_keystream(args, stdout) -> None:

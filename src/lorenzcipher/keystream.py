@@ -13,6 +13,7 @@ bytes without importing numpy, through the compiled key kernel, for the CLI.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -179,7 +180,11 @@ def _xor_keystream(params: LorenzParams, initial: LorenzState,
     The bytes, errors and warning are generate_keystream's. The compiled key
     kernel integrates without storing the orbit pair and XORs each key byte
     in place, and nothing here imports numpy; without that kernel,
-    generate_keystream runs.
+    generate_keystream runs. Like generate_keystream, it refuses a sample
+    count whose orbit pair (16 bytes per step) would not fit in the address
+    space. Below that, a transient too long for the library's orbit pair to
+    fit in memory runs here, in time linear in its length, since the key
+    kernel stores none of it.
     """
     key = lorenz._load_kernel()[1]
     if key is None:
@@ -188,6 +193,8 @@ def _xor_keystream(params: LorenzParams, initial: LorenzState,
         if payload is not None:
             data = np.frombuffer(payload, np.uint8) ^ data
         return data.tobytes()
+    if 16 * config.n_samples > sys.maxsize:  # also keeps the kernel's int64 counts exact
+        raise _allocation_error("the orbit pair", config.n_samples, "16 bytes per step")
     minmax = config.strategy == "minmax-scale"
     try:
         out = bytearray(config.rows * config.cols if payload is None else payload)

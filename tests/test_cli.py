@@ -123,6 +123,18 @@ class TestCrypt:
         target = tmp_path / "missing-dir" / "o.pgm"
         assert run("encrypt", str(small_pgm), str(target), *WORKING)[0] == 2
 
+    def test_empty_output_path_is_io_error(self, small_pgm):
+        # The output is a file path; "" is not one, and stdout gets nothing.
+        raw = io.BytesIO()
+        stdout = io.TextIOWrapper(raw, encoding="utf-8")
+        err = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = run_command(["encrypt", str(small_pgm), "", *WORKING],
+                               stdout=stdout, stderr=err)
+        stdout.flush()
+        assert (code, raw.getvalue()) == (2, b"") and "i/o error" in err.getvalue()
+
     def test_negative_step_is_domain_error(self, small_pgm, tmp_path):
         code, _, err = run("encrypt", str(small_pgm), str(tmp_path / "o.pgm"),
                            "--step", "-1")
@@ -235,6 +247,15 @@ class TestAnalyze:
         assert report.read_text() == run("analyze", str(small_pgm))[1]
         assert hist.read_text().startswith("level,count\n0,")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["h.csv", "r.csv"]
+
+    def test_report_and_histogram_to_one_path(self, small_pgm, tmp_path):
+        # Both are written in turn, so the histogram, written last, stays.
+        both = tmp_path / "o.csv"
+        code, out, err = run("analyze", str(small_pgm), "--report", str(both),
+                             "--histogram", str(both))
+        assert (code, out, err) == (0, "", "")
+        assert [p.name for p in tmp_path.iterdir()] == ["o.csv"]
+        assert both.read_text().startswith("level,count\n0,")
 
     @pytest.mark.parametrize("to_file", [True, False], ids=["report-file", "report-stdout"])
     def test_failing_histogram_leaves_no_output(self, small_pgm, tmp_path, to_file):

@@ -167,6 +167,29 @@ def test_unallocatable_key_exits_3_at_once(strategy):
     assert "domain error: cannot allocate" in err and "n_steps = 2**80.00 " in err
 
 
+@pytest.mark.parametrize("transient", [2**64, 2**64 - 1])
+def test_transient_past_the_address_space_is_refused(transient):
+    # The orbit pair of 2**59 steps and more does not fit in a 64-bit address
+    # space, so generate_keystream refuses it at once; so does the key route,
+    # where the kernel's int64 transient would wrap to 0 and -1.
+    for strategy in STRATEGIES:
+        config = KeystreamConfig(16, 16, transient, strategy)
+        (kind, message, _, _), warned = assert_same(WORKING_PARAMS, DEFAULT_INITIAL, config)
+        assert (kind, warned) == (DomainError, [])
+        assert message.startswith("cannot allocate the orbit pair for n_steps = 2**")
+
+
+@pytest.mark.parametrize("transient", [2**64, 2**64 - 1])
+def test_huge_transient_exits_3_and_writes_nothing(tmp_path, transient):
+    plain = tmp_path / "plain.pgm"
+    plain.write_bytes(b"P5 4 3 255\n" + bytes(range(12)))
+    code, out, err = cli("encrypt", str(plain), str(tmp_path / "enc.pgm"),
+                         "--step", "0.01", "--transient", str(transient))
+    assert (code, out) == (3, "")
+    assert "domain error: cannot allocate the orbit pair for n_steps = 2**64.00 " in err
+    assert [p.name for p in tmp_path.iterdir()] == ["plain.pgm"]
+
+
 def run_python(*args):
     """(exit status, stdout, stderr) of a fresh interpreter importing this checkout."""
     done = subprocess.run([sys.executable, *args], capture_output=True, text=True,
