@@ -9,8 +9,7 @@ CLI round out the package.
 `__all__` joins the `__all__` lists of the library modules, so each public
 name is declared once, in the module that defines it. Every module loads
 with the package, and none imports numpy until a function that uses it
-runs: the CLI's encrypt, decrypt and keystream load it only when the
-compiled kernel is unavailable.
+runs: the CLI's encrypt, decrypt and keystream never load it.
 """
 
 from . import cipher, errors, keystream, lorenz, metrics, pgm, reference

@@ -20,7 +20,9 @@
  * integrate_pair's (n_steps, 2) array.  lorenz_key stores no orbit: it turns
  * each sample of that component into key bytes, as keystream.py's
  * lower_bound_error and extract_bytes do in numpy, and XORs them into the
- * caller's byte buffer.
+ * caller's byte buffer.  Its Python counterpart, used without a compiler,
+ * is lorenz._key_python, whose extraction lorenz._xor_key is also what the
+ * self-check compares lorenz_key with.
  */
 
 #include <float.h>

@@ -3,9 +3,11 @@
 Exit codes: 0 success, 1 usage error, 2 I/O or file format error,
 3 numeric or domain error.
 
-encrypt, decrypt and keystream do not import numpy while the compiled
-kernel is available: they read and write PGM bytes directly and XOR the
-payload in the key kernel. analyze and index import it through the metrics.
+encrypt, decrypt and keystream never import numpy: they read and write PGM
+bytes directly and XOR the payload in the key kernel, compiled or pure
+Python. analyze and index import it through the metrics. A warning, such
+as a degenerate keystream's, prints as one `warning:` line on stderr that
+ends with the warning's category.
 """
 
 from __future__ import annotations
@@ -13,10 +15,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
 import sys
+import warnings
 from dataclasses import fields, replace
 from functools import partial
 
@@ -86,8 +90,9 @@ def _read_text(path, kind: str) -> str:
 
 
 def _write(output: str | bytes, path, stdout) -> None:
-    """Write one command's whole output to the file at `path`, or to stdout."""
-    if path:
+    """Write one command's whole output to the file at `path`, or to stdout
+    when path is None."""
+    if path is not None:
         with open(path, "wb") as fh:
             fh.write(output.encode("utf-8") if isinstance(output, str) else output)
     elif isinstance(output, str):
@@ -107,6 +112,8 @@ def _write_files(outputs) -> None:
     staged = []
     try:
         for index, (output, path) in enumerate(outputs):
+            if not path:  # refused as open("") would, before any file is renamed
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
             staged.append((f"{path}.{os.getpid()}-{index}.tmp", path))
             _write(output, staged[-1][0], None)
         for tmp, path in staged:
@@ -162,8 +169,7 @@ def _cmd_crypt(args, stdout) -> None:
     with open(args.input, "rb") as fh:
         rows, cols, payload = _decode_pgm(fh.read())
     output = _xor_keystream(params, initial, make_config(rows, cols), payload)
-    with open(args.output, "wb") as fh:  # the output is always a file, never stdout
-        fh.write(_pgm_header(rows, cols) + output)
+    _write(_pgm_header(rows, cols) + output, args.output, stdout)  # a path, never None
 
 
 def _cmd_keystream(args, stdout) -> None:
@@ -176,9 +182,9 @@ def _cmd_analyze(args, stdout) -> None:
     image = read_pgm(args.input)
     report = _csv_text(("metric", "value"), ("entropy", shannon_entropy(image)), *(
         (f"corr_{d}", adjacent_correlation(image, d)) for d in DIRECTIONS))
-    if args.histogram:
+    if args.histogram is not None:
         counts = _csv_text(("level", "count"), *enumerate(histogram(image)))
-        if args.report:
+        if args.report is not None:
             return _write_files([(report, args.report), (counts, args.histogram)])
         _write(counts, args.histogram, stdout)  # first, so a failure prints nothing
     _write(report, args.report, stdout)
@@ -262,6 +268,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _show_warning(stderr, message, category, *_) -> None:
+    # The category names what a -W filter matches, e.g.
+    # -W ignore::lorenzcipher.KeystreamQualityWarning.
+    print(f"warning: {message} ({category.__name__})", file=stderr)
+
+
 def run_command(argv, stdout=None, stderr=None) -> int:
     """Parse argv and run one subcommand, returning the exit status."""
     stdout = sys.stdout if stdout is None else stdout
@@ -269,7 +281,9 @@ def run_command(argv, stdout=None, stderr=None) -> int:
     try:
         with contextlib.redirect_stdout(stdout):  # where --help prints
             args = _build_parser().parse_args(argv)
-        args.func(args, stdout)
+        with warnings.catch_warnings():  # keeps the -W and PYTHONWARNINGS filters
+            warnings.showwarning = partial(_show_warning, stderr)
+            args.func(args, stdout)
         return 0
     except _UsageError as e:
         print(f"usage error: {e}", file=stderr)

@@ -7,8 +7,8 @@ retained window to bytes under one of two strategies:
   mantissa-lsb   low 8 bits of the binary64 significand field of delta
   minmax-scale   floor((delta - min) / (max - min) * 255) over the window
 
-The numpy functions here are the reference. `_xor_keystream` gives the same
-bytes without importing numpy, through the compiled key kernel, for the CLI.
+The numpy functions here are the reference. `_xor_keystream` gives the CLI
+the same bytes without numpy, through the key kernel `lorenz` loaded.
 """
 
 from __future__ import annotations
@@ -159,8 +159,7 @@ def generate_keystream(params: LorenzParams, initial: LorenzState,
     """Integrate, difference, and extract a rows*cols byte keystream.
 
     Integrates config.n_samples samples. Bit-reproducible in all arguments.
-    Warns (never raises) when the zero-byte fraction exceeds
-    ZERO_FRACTION_WARN.
+    Warns (never raises) when the zero-byte fraction exceeds ZERO_FRACTION_WARN.
     """
     import numpy as np
     delta = lower_bound_error(integrate_pair(initial, params, config.n_samples,
@@ -174,25 +173,13 @@ def generate_keystream(params: LorenzParams, initial: LorenzState,
 def _xor_keystream(params: LorenzParams, initial: LorenzState,
                    config: KeystreamConfig, payload=None):
     """`payload` (rows*cols bytes, any bytes-like object) XOR the keystream
-    of `config`, or the keystream itself when payload is None, as a
-    bytes-like object.
+    of `config`, or the keystream itself when payload is None, in a bytearray.
 
-    The bytes, errors and warning are generate_keystream's. The compiled key
-    kernel integrates without storing the orbit pair and XORs each key byte
-    in place, and nothing here imports numpy; without that kernel,
-    generate_keystream runs. Like generate_keystream, it refuses a sample
-    count whose orbit pair (16 bytes per step) would not fit in the address
-    space. Below that, a transient too long for the library's orbit pair to
-    fit in memory runs here, in time linear in its length, since the key
-    kernel stores none of it.
+    The bytes, errors and warning are generate_keystream's; nothing here
+    imports numpy. A sample count whose orbit pair (16 bytes per step) would
+    not fit in the address space is refused, but below that the compiled key
+    kernel, which stores no pair, runs any transient in linear time.
     """
-    key = lorenz._load_kernel()[1]
-    if key is None:
-        import numpy as np
-        data = generate_keystream(params, initial, config).data
-        if payload is not None:
-            data = np.frombuffer(payload, np.uint8) ^ data
-        return data.tobytes()
     if 16 * config.n_samples > sys.maxsize:  # also keeps the kernel's int64 counts exact
         raise _allocation_error("the orbit pair", config.n_samples, "16 bytes per step")
     minmax = config.strategy == "minmax-scale"
@@ -202,8 +189,8 @@ def _xor_keystream(params: LorenzParams, initial: LorenzState,
     except (MemoryError, OverflowError):  # OverflowError: a size past sys.maxsize
         raise _allocation_error("the key", config.n_samples, "9 bytes per key byte"
                                 if minmax else "1 byte per key byte") from None
-    zeros = key(out, window, config.transient, COMPONENTS.index(config.component),
-                initial.x, initial.y, initial.z,
-                params.sigma, params.rho, params.beta, params.h)
+    zeros = lorenz._load_kernel()[1](
+        out, window, config.transient, COMPONENTS.index(config.component),
+        initial.x, initial.y, initial.z, params.sigma, params.rho, params.beta, params.h)
     _warn_if_degenerate(zeros, len(out))
     return out

@@ -16,13 +16,12 @@ into one destroys the keystream.
 The pure-Python `_deriv`/`_rk4` are the bit-level specification.
 `_kernel.c` mirrors them operation for operation, with variants A and B
 in the two lanes of one SIMD vector, each lane an independent orbit.
-`integrate_pair` runs one integrator chosen once per process: that compiled
-mirror if it builds and passes a self-check against them, else the oracle.
-Both kernels integrate all three components and store only the requested
-one, into one pair buffer of shape (n_steps, 2), indexed
-[sample, variant A=0 / B=1]. The compiled library also turns the pair into
-key bytes without storing it, for the keystream's numpy-free route; the
-oracle has no such output. numpy is imported only by `integrate_pair`.
+Both integrate all three components and store only the requested one,
+into a pair buffer of shape (n_steps, 2), [sample, variant A=0 / B=1].
+Chosen once per process, the compiled integrator and key kernel run if they
+pass a self-check, else `_integrate_python` and `_key_python`, whose pair
+goes to `_xor_key`: the one Python extraction, and the self-check's
+reference. numpy is imported only by `integrate_pair`.
 """
 
 from __future__ import annotations
@@ -209,18 +208,12 @@ _KERNEL_CACHE = os.path.join(_HERE, "__pycache__")
 # flush-to-zero off. No -march=native, so the cached .so never depends on
 # the CPU that built it.
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math")
-# The paper key at h = 0.01 rather than its 1e-6: the variants first differ
-# at sample 8 there, so a kernel that swapped or merged the dy forms fails.
-_SELF_CHECK_KEY = (DEFAULT_INITIAL.x, DEFAULT_INITIAL.y, DEFAULT_INITIAL.z,
-                   DEFAULT_PARAMS.sigma, DEFAULT_PARAMS.rho, DEFAULT_PARAMS.beta,
-                   0.01)
-_SELF_CHECK_STEPS = 64
-# Low mantissa bytes of delta are zero until the orbits have drifted far
-# apart, so the key kernel is checked where they have: the paper key at
-# h = 0.05, whose |a - b| first passes 1.8 at sample 481.
-_KEY_CHECK_KEY = _SELF_CHECK_KEY[:6] + (0.05,)
-_KEY_CHECK_STEPS = 512
-_KEY_CHECK_TRANSIENT = 448
+# The paper key at h = 0.05, not 1e-6: the variants first differ at samples
+# 4-7, inside the oracle's 32, so swapped or merged dy forms fail; and the
+# key window starts far apart, where delta's low mantissa bytes are not zero.
+_CHECK_KEY = (DEFAULT_INITIAL.x, DEFAULT_INITIAL.y, DEFAULT_INITIAL.z,
+              DEFAULT_PARAMS.sigma, DEFAULT_PARAMS.rho, DEFAULT_PARAMS.beta, 0.05)
+_ORACLE_STEPS, _CHECK_TRANSIENT, _CHECK_STEPS = 32, 448, 512
 _load_lock = threading.Lock()
 
 
@@ -282,8 +275,7 @@ def _build_kernel():
 
     def key_compiled(out, window, transient, c, x, y, z, sigma, rho, beta, h):
         """XOR len(out) key bytes into the bytearray `out` and return how many
-        are zero. `window` is None for mantissa-lsb, or a bytearray of 8 bytes
-        per key byte for minmax-scale."""
+        are zero. `window` is None for mantissa-lsb, else 8 bytes per key byte."""
         count = ctypes.c_int64()
         status = key(x, y, z, sigma, rho, beta, h, transient, len(out), c, _address(out),
                      None if window is None else _address(window), ctypes.byref(count))
@@ -295,30 +287,51 @@ def _build_kernel():
     return integrate_compiled, key_compiled
 
 
+def _xor_key(out: bytearray, pair, minmax: bool) -> int:
+    """lorenz_key's extraction: XOR into `out` the key bytes of the last
+    len(out) samples of `pair` and return how many are zero. Every delta =
+    |a - b| * 0.5 must be finite. A key byte is delta's low byte, or under
+    minmax floor((delta - lo) / (hi - lo) * 255.0) over the window (0 if hi == lo)."""
+    flat = pair.cast("B").cast("d")
+    diff = [a - b for a, b in zip(flat[::2], flat[1::2])]
+    if not all(map(math.isfinite, diff)):  # finite exactly where |a - b| * 0.5 is
+        raise DomainError(_NON_FINITE_PAIR)
+    window = [abs(d) * 0.5 for d in diff[len(diff) - len(out):]]
+    if minmax:
+        lo, hi = min(window), max(window)
+        key = bytes(math.floor((d - lo) / (hi - lo) * 255.0) if hi > lo else 0 for d in window)
+    else:
+        key = struct.pack(f"<{len(window)}d", *window)[::8]
+    out[:] = bytes(map(int.__xor__, out, key))
+    return key.count(0)
+
+
+def _key_python(out, window, transient, c, *key):
+    """key_compiled without a compiler: the oracle's stored pair through _xor_key."""
+    n = transient + len(out)
+    try:
+        pair = _pair_buffer(n)
+    except MemoryError:
+        raise _allocation_error("the orbit pair", n, "16 bytes per step") from None
+    _integrate_python(pair, c, *key)
+    return _xor_key(out, pair, window is not None)
+
+
 def _self_check(integrate, key) -> bool:
     """Compare the compiled integrator with the oracle on every component, so
     a wrong component select is caught too, then the key kernel under both
-    strategies with the extraction written out in Python, over a pair from
-    that integrator; key bytes are XORed onto nonzero bytes."""
+    strategies with _xor_key over its pair, XORing onto nonzero bytes."""
+    under = bytes(range(_CHECK_STEPS - _CHECK_TRANSIENT))
     for c in range(len(COMPONENTS)):
-        want, got = _pair_buffer(_SELF_CHECK_STEPS), _pair_buffer(_SELF_CHECK_STEPS)
-        _integrate_python(want, c, *_SELF_CHECK_KEY)
-        integrate(got, c, *_SELF_CHECK_KEY)
-        if want.tobytes() != got.tobytes():
+        pair, want = _pair_buffer(_CHECK_STEPS), _pair_buffer(_ORACLE_STEPS)
+        integrate(pair, c, *_CHECK_KEY)
+        _integrate_python(want, c, *_CHECK_KEY)
+        if not pair.tobytes().startswith(want.tobytes()):
             return False
-        pair = _pair_buffer(_KEY_CHECK_STEPS)
-        integrate(pair, c, *_KEY_CHECK_KEY)
-        delta = [abs(a - b) * 0.5 for a, b in pair.tolist()[_KEY_CHECK_TRANSIENT:]]
-        lo, hi = min(delta), max(delta)
-        under = bytes(range(len(delta)))
-        for window, key_bytes in (
-                (None, struct.pack(f"<{len(delta)}d", *delta)[::8]),
-                (bytearray(8 * len(delta)),
-                 bytes(math.floor((d - lo) / (hi - lo) * 255.0) for d in delta))):
-            out = bytearray(under)
-            zeros = key(out, window, _KEY_CHECK_TRANSIENT, c, *_KEY_CHECK_KEY)
-            if (out != bytes(k ^ u for k, u in zip(key_bytes, under))
-                    or zeros != key_bytes.count(0)):
+        for window in (None, bytearray(8 * len(under))):
+            got, expected = bytearray(under), bytearray(under)
+            zeros = key(got, window, _CHECK_TRANSIENT, c, *_CHECK_KEY)
+            if zeros != _xor_key(expected, pair, window is not None) or got != expected:
                 return False
     return True
 
@@ -326,7 +339,7 @@ def _self_check(integrate, key) -> bool:
 @functools.cache
 def _load_kernel():
     """Return (compiled integrator, compiled key kernel, None), or
-    (_integrate_python, None, cause).
+    (_integrate_python, _key_python, cause).
 
     Compiles _kernel.c with `cc` on first use into __pycache__ next to
     this file, under a checksum of source, flags, platform and the path `cc`
@@ -349,11 +362,11 @@ def _load_kernel():
     import logging
     logging.getLogger("lorenzcipher").warning(
         "compiled RK4 kernel unavailable (%s); using the pure-Python kernel", cause)
-    return _integrate_python, None, cause
+    return _integrate_python, _key_python, cause
 
 
 def kernel_backend() -> str:
-    """Which kernel integrate_pair runs: "c" or "pure-python"."""
+    """Which kernels integrate_pair and the key route run: "c" or "pure-python"."""
     return "c" if _load_kernel()[2] is None else "pure-python"
 
 

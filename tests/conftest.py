@@ -41,10 +41,10 @@ def quiet_keystream(params, initial, config):
 
 
 def pure_python():
-    """Route integrate_pair to the pure-Python oracle, and the CLI's key route
-    to generate_keystream, while active."""
-    return mock.patch.object(lorenz, "_load_kernel",
-                             lambda: (lorenz._integrate_python, None, "oracle"))
+    """Route integrate_pair and the CLI's key route to the pure-Python
+    kernels, as without a compiler, while active."""
+    return mock.patch.object(lorenz, "_load_kernel", lambda: (
+        lorenz._integrate_python, lorenz._key_python, "oracle"))
 
 
 def full_orbits(initial, params, n):

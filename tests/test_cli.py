@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import pathlib
+import subprocess
 import sys
 import warnings
 from dataclasses import replace
@@ -289,6 +292,72 @@ class TestAnalyze:
         _, out, _ = run("analyze", str(plain))
         values = dict(line.split(",", 1) for line in out.splitlines()[1:])
         assert abs(float(values["corr_horizontal"])) > 0.5
+
+
+@pytest.mark.parametrize("argv", [
+    ["encrypt", "{image}", ""],
+    ["keystream", "--rows", "4", "--cols", "4", "--output", ""],
+    ["analyze", "{image}", "--report", ""],
+    ["analyze", "{image}", "--histogram", ""],
+    ["analyze", "{image}", "--report", "r.csv", "--histogram", ""],
+    ["analyze", "{image}", "--report", "", "--histogram", "h.csv"],
+], ids=["encrypt", "keystream", "analyze-report", "analyze-histogram",
+        "analyze-report-file-histogram-empty", "analyze-report-empty-histogram-file"])
+def test_empty_output_path_writes_nothing(small_pgm, tmp_path, monkeypatch, argv):
+    # "" names no file. Stdout gets nothing, and no file appears in the
+    # working directory, where relative outputs and their temporary files go.
+    monkeypatch.chdir(tmp_path)
+    raw = io.BytesIO()
+    stdout = io.TextIOWrapper(raw, encoding="utf-8")
+    err = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = run_command([arg.format(image=small_pgm) for arg in argv],
+                           stdout=stdout, stderr=err)
+    stdout.flush()
+    assert (code, raw.getvalue()) == (2, b"")
+    assert err.getvalue() == "i/o error: [Errno 2] No such file or directory: ''\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+# The warning encrypt gives at the default step h = 1e-6, whose keystream
+# is all zeros, and the one line the CLI prints for it.
+DEGENERATE = ("keystream zero-byte fraction 100.00% exceeds 2%; the cipher is close "
+              "to an identity map (try a larger step h or more iterations)")
+DEGENERATE_LINE = f"warning: {DEGENERATE} (KeystreamQualityWarning)\n"
+
+
+def test_warning_is_one_line(small_pgm, tmp_path):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        code = run_command(["encrypt", str(small_pgm), str(tmp_path / "o.pgm")],
+                           stdout=out, stderr=err)
+    assert (code, out.getvalue(), err.getvalue()) == (0, "", DEGENERATE_LINE)
+
+
+@pytest.mark.parametrize("options, env, code, err", [
+    ([], {}, 0, DEGENERATE_LINE),
+    (["-W", "ignore"], {}, 0, ""),
+    (["-W", "ignore::lorenzcipher.KeystreamQualityWarning"], {}, 0, ""),
+    ([], {"PYTHONWARNINGS": "ignore"}, 0, ""),
+    (["-W", "error"], {}, 1, f"lorenzcipher.keystream.KeystreamQualityWarning: {DEGENERATE}\n"),
+], ids=["default", "W-ignore", "W-ignore-category", "PYTHONWARNINGS-ignore", "W-error"])
+def test_cli_warning_filters_apply(small_pgm, tmp_path, options, env, code, err):
+    # A fresh interpreter, so the filters come from its own options; an
+    # error-filtered warning still ends the command before it writes. Without
+    # cc the kernel loader also logs a line of its own, which is not checked.
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    done = subprocess.run(
+        [sys.executable, *options, "-m", "lorenzcipher.cli", "encrypt", str(small_pgm),
+         str(tmp_path / "o.pgm")], capture_output=True, text=True, timeout=120,
+        env={**base, "PYTHONPATH": src, **env})
+    stderr = "".join(line for line in done.stderr.splitlines(keepends=True)
+                     if not line.startswith("compiled RK4 kernel unavailable"))
+    assert (done.returncode, done.stdout) == (code, "")
+    assert stderr.endswith(err) and (code == 1 or stderr == err)
+    assert (tmp_path / "o.pgm").exists() == (code == 0)
 
 
 # Scores rows after a valid header: fields mixing text, numbers, zeros and

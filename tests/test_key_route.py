@@ -1,9 +1,11 @@
 """The CLI's numpy-free key route against generate_keystream, and what
 imports numpy.
 
-`keystream._xor_keystream` runs the compiled key kernel, which turns the
-orbit pair into key bytes without storing it and XORs them in place; its
-bytes, errors and warning must be generate_keystream's on either kernel.
+`keystream._xor_keystream` runs the loaded key kernel: the compiled one,
+which turns the orbit pair into key bytes without storing it, or, without
+a compiler, `lorenz._key_python`, which stores the pair and extracts it in
+`lorenz._xor_key`. Either XORs the key bytes in place, and its bytes,
+errors and warning must be generate_keystream's.
 """
 
 import io
@@ -62,7 +64,6 @@ def assert_same(params, initial, config):
     return got
 
 
-@needs_c
 class TestKeyBytes:
     @settings(max_examples=200)
     @given(st.floats(15.2, 16.8), st.floats(43.6, 48.2), st.floats(3.8, 4.2),
@@ -158,6 +159,41 @@ def test_non_finite_delta(monkeypatch, tmp_path, h):
             assert got == want and want[0].__name__ == "IntegrationBlowupError"
 
 
+def test_loader_without_cc_returns_the_python_key_kernel(monkeypatch):
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    lorenz._load_kernel.cache_clear()
+    try:
+        assert lorenz._load_kernel() == (
+            lorenz._integrate_python, lorenz._key_python, "cc not found")
+    finally:
+        lorenz._load_kernel.cache_clear()
+
+
+def test_python_extraction_refuses_a_non_finite_delta():
+    # No key is known whose finite orbits differ by more than the largest
+    # double, so the pair is written by hand: the transient's |a - b| overflows.
+    pair = lorenz._pair_buffer(3)
+    pair[0, 0], pair[0, 1] = 1e308, -1e308
+    with pytest.raises(DomainError) as refusal, np.errstate(over="ignore"):
+        lower_bound_error(np.array(pair))
+    for minmax in (False, True):
+        with pytest.raises(DomainError) as got:
+            lorenz._xor_key(bytearray(2), pair, minmax)
+        assert str(got.value) == str(refusal.value)
+
+
+def test_python_key_kernel_refuses_an_unallocatable_pair(monkeypatch):
+    # It stores the orbit pair, so it refuses one it cannot allocate as
+    # integrate_pair does.
+    def no_memory(n):
+        raise MemoryError
+    monkeypatch.setattr(lorenz, "_pair_buffer", no_memory)
+    with pure_python():
+        got = key_route(WORKING_PARAMS, DEFAULT_INITIAL, KeystreamConfig(16, 16, 10**6))
+    assert got == ((DomainError, "cannot allocate the orbit pair for n_steps = 2**19.93 "
+                                 "(16 bytes per step)", None, None), [])
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_unallocatable_key_exits_3_at_once(strategy):
     # 2**80 key bytes cannot be indexed at all, so nothing is allocated.
@@ -190,10 +226,12 @@ def test_huge_transient_exits_3_and_writes_nothing(tmp_path, transient):
     assert [p.name for p in tmp_path.iterdir()] == ["plain.pgm"]
 
 
-def run_python(*args):
-    """(exit status, stdout, stderr) of a fresh interpreter importing this checkout."""
+def run_python(*args, path=None):
+    """(exit status, stdout, stderr) of a fresh interpreter importing this
+    checkout, with PATH set to `path` if given."""
+    env = {**os.environ, "PYTHONPATH": SRC, **({} if path is None else {"PATH": path})}
     done = subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          timeout=120, env={**os.environ, "PYTHONPATH": SRC})
+                          timeout=120, env=env)
     return done.returncode, done.stdout, done.stderr
 
 
@@ -201,8 +239,9 @@ def cli(*argv):
     return run_python("-m", "lorenzcipher.cli", *argv)
 
 
-@needs_c
-def test_crypt_and_keystream_run_without_numpy(tmp_path):
+def check_crypt_without_numpy(tmp_path, path, backend):
+    """encrypt, decrypt and keystream in one process where any import of
+    numpy raises, on the `backend` kernel, give generate_keystream's bytes."""
     rng = np.random.default_rng(5)
     pixels = rng.integers(0, 256, (12, 20), dtype=np.uint8)
     plain = tmp_path / "plain.pgm"
@@ -214,15 +253,28 @@ def test_crypt_and_keystream_run_without_numpy(tmp_path):
               "--output", str(tmp_path / "key.bin"), *flags]]
     code = ("import json, sys\n"
             "sys.modules['numpy'] = None  # any import of numpy raises\n"
+            "from lorenzcipher import kernel_backend\n"
             "from lorenzcipher.cli import run_command\n"
-            "print([run_command(argv) for argv in json.loads(sys.argv[1])])\n")
-    assert run_python("-c", code, json.dumps(argvs))[:2] == (0, "[0, 0, 0]\n")
+            "print(kernel_backend(), [run_command(argv) for argv in json.loads(sys.argv[1])])\n")
+    assert run_python("-c", code, json.dumps(argvs), path=path)[:2] == (
+        0, f"{backend} [0, 0, 0]\n")
     key = quiet_keystream(WORKING_PARAMS, DEFAULT_INITIAL,
                           KeystreamConfig(12, 20, strategy="minmax-scale", component="z"))
     assert (tmp_path / "key.bin").read_bytes() == key.data.tobytes()
     assert (tmp_path / "enc.pgm").read_bytes() == (
         b"P5\n20 12\n255\n" + (pixels.ravel() ^ key.data).tobytes())
     assert (tmp_path / "dec.pgm").read_bytes() == b"P5\n20 12\n255\n" + pixels.tobytes()
+
+
+@needs_c
+def test_crypt_and_keystream_run_without_numpy(tmp_path):
+    check_crypt_without_numpy(tmp_path, None, "c")
+
+
+def test_crypt_and_keystream_run_without_numpy_or_cc(tmp_path):
+    # PATH names a directory that does not exist, so there is no cc and the
+    # pure-Python key kernel runs, cached library or not.
+    check_crypt_without_numpy(tmp_path, str(tmp_path / "no-cc"), "pure-python")
 
 
 def test_package_registers_every_traced_function_without_numpy():

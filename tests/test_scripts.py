@@ -34,3 +34,10 @@ def test_quality_report_runs():
     assert proc.returncode == 0, proc.stderr
     assert "step" in proc.stdout
     assert "1e-02" in proc.stdout or "0.01" in proc.stdout
+
+
+def test_known_answers_script_rewrites_the_committed_file(tmp_path):
+    out = tmp_path / "known_answers.json"
+    proc = run_script("make_known_answers.py", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == (REPO / "tests" / "known_answers.json").read_bytes()
