@@ -108,12 +108,16 @@ def _write_files(outputs) -> None:
     written beside its target under a temporary name, and all are renamed
     into place only once each is complete. Each temporary name is its own,
     so two outputs to one path leave the last one there, as two plain writes
-    would."""
+    would. A target no rename could replace, the empty path or a directory,
+    is refused as open() would refuse it, before anything is staged."""
+    for _, path in outputs:
+        if not path:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     staged = []
     try:
         for index, (output, path) in enumerate(outputs):
-            if not path:  # refused as open("") would, before any file is renamed
-                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
             staged.append((f"{path}.{os.getpid()}-{index}.tmp", path))
             _write(output, staged[-1][0], None)
         for tmp, path in staged:

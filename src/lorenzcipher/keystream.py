@@ -7,8 +7,10 @@ retained window to bytes under one of two strategies:
   mantissa-lsb   low 8 bits of the binary64 significand field of delta
   minmax-scale   floor((delta - min) / (max - min) * 255) over the window
 
-The numpy functions here are the reference. `_xor_keystream` gives the CLI
-the same bytes without numpy, through the key kernel `lorenz` loaded.
+`generate_keystream` and the CLI share one route, `_xor_keystream`: the key
+kernel `lorenz` loaded turns each sample into a key byte, so no orbit pair
+or delta array is stored. `lower_bound_error` and `extract_bytes` with
+`lorenz.integrate_pair` are the numpy reference the tests hold it to.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from . import lorenz
 from .errors import DomainError
 from .lorenz import (_NON_FINITE_PAIR, COMPONENTS, LorenzParams, LorenzState,
-                     _allocation_error, _check_count, integrate_pair)
+                     _allocation_error, _check_count)
 
 __all__ = [
     "STRATEGIES",
@@ -33,6 +35,7 @@ __all__ = [
 ]
 
 STRATEGIES = ("mantissa-lsb", "minmax-scale")
+_PACKAGE = __name__.partition(".")[0] + "."
 
 # Zero delta samples yield byte 0 under both strategies; a keystream made
 # mostly of zeros XORs to near-identity, so it is worth a loud warning.
@@ -143,29 +146,35 @@ def extract_bytes(delta: np.ndarray, config: KeystreamConfig) -> np.ndarray:
 
 
 def _warn_if_degenerate(zeros: int, n: int) -> None:
-    """Warn, on behalf of the caller's caller, when more than
-    ZERO_FRACTION_WARN of the n key bytes are zero."""
+    """Warn when more than ZERO_FRACTION_WARN of the n key bytes are zero,
+    naming the first line outside this package on the stack: the one that
+    called generate_keystream, encrypt, decrypt or the CLI's command."""
     zero_fraction = zeros / n
     if zero_fraction > ZERO_FRACTION_WARN:
+        # What skip_file_prefixes (Python 3.12) does. The stacklevel is
+        # counted rather than passed down, because encrypt calls
+        # generate_keystream with the key alone.
+        frame, stacklevel = sys._getframe(1), 2
+        while frame is not None and frame.f_globals.get("__name__", "").startswith(_PACKAGE):
+            frame, stacklevel = frame.f_back, stacklevel + 1
         warnings.warn(
             f"keystream zero-byte fraction {zero_fraction:.2%} exceeds "
             f"{ZERO_FRACTION_WARN:.0%}; the cipher is close to an identity "
             f"map (try a larger step h or more iterations)",
-            KeystreamQualityWarning, stacklevel=3)
+            KeystreamQualityWarning, stacklevel=stacklevel)
 
 
 def generate_keystream(params: LorenzParams, initial: LorenzState,
                        config: KeystreamConfig) -> Keystream:
     """Integrate, difference, and extract a rows*cols byte keystream.
 
-    Integrates config.n_samples samples. Bit-reproducible in all arguments.
+    Integrates config.n_samples samples in the key kernel, which stores no
+    orbit pair: the bytes are extract_bytes(lower_bound_error(integrate_pair(
+    ...)), config), the reference. Bit-reproducible in all arguments.
     Warns (never raises) when the zero-byte fraction exceeds ZERO_FRACTION_WARN.
     """
     import numpy as np
-    delta = lower_bound_error(integrate_pair(initial, params, config.n_samples,
-                                             config.component))
-    data = extract_bytes(delta, config)
-    _warn_if_degenerate(int(np.count_nonzero(data == 0)), data.shape[0])
+    data = np.frombuffer(_xor_keystream(params, initial, config), dtype=np.uint8)
     data.setflags(write=False)
     return Keystream(data=data, config=config)
 
@@ -175,7 +184,7 @@ def _xor_keystream(params: LorenzParams, initial: LorenzState,
     """`payload` (rows*cols bytes, any bytes-like object) XOR the keystream
     of `config`, or the keystream itself when payload is None, in a bytearray.
 
-    The bytes, errors and warning are generate_keystream's; nothing here
+    The bytes, errors and warning are the reference pipeline's; nothing here
     imports numpy. A sample count whose orbit pair (16 bytes per step) would
     not fit in the address space is refused, but below that the compiled key
     kernel, which stores no pair, runs any transient in linear time.

@@ -21,19 +21,23 @@ into a pair buffer of shape (n_steps, 2), [sample, variant A=0 / B=1].
 Chosen once per process, the compiled integrator and key kernel run if they
 pass a self-check, else `_integrate_python` and `_key_python`, whose pair
 goes to `_xor_key`: the one Python extraction, and the self-check's
-reference. numpy is imported only by `integrate_pair`.
+reference. The key kernel is what every keystream runs, in the library and
+the CLI; `integrate_pair`, the only function here that imports numpy, is
+the reference the tests hold it to.
 """
 
 from __future__ import annotations
 
+import array
 import ctypes
 import enum
 import functools
+import itertools
 import math
 import numbers
+import operator
 import os
 import platform
-import struct
 import sys
 import threading
 import zlib
@@ -214,6 +218,7 @@ _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math")
 _CHECK_KEY = (DEFAULT_INITIAL.x, DEFAULT_INITIAL.y, DEFAULT_INITIAL.z,
               DEFAULT_PARAMS.sigma, DEFAULT_PARAMS.rho, DEFAULT_PARAMS.beta, 0.05)
 _ORACLE_STEPS, _CHECK_TRANSIENT, _CHECK_STEPS = 32, 448, 512
+_CHUNK = 4096  # samples per step of _xor_key's loops
 _load_lock = threading.Lock()
 
 
@@ -287,23 +292,40 @@ def _build_kernel():
     return integrate_compiled, key_compiled
 
 
-def _xor_key(out: bytearray, pair, minmax: bool) -> int:
+def _xor_key(out: bytearray, pair, window) -> int:
     """lorenz_key's extraction: XOR into `out` the key bytes of the last
-    len(out) samples of `pair` and return how many are zero. Every delta =
-    |a - b| * 0.5 must be finite. A key byte is delta's low byte, or under
-    minmax floor((delta - lo) / (hi - lo) * 255.0) over the window (0 if hi == lo)."""
+    len(out) samples of `pair` and return how many are zero. `window` is, as
+    for lorenz_key, None under mantissa-lsb, else 8 bytes per key byte under
+    minmax-scale. Every delta = |a - b| * 0.5 must be finite. A key byte is
+    delta's low byte, or under minmax floor((delta - lo) / (hi - lo) * 255.0)
+    over the window (0 if hi == lo). The window's deltas go to `window`, or to
+    a buffer of that size; the rest it stores is a few chunks of _CHUNK."""
     flat = pair.cast("B").cast("d")
-    diff = [a - b for a, b in zip(flat[::2], flat[1::2])]
-    if not all(map(math.isfinite, diff)):  # finite exactly where |a - b| * 0.5 is
+    start = len(flat) - 2 * len(out)
+    # a - b is finite exactly where |a - b| * 0.5 is.
+    if not all(map(math.isfinite, map(operator.sub, flat[:start:2], flat[1:start:2]))):
         raise DomainError(_NON_FINITE_PAIR)
-    window = [abs(d) * 0.5 for d in diff[len(diff) - len(out):]]
-    if minmax:
-        lo, hi = min(window), max(window)
-        key = bytes(math.floor((d - lo) / (hi - lo) * 255.0) if hi > lo else 0 for d in window)
+    deltas = memoryview(bytearray(8 * len(out)) if window is None else window).cast("d")
+    values = map(operator.mul, map(abs, map(operator.sub, flat[start::2], flat[start + 1::2])),
+                 itertools.repeat(0.5))
+    for i in range(0, len(out), _CHUNK):
+        deltas[i:i + _CHUNK] = array.array("d", itertools.islice(values, _CHUNK))
+    if not all(map(math.isfinite, deltas)):
+        raise DomainError(_NON_FINITE_PAIR)
+    if window is None:
+        key = iter(deltas.cast("B")[0 if sys.byteorder == "little" else 7::8])
     else:
-        key = struct.pack(f"<{len(window)}d", *window)[::8]
-    out[:] = bytes(map(int.__xor__, out, key))
-    return key.count(0)
+        lo, hi = min(deltas), max(deltas)
+        key = (math.floor((d - lo) / (hi - lo) * 255.0) if hi > lo else 0 for d in deltas)
+    zeros = 0
+    for i in range(0, len(out), _CHUNK):
+        part = bytes(itertools.islice(key, _CHUNK))
+        j = i + len(part)
+        # XORed as two integers, in one C loop per chunk.
+        out[i:j] = (int.from_bytes(out[i:j], "little") ^
+                    int.from_bytes(part, "little")).to_bytes(len(part), "little")
+        zeros += part.count(0)
+    return zeros
 
 
 def _key_python(out, window, transient, c, *key):
@@ -314,7 +336,7 @@ def _key_python(out, window, transient, c, *key):
     except MemoryError:
         raise _allocation_error("the orbit pair", n, "16 bytes per step") from None
     _integrate_python(pair, c, *key)
-    return _xor_key(out, pair, window is not None)
+    return _xor_key(out, pair, window)
 
 
 def _self_check(integrate, key) -> bool:
@@ -331,7 +353,7 @@ def _self_check(integrate, key) -> bool:
         for window in (None, bytearray(8 * len(under))):
             got, expected = bytearray(under), bytearray(under)
             zeros = key(got, window, _CHECK_TRANSIENT, c, *_CHECK_KEY)
-            if zeros != _xor_key(expected, pair, window is not None) or got != expected:
+            if zeros != _xor_key(expected, pair, window) or got != expected:
                 return False
     return True
 

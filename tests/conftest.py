@@ -5,7 +5,9 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 
 from lorenzcipher import (GrayImage, KeystreamQualityWarning, LorenzParams,
-                          WorkScores, generate_keystream, integrate_pair, lorenz)
+                          WorkScores, extract_bytes, generate_keystream,
+                          integrate_pair, lorenz, lower_bound_error)
+from lorenzcipher.keystream import _warn_if_degenerate
 
 settings.register_profile(
     "repo",
@@ -40,9 +42,20 @@ def quiet_keystream(params, initial, config):
         return generate_keystream(params, initial, config)
 
 
+def reference_keystream(params, initial, config):
+    """The numpy reference for every keystream: the stored orbit pair, its
+    lower bound error and the extracted window, with the quality warning on
+    its zero count. It shares no code with the key kernel but the oracle's
+    integrator."""
+    pair = integrate_pair(initial, params, config.n_samples, config.component)
+    data = extract_bytes(lower_bound_error(pair), config)
+    _warn_if_degenerate(int(np.count_nonzero(data == 0)), data.shape[0])
+    return data
+
+
 def pure_python():
-    """Route integrate_pair and the CLI's key route to the pure-Python
-    kernels, as without a compiler, while active."""
+    """Route integrate_pair and the key route to the pure-Python kernels,
+    as without a compiler, while active."""
     return mock.patch.object(lorenz, "_load_kernel", lambda: (
         lorenz._integrate_python, lorenz._key_python, "oracle"))
 

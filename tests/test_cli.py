@@ -271,6 +271,20 @@ class TestAnalyze:
         assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
         assert report.read_text() == "old\n"
 
+    @pytest.mark.parametrize("report_first", [True, False])
+    def test_directory_target_writes_nothing(self, small_pgm, tmp_path, report_first):
+        # A directory cannot be replaced by a file, so it is refused before
+        # either output is staged, and the other target is left alone.
+        (tmp_path / "hdir").mkdir()
+        report, hdir = str(tmp_path / "r.csv"), str(tmp_path / "hdir")
+        targets = (report, hdir) if report_first else (hdir, report)
+        code, out, err = run("analyze", str(small_pgm), "--report", targets[0],
+                             "--histogram", targets[1])
+        assert (code, out) == (2, "")
+        assert err == f"i/o error: [Errno 21] Is a directory: '{hdir}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["hdir"]
+        assert list((tmp_path / "hdir").iterdir()) == []
+
     def test_constant_image_is_domain_error(self, tmp_path):
         flat = tmp_path / "flat.pgm"
         write_image(flat, np.full((8, 8), 7, dtype=np.uint8))

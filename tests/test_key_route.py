@@ -1,11 +1,13 @@
-"""The CLI's numpy-free key route against generate_keystream, and what
-imports numpy.
+"""The key route against the numpy reference pipeline, and what imports
+numpy.
 
-`keystream._xor_keystream` runs the loaded key kernel: the compiled one,
-which turns the orbit pair into key bytes without storing it, or, without
-a compiler, `lorenz._key_python`, which stores the pair and extracts it in
+`keystream._xor_keystream`, which generate_keystream and the CLI both run,
+calls the loaded key kernel: the compiled one, which turns the orbit pair
+into key bytes without storing it, or, without a compiler,
+`lorenz._key_python`, which stores the pair and extracts it in
 `lorenz._xor_key`. Either XORs the key bytes in place, and its bytes,
-errors and warning must be generate_keystream's.
+errors and warning must be those of `reference_keystream`: integrate_pair,
+lower_bound_error and extract_bytes.
 """
 
 import io
@@ -21,7 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import WORKING_PARAMS, pure_python, quiet_keystream
+from conftest import (WORKING_PARAMS, pure_python, quiet_keystream,
+                      reference_keystream)
 from lorenzcipher import (COMPONENTS, DEFAULT_INITIAL, DEFAULT_PARAMS,
                           STRATEGIES, DomainError, KeystreamConfig,
                           KeystreamQualityWarning, LorenzParams, LorenzState,
@@ -52,15 +55,18 @@ def key_route(params, initial, config, payload=None):
     return observe(lambda: _xor_keystream(params, initial, config, payload))
 
 
-def library(params, initial, config):
+def reference(params, initial, config):
     # lower_bound_error subtracts with numpy, which warns on overflow.
     with np.errstate(all="ignore"):
-        return observe(lambda: generate_keystream(params, initial, config).data)
+        return observe(lambda: reference_keystream(params, initial, config))
 
 
 def assert_same(params, initial, config):
+    """The key route's outcome, which must be the reference's and
+    generate_keystream's."""
     got = key_route(params, initial, config)
-    assert got == library(params, initial, config)
+    assert got == reference(params, initial, config)
+    assert observe(lambda: generate_keystream(params, initial, config).data) == got
     return got
 
 
@@ -83,7 +89,7 @@ class TestKeyBytes:
         payload = bytes(range(256))
         got = [key_route(WORKING_PARAMS, DEFAULT_INITIAL, config, p) for p in (None, payload)]
         with pure_python():
-            want = library(WORKING_PARAMS, DEFAULT_INITIAL, config)
+            want = reference(WORKING_PARAMS, DEFAULT_INITIAL, config)
             assert [key_route(WORKING_PARAMS, DEFAULT_INITIAL, config, p)
                     for p in (None, payload)] == got
         assert got == [want, (bytes(k ^ p for k, p in zip(want[0], payload)), want[1])]
@@ -136,7 +142,7 @@ def test_non_finite_delta(monkeypatch, tmp_path, h):
     # double, so a library built with delta scaled by 1e308 stands in: its
     # deltas overflow once |a - b| > 1.8, which happens in the transient, at
     # sample 2289 for h = 0.01 and at sample 4 for h = 0.1. There a state goes
-    # non-finite one step later, which still wins, as in generate_keystream.
+    # non-finite one step later, which still wins, as in the reference.
     with open(lorenz._KERNEL_SOURCE) as fh:
         source = fh.read()
     right = "double delta = fabs(v[0] - v[1]) * 0.5;"
@@ -155,8 +161,27 @@ def test_non_finite_delta(monkeypatch, tmp_path, h):
         if h == 0.01:
             assert got == (DomainError, str(refusal.value), None, None)
         else:
-            want, _ = library(params, DEFAULT_INITIAL, config)
+            want, _ = reference(params, DEFAULT_INITIAL, config)
             assert got == want and want[0].__name__ == "IntegrationBlowupError"
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_reference_catches_a_wrong_extraction(monkeypatch, strategy):
+    # The reference shares no code with the key route but the oracle
+    # integrator, so a fault in the extraction shows against it; a reference
+    # that called the key route would agree with this mutant.
+    right = lorenz._xor_key
+
+    def flip_first_bit(out, pair, window):
+        zeros = right(out, pair, window)
+        out[0] ^= 1
+        return zeros
+    monkeypatch.setattr(lorenz, "_xor_key", flip_first_bit)
+    config = KeystreamConfig(8, 8, strategy=strategy)
+    with pure_python():
+        got = key_route(WORKING_PARAMS, DEFAULT_INITIAL, config)
+        want = reference(WORKING_PARAMS, DEFAULT_INITIAL, config)
+    assert got != want and got[0] == bytes([want[0][0] ^ 1]) + want[0][1:]
 
 
 def test_loader_without_cc_returns_the_python_key_kernel(monkeypatch):
@@ -178,7 +203,7 @@ def test_python_extraction_refuses_a_non_finite_delta():
         lower_bound_error(np.array(pair))
     for minmax in (False, True):
         with pytest.raises(DomainError) as got:
-            lorenz._xor_key(bytearray(2), pair, minmax)
+            lorenz._xor_key(bytearray(2), pair, bytearray(16) if minmax else None)
         assert str(got.value) == str(refusal.value)
 
 
@@ -206,7 +231,7 @@ def test_unallocatable_key_exits_3_at_once(strategy):
 @pytest.mark.parametrize("transient", [2**64, 2**64 - 1])
 def test_transient_past_the_address_space_is_refused(transient):
     # The orbit pair of 2**59 steps and more does not fit in a 64-bit address
-    # space, so generate_keystream refuses it at once; so does the key route,
+    # space, so the reference refuses it at once; so does the key route,
     # where the kernel's int64 transient would wrap to 0 and -1.
     for strategy in STRATEGIES:
         config = KeystreamConfig(16, 16, transient, strategy)

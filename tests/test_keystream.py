@@ -13,11 +13,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import WORKING_PARAMS, quiet_keystream
-from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, DomainError,
-                          Keystream, KeystreamConfig, KeystreamQualityWarning,
-                          LorenzState, extract_bytes, generate_keystream,
-                          lower_bound_error)
+from conftest import WORKING_PARAMS, pure_python, quiet_keystream
+from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, STRATEGIES,
+                          DomainError, GrayImage, Keystream, KeystreamConfig,
+                          KeystreamQualityWarning, LorenzState, decrypt,
+                          encrypt, extract_bytes, generate_keystream,
+                          kernel_backend, lower_bound_error)
 
 
 def make_pair(a_values, b_values):
@@ -237,6 +238,16 @@ class TestExtractBytes:
         assert out.shape == (15,)
 
 
+def peak_bytes(config) -> int:
+    """Peak bytes traced by tracemalloc while generating config's keystream."""
+    tracemalloc.start()
+    try:
+        quiet_keystream(WORKING_PARAMS, DEFAULT_INITIAL, config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestGenerateKeystream:
     def test_origin_initial_gives_all_zero_bytes_and_warns(self):
         config = KeystreamConfig(rows=8, cols=8)
@@ -281,17 +292,39 @@ class TestGenerateKeystream:
             warnings.simplefilter("error", KeystreamQualityWarning)
             generate_keystream(WORKING_PARAMS, DEFAULT_INITIAL, config)
 
+    @pytest.mark.skipif(kernel_backend() != "c", reason="compiled kernel unavailable")
     def test_peak_memory_per_sample(self):
-        # The (n, 2) pair (16 B/sample), delta (8) and the finiteness mask (1)
-        # are the largest buffers alive at once.
-        config = KeystreamConfig(rows=512, cols=512)
-        tracemalloc.start()
-        try:
-            quiet_keystream(WORKING_PARAMS, DEFAULT_INITIAL, config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / config.n_samples <= 26
+        # The compiled key kernel stores the key (1 B per key byte) and,
+        # under minmax-scale, the window's deltas (8 more); no orbit pair.
+        for strategy, per_key_byte in zip(STRATEGIES, (1, 9)):
+            config = KeystreamConfig(rows=512, cols=512, strategy=strategy)
+            assert peak_bytes(config) <= per_key_byte * config.rows * config.cols + 2**16
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_peak_memory_per_sample_without_a_compiler(self, strategy):
+        # The pure-Python key kernel stores the (n, 2) pair (16 B/sample),
+        # and per key byte its delta (8) and the key byte (1), besides a few
+        # chunks of fixed size; a list of Python floats takes 32 B/sample.
+        config = KeystreamConfig(rows=128, cols=128, strategy=strategy)
+        with pure_python():
+            peak = peak_bytes(config)
+        assert peak <= 16 * config.n_samples + 9 * config.rows * config.cols + 2**16
+
+    def test_quality_warning_names_the_calling_line(self):
+        # The warning points past the package, at the line that called it,
+        # however deep in the package it was raised.
+        config = KeystreamConfig(rows=8, cols=8)
+        image = GrayImage.from_array(np.zeros((8, 8), dtype=np.uint8))
+        calls = [lambda: generate_keystream(DEFAULT_PARAMS, DEFAULT_INITIAL, config),
+                 lambda: encrypt(image, DEFAULT_PARAMS, DEFAULT_INITIAL, config),
+                 lambda: decrypt(image, DEFAULT_PARAMS, DEFAULT_INITIAL, config)]
+        for call in calls:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            [w] = caught
+            assert (w.category, w.filename, w.lineno) == (
+                KeystreamQualityWarning, __file__, call.__code__.co_firstlineno)
 
     def test_hex_export_matches_bytes(self):
         config = KeystreamConfig(rows=4, cols=4)

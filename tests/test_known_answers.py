@@ -2,9 +2,10 @@
 
 tests/known_answers.json holds about 100 full keys, written by
 scripts/make_known_answers.py from the pure-Python oracle, with the sha256
-and zero-byte count of each keystream or the blow-up it raises. Both
-`generate_keystream` and the CLI's `_xor_keystream` must reproduce every
-vector, on the kernel the loader picked and under `pure_python()`.
+and zero-byte count of each keystream or the blow-up it raises.
+`generate_keystream`, the key route `_xor_keystream` under it and the numpy
+reference pipeline must each reproduce every vector, on the kernel the
+loader picked and under `pure_python()`.
 """
 
 import contextlib
@@ -15,7 +16,7 @@ import warnings
 
 import pytest
 
-from conftest import pure_python
+from conftest import pure_python, reference_keystream
 from lorenzcipher import (IntegrationBlowupError, KeystreamConfig,
                           KeystreamQualityWarning, LorenzParams, LorenzState,
                           generate_keystream)
@@ -23,7 +24,8 @@ from lorenzcipher.keystream import ZERO_FRACTION_WARN, _xor_keystream
 
 VECTORS = json.loads((pathlib.Path(__file__).parent / "known_answers.json").read_text())
 ROUTES = {"generate_keystream": lambda *key: generate_keystream(*key).data,
-          "_xor_keystream": _xor_keystream}
+          "_xor_keystream": _xor_keystream,
+          "reference": reference_keystream}
 
 
 def key_of(v):

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from conftest import WORKING_PARAMS, full_orbits, pure_python
 from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, DomainError,
                           ExtensionVariant, IntegrationBlowupError,
-                          LorenzParams, LorenzState, integrate_pair,
-                          rk4_step)
+                          KeystreamConfig, LorenzParams, LorenzState,
+                          integrate_pair, lower_bound_error, rk4_step)
 from lorenzcipher.lorenz import _deriv
 
 A, B = ExtensionVariant.A, ExtensionVariant.B
@@ -293,6 +293,17 @@ class TestIntegratePair:
         diff = np.nonzero(pair[:, 0] != pair[:, 1])[0]
         assert diff.size > 0
         assert diff[0] == 8
+
+    def test_library_1024_reference_counts(self):
+        # The counts the traced library-1024 benchmark read from the numpy
+        # pipeline while keystreams ran through it, at seed 0's paper key
+        # and h = 0.01: one pair row per sample of the 1024x1024 config, and
+        # the first nonzero lower bound error at sample 8.
+        n = KeystreamConfig(1024, 1024).n_samples
+        assert n == 1050576
+        assert integrate_pair(DEFAULT_INITIAL, WORKING_PARAMS, n, "y").shape == (n, 2)
+        delta = lower_bound_error(integrate_pair(DEFAULT_INITIAL, WORKING_PARAMS, 64, "y"))
+        assert np.flatnonzero(delta)[0] == 8
 
     @given(st.floats(-50, 50), st.floats(-50, 50), st.floats(0.1, 50),
            st.floats(1e-6, 2e-2))
