@@ -9,7 +9,8 @@ CLI round out the package.
 `__all__` joins the `__all__` lists of the library modules, so each public
 name is declared once, in the module that defines it. Every module loads
 with the package, and none imports numpy until a function that uses it
-runs: the CLI's encrypt, decrypt and keystream never load it.
+runs: the CLI's encrypt, decrypt and keystream never load it, nor
+platform, json, csv or numbers.
 """
 
 from . import cipher, errors, keystream, lorenz, metrics, pgm, reference

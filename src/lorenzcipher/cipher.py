@@ -11,10 +11,11 @@ from .lorenz import LorenzParams, LorenzState
 __all__ = ["GrayImage", "xor_apply", "encrypt", "decrypt"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrayImage:
     """An 8-bit grayscale image stored as a read-only, C-contiguous (rows,
-    cols) array; a writable or strided `pixels` array is copied first."""
+    cols) array; a writable or strided `pixels` array is copied first.
+    Equality and hash are identity, as for the array: compare `pixels`."""
 
     pixels: np.ndarray
 

@@ -5,19 +5,19 @@ Exit codes: 0 success, 1 usage error, 2 I/O or file format error,
 
 encrypt, decrypt and keystream never import numpy: they read and write PGM
 bytes directly and XOR the payload in the key kernel, compiled or pure
-Python. analyze and index import it through the metrics. A warning, such
-as a degenerate keystream's, prints as one `warning:` line on stderr that
-ends with the warning's category.
+Python. analyze and index import it through the metrics. Nor do the three
+import platform, json, csv or numbers: json is imported only to read
+--config, csv only by analyze and index, and numbers only for a key field
+that is not a float. A warning, such as a degenerate keystream's, prints
+as one `warning:` line on stderr that ends with the warning's category.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import errno
 import io
-import json
 import os
 import sys
 import warnings
@@ -129,12 +129,14 @@ def _write_files(outputs) -> None:
 
 
 def _csv_text(*rows) -> str:
+    import csv
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
 
 
 def _load_config_file(path) -> dict:
+    import json
     try:
         raw = json.loads(_read_text(path, "config"))
     except (ValueError, RecursionError) as e:  # also a too-long int or too-deep nesting
@@ -195,6 +197,7 @@ def _cmd_analyze(args, stdout) -> None:
 
 
 def _read_scores(path) -> list[WorkScores]:
+    import csv
     try:
         rows = list(csv.reader(io.StringIO(_read_text(path, "scores"), newline="")))
     except csv.Error as e:  # a field past the csv module's size limit

@@ -81,10 +81,11 @@ def _read_only(value, name: str) -> np.ndarray:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Keystream:
     """rows*cols key bytes, stored read-only and C-contiguous (a writable or
-    strided `data` array is copied first), and the config that shapes them."""
+    strided `data` array is copied first), and the config that shapes them.
+    Equality and hash are identity, as for the array: compare `data`."""
 
     data: np.ndarray
     config: KeystreamConfig

@@ -34,10 +34,8 @@ import enum
 import functools
 import itertools
 import math
-import numbers
 import operator
 import os
-import platform
 import sys
 import threading
 import zlib
@@ -74,6 +72,7 @@ def _store_floats(key, what: str, names: tuple[str, ...]) -> None:
     for name in names:
         value = getattr(key, name)
         if type(value) is not float:
+            import numbers
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise DomainError(f"{what} {name} is a {type(value).__name__}, not a real number")
             try:
@@ -242,7 +241,7 @@ def _build_kernel():
     with open(_KERNEL_SOURCE, "rb") as fh:
         source = fh.read()
     tag = zlib.crc32(b"\0".join([source, " ".join(_CFLAGS).encode(),
-                                 f"{sys.platform}-{platform.machine()}".encode(),
+                                 f"{sys.platform}-{os.uname().machine}".encode(),
                                  os.path.realpath(cc).encode()]))
     library = os.path.join(_KERNEL_CACHE, f"_kernel-{tag:08x}.so")
     if not os.path.exists(library):
@@ -364,10 +363,11 @@ def _load_kernel():
     (_integrate_python, _key_python, cause).
 
     Compiles _kernel.c with `cc` on first use into __pycache__ next to
-    this file, under a checksum of source, flags, platform and the path `cc`
-    resolves to, and loads it with ctypes. No `cc`, a build or load failure,
-    or any difference from the pure-Python kernel on a short self-check,
-    an exception inside it included, logs one WARNING naming the cause.
+    this file, under a checksum of source, flags, sys.platform,
+    os.uname().machine and the path `cc` resolves to, and loads it with
+    ctypes. No `cc` or os.uname, a build or load failure, or any difference
+    from the pure-Python kernel on a short self-check, an exception inside
+    it included, logs one WARNING naming the cause.
     """
     with _load_lock:
         try:

@@ -95,6 +95,7 @@ def read_pgm(path) -> GrayImage:
 
 
 def write_pgm(image: GrayImage, path) -> None:
-    """Write `image` as binary PGM; read_pgm(write_pgm(I)) == I exactly."""
+    """Write `image` as binary PGM; read_pgm(path).pixels then equals
+    image.pixels exactly."""
     with open(path, "wb") as fh:
         fh.write(encode_pgm(image))

@@ -1,6 +1,7 @@
 """XOR cipher unit tests: involution, shape rules, keystream recovery; and
 the package namespace the cipher is used through."""
 
+import dataclasses
 import importlib
 import warnings
 
@@ -93,6 +94,32 @@ class TestGrayImage:
                        [[1, 2]]):
             with pytest.raises(DomainError):
                 GrayImage(pixels)
+
+
+class TestIdentityEquality:
+    """GrayImage and Keystream hold arrays, so == and hash are identity,
+    as for the arrays: a field-wise == would ask numpy for one truth value
+    of a whole array, and a field-wise hash would hash the array."""
+
+    def values(self):
+        a, b = (np.arange(6, dtype=np.uint8).reshape(2, 3) for _ in range(2))
+        return [GrayImage(a), GrayImage(b), key_from_bytes(a.ravel()),
+                key_from_bytes(b.ravel())]
+
+    def test_compare_and_hash_never_raise(self):
+        img, same_pixels, key, same_data = self.values()
+        assert img == img and not img != img and img != same_pixels
+        assert key == key and not key != key and key != same_data
+        assert img in [same_pixels, img] and img not in [same_pixels, key]
+        assert key in [same_data, key] and key not in [same_data]
+        assert len({img, same_pixels, key, same_data, img, key}) == 4
+        assert hash(img) == hash(img) and hash(key) == hash(key)
+
+    def test_replace_builds_a_new_keystream(self):
+        key = key_from_bytes([1, 2, 3])
+        other = dataclasses.replace(key, data=np.array([4, 5, 6], np.uint8))
+        assert other.config is key.config and other.data.tolist() == [4, 5, 6]
+        assert key.data.tolist() == [1, 2, 3]
 
 
 class TestXorApply:

@@ -2,10 +2,13 @@
 
 import logging
 import os
+import platform
 import shutil
 import subprocess
 import sys
+import zlib
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -131,13 +134,14 @@ def test_every_real_key_takes_compiled_path(monkeypatch, key):
 
 @needs_c
 def test_cached_load_imports_neither_hashlib_nor_subprocess():
-    # Nor numpy: the self-check compares memoryviews of bytearrays.
+    # Nor numpy: the self-check compares memoryviews of bytearrays. Nor
+    # platform: the cache name reads the machine from os.uname().
     src = os.path.dirname(os.path.dirname(lorenz.__file__))
-    code = ("import sys, lorenzcipher; print(lorenzcipher.kernel_backend(), "
-            "*(name in sys.modules for name in ('hashlib', 'subprocess', 'numpy')))")
+    code = ("import sys, lorenzcipher; print(lorenzcipher.kernel_backend(), *(name in sys.modules "
+            "for name in ('hashlib', 'subprocess', 'numpy', 'platform')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split() == ["c", "False", "False", "False"]
+    assert out.stdout.split() == ["c", "False", "False", "False", "False"]
 
 
 class TestFallback:
@@ -269,6 +273,31 @@ class TestFallback:
         for h in BLOWUP_STEPS:
             with pytest.raises(AssertionError):
                 TestDifferential().test_blowup_at_paper_key(h)
+
+    @needs_cc
+    def test_no_uname(self, cache, monkeypatch, caplog, reference):
+        # Without os.uname there is no machine to name the cache by.
+        monkeypatch.delattr(os, "uname")
+        self.check_fallback(caplog, reference, "'uname'")
+
+    @needs_c
+    def test_cache_name_is_tagged_with_the_machine(self, cache, monkeypatch):
+        # The name platform.machine() gave the cache, so a library built
+        # under it is still found; another machine string is another name.
+        def name(machine):
+            with open(lorenz._KERNEL_SOURCE, "rb") as fh:
+                source = fh.read()
+            tag = zlib.crc32(b"\0".join([source, " ".join(lorenz._CFLAGS).encode(),
+                                         f"{sys.platform}-{machine}".encode(),
+                                         os.path.realpath(shutil.which("cc")).encode()]))
+            return f"_kernel-{tag:08x}.so"
+        want = [name(platform.machine()), name("elsewhere")]
+        assert kernel_backend() == "c"
+        assert [p.name for p in cache.iterdir()] == want[:1]
+        lorenz._load_kernel.cache_clear()
+        monkeypatch.setattr(os, "uname", lambda: SimpleNamespace(machine="elsewhere"))
+        assert kernel_backend() == "c"
+        assert sorted(p.name for p in cache.iterdir()) == sorted(want)
 
     @needs_c
     def test_builds_into_empty_cache(self, cache, caplog):

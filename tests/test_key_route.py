@@ -11,7 +11,6 @@ lower_bound_error and extract_bytes.
 """
 
 import io
-import json
 import os
 import shutil
 import subprocess
@@ -264,9 +263,15 @@ def cli(*argv):
     return run_python("-m", "lorenzcipher.cli", *argv)
 
 
+# Modules encrypt, decrypt and keystream never import: numpy is for the
+# library, json for --config, csv for analyze and index, numbers for key
+# fields that are not floats, and platform for nothing.
+UNUSED_BY_CRYPT = ("numpy", "platform", "json", "csv", "numbers")
+
+
 def check_crypt_without_numpy(tmp_path, path, backend):
-    """encrypt, decrypt and keystream in one process where any import of
-    numpy raises, on the `backend` kernel, give generate_keystream's bytes."""
+    """encrypt, decrypt and keystream in one fresh process, on the `backend`
+    kernel, give generate_keystream's bytes and import none of UNUSED_BY_CRYPT."""
     rng = np.random.default_rng(5)
     pixels = rng.integers(0, 256, (12, 20), dtype=np.uint8)
     plain = tmp_path / "plain.pgm"
@@ -276,13 +281,13 @@ def check_crypt_without_numpy(tmp_path, path, backend):
              ["decrypt", str(tmp_path / "enc.pgm"), str(tmp_path / "dec.pgm"), *flags],
              ["keystream", "--rows", "12", "--cols", "20", "--format", "raw",
               "--output", str(tmp_path / "key.bin"), *flags]]
-    code = ("import json, sys\n"
-            "sys.modules['numpy'] = None  # any import of numpy raises\n"
+    code = ("import sys\n"
             "from lorenzcipher import kernel_backend\n"
             "from lorenzcipher.cli import run_command\n"
-            "print(kernel_backend(), [run_command(argv) for argv in json.loads(sys.argv[1])])\n")
-    assert run_python("-c", code, json.dumps(argvs), path=path)[:2] == (
-        0, f"{backend} [0, 0, 0]\n")
+            "codes = [run_command(argv.split('\\n')) for argv in sys.argv[2:]]\n"
+            "print(kernel_backend(), codes, [m for m in sys.argv[1].split() if m in sys.modules])\n")
+    assert run_python("-c", code, " ".join(UNUSED_BY_CRYPT), *map("\n".join, argvs),
+                      path=path)[:2] == (0, f"{backend} [0, 0, 0] []\n")
     key = quiet_keystream(WORKING_PARAMS, DEFAULT_INITIAL,
                           KeystreamConfig(12, 20, strategy="minmax-scale", component="z"))
     assert (tmp_path / "key.bin").read_bytes() == key.data.tobytes()
@@ -300,6 +305,22 @@ def test_crypt_and_keystream_run_without_numpy_or_cc(tmp_path):
     # PATH names a directory that does not exist, so there is no cc and the
     # pure-Python key kernel runs, cached library or not.
     check_crypt_without_numpy(tmp_path, str(tmp_path / "no-cc"), "pure-python")
+
+
+def test_encrypt_reads_a_config_file_in_a_fresh_process(tmp_path):
+    # json is imported only where --config is read.
+    plain = tmp_path / "plain.pgm"
+    plain.write_bytes(b"P5 20 12 255\n" + bytes(range(240)))
+    config = tmp_path / "key.json"
+    config.write_text('{"step": 0.01, "strategy": "minmax-scale", "component": "z"}')
+    err = io.StringIO()
+    assert run_command(["encrypt", str(plain), str(tmp_path / "flags.pgm"), "--step", "0.01",
+                        "--strategy", "minmax-scale", "--component", "z"], stderr=err) == 0
+    # Without cc the fresh process's kernel loader logs a line first.
+    code, out, fresh_err = cli("encrypt", str(plain), str(tmp_path / "cfg.pgm"),
+                               "--config", str(config))
+    assert (code, out) == (0, "") and fresh_err.endswith(err.getvalue())
+    assert (tmp_path / "cfg.pgm").read_bytes() == (tmp_path / "flags.pgm").read_bytes()
 
 
 def test_package_registers_every_traced_function_without_numpy():

@@ -41,3 +41,9 @@ def test_known_answers_script_rewrites_the_committed_file(tmp_path):
     proc = run_script("make_known_answers.py", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == (REPO / "tests" / "known_answers.json").read_bytes()
+
+
+def test_cli_smoke_passes():
+    proc = run_script("cli_smoke.py")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.endswith("cli smoke: passed\n")
