@@ -5,10 +5,9 @@ Every vector is a full key (parameters, initial state, rows, cols,
 transient, strategy, component), each float stored exactly as float.hex,
 and either the sha256 and zero-byte count of its keystream or the
 IntegrationBlowupError it raises, with message, variant and step index.
-The keystreams come from the pure-Python oracle `lorenz._integrate_python`
-through `lower_bound_error` and `extract_bytes`, whatever kernel the
-loader would pick, so the file pins the contract every kernel and route
-must meet. The keys are fixed by a seeded generator: rerunning the script
+The keystreams come from `integrate_pair`, which always runs the
+pure-Python oracle, through `lower_bound_error` and `extract_bytes`, so
+the file pins the contract every kernel and route must meet. The keys are fixed by a seeded generator: rerunning the script
 rewrites the same file.
 
     PYTHONPATH=src python scripts/make_known_answers.py [--out FILE]
@@ -24,9 +23,8 @@ import sys
 import numpy as np
 
 from lorenzcipher import (COMPONENTS, DEFAULT_INITIAL, DEFAULT_PARAMS, STRATEGIES,
-                          IntegrationBlowupError, KeystreamConfig, extract_bytes,
-                          lower_bound_error)
-from lorenzcipher.lorenz import _integrate_python
+                          IntegrationBlowupError, KeystreamConfig, LorenzParams,
+                          LorenzState, extract_bytes, integrate_pair, lower_bound_error)
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "tests" / "known_answers.json"
 PARAM_NAMES = ("sigma", "rho", "beta", "h")
@@ -75,9 +73,9 @@ def vector(params, initial, rows, cols, transient, strategy, component) -> dict:
     entry = {**{n: v.hex() for n, v in zip(PARAM_NAMES + STATE_NAMES, params + initial)},
              "rows": rows, "cols": cols, "transient": transient,
              "strategy": strategy, "component": component}
-    pair = np.empty((config.n_samples, 2))
     try:
-        _integrate_python(pair, COMPONENTS.index(component), *initial, *params)
+        pair = integrate_pair(LorenzState(*initial), LorenzParams(*params),
+                              config.n_samples, component)
     except IntegrationBlowupError as e:
         return {**entry, "error": {"message": str(e), "variant": e.variant,
                                    "step_index": e.step_index}}

@@ -1,4 +1,5 @@
-/* Compiled mirror of lorenz._deriv, lorenz._rk4 and the integrate_pair loop.
+/* Compiled mirror of lorenz._deriv and lorenz._rk4, fused with the key
+ * extraction of keystream.py's lower_bound_error and extract_bytes.
  *
  * The pure-Python kernel in lorenz.py is the bit-level specification; every
  * expression below repeats one Python line, operation for operation and in
@@ -15,14 +16,11 @@
  * operations in the oracle's order.  Lanes never mix, and no operation is
  * reordered in time or fused; the only per-lane difference is dy, where
  * both forms are computed and lane 0 keeps A's, lane 1 B's.
- * lorenz_pair writes only the requested component, two doubles per step,
- * through one pointer into the caller's C-contiguous float64 buffer,
- * integrate_pair's (n_steps, 2) array.  lorenz_key stores no orbit: it turns
- * each sample of that component into key bytes, as keystream.py's
- * lower_bound_error and extract_bytes do in numpy, and XORs them into the
- * caller's byte buffer.  Its Python counterpart, used without a compiler,
- * is lorenz._key_python, whose extraction lorenz._xor_key is also what the
- * self-check compares lorenz_key with.
+ * lorenz_key, the one entry point, stores no orbit: it turns each sample of
+ * the keyed component into a key byte and XORs it into the caller's byte
+ * buffer.  Its Python counterpart, used without a compiler and by the
+ * self-check that decides whether this file is used at all, is
+ * lorenz._key_python.
  */
 
 #include <float.h>
@@ -64,40 +62,6 @@ static inline void rk4(v2d *x, v2d *y, v2d *z, v2d sigma, v2d rho, v2d beta, v2d
     *z = *z + h6 * (k1z + two * k2z + two * k3z + k4z);
 }
 
-/* One RK4 step of both lanes.  Returns 0, or 1 (variant A) / 2 (variant B)
- * for a non-finite state; all three components are checked, A before B.
- * Both kernels call it: without `inline` on it and rk4, GCC 12 keeps rk4 out
- * of line and passes the state through memory, 12% slower per step. */
-static inline int step(v2d *x, v2d *y, v2d *z, v2d sigma, v2d rho, v2d beta, v2d h)
-{
-    rk4(x, y, z, sigma, rho, beta, h);
-    for (int v = 0; v < 2; v++)
-        if (!(isfinite((*x)[v]) && isfinite((*y)[v]) && isfinite((*z)[v])))
-            return v + 1;
-    return 0;
-}
-
-/* Write two doubles per step to out: component c (0 = x, 1 = y, 2 = z) of
- * variant A, then of variant B.  Returns 0, or step's status for the first
- * non-finite state, with its step index in *bad_step. */
-int lorenz_pair(double x0, double y0, double z0,
-                double sigma, double rho, double beta, double h,
-                int64_t n_steps, int c, double *out, int64_t *bad_step)
-{
-    v2d x = {x0, x0}, y = {y0, y0}, z = {z0, z0};
-    const v2d s = {sigma, sigma}, r = {rho, rho}, b = {beta, beta}, hh = {h, h};
-    for (int64_t n = 0; n < n_steps; n++, out += 2) {
-        int status = step(&x, &y, &z, s, r, b, hh);
-        if (status) {
-            *bad_step = n;
-            return status;
-        }
-        out[0] = c == 0 ? x[0] : c == 1 ? y[0] : z[0];
-        out[1] = c == 0 ? x[1] : c == 1 ? y[1] : z[1];
-    }
-    return 0;
-}
-
 /* XOR key byte k into *p; 1 if k is zero, else 0. */
 static int64_t xor_key(unsigned char *p, unsigned char k)
 {
@@ -105,32 +69,34 @@ static int64_t xor_key(unsigned char *p, unsigned char k)
     return k == 0;
 }
 
-/* XOR n key bytes into out after transient + n steps, and store in *count
- * how many key bytes are zero.  Every step gives delta = |a - b| * 0.5 of
- * component c; the last n form the window.  With window == NULL each key
+/* XOR n key bytes into out after transient + n RK4 steps of both lanes from
+ * state (A's x, y, z, then B's), and store in *count how many key bytes are
+ * zero.  Every step gives delta = |a - b| * 0.5 of component c (0 = x,
+ * 1 = y, 2 = z); the last n form the window.  With window == NULL each key
  * byte is the low byte of delta's binary64 bits (mantissa-lsb).  Otherwise
  * the window's deltas are stored there first, and each key byte is
  * floor((delta - lo) / (hi - lo) * 255.0) over the window's least and
  * greatest delta, or 0 when they are equal (minmax-scale).
- * Returns 0; step's status for a non-finite state, with its step index in
- * *count; or 3 if any delta is not finite.  A non-finite state anywhere
- * wins over a non-finite delta, as integrate_pair runs before
- * lower_bound_error looks at the deltas. */
-int lorenz_key(double x0, double y0, double z0,
-               double sigma, double rho, double beta, double h,
+ * Returns 0 and writes the final state back to state; 1 (variant A) or
+ * 2 (variant B) for the first non-finite state, all three components checked
+ * and A before B, with its step index in *count; or 3 if any delta is not
+ * finite.  A non-finite state anywhere wins over a non-finite delta, as
+ * integrate_pair runs before lower_bound_error looks at the deltas. */
+int lorenz_key(double *state, double sigma, double rho, double beta, double h,
                int64_t transient, int64_t n, int c,
                unsigned char *out, double *window, int64_t *count)
 {
-    v2d x = {x0, x0}, y = {y0, y0}, z = {z0, z0};
+    v2d x = {state[0], state[3]}, y = {state[1], state[4]}, z = {state[2], state[5]};
     const v2d s = {sigma, sigma}, r = {rho, rho}, b = {beta, beta}, hh = {h, h};
     int finite = 1;
     int64_t zeros = 0;
     for (int64_t i = -transient; i < n; i++) {
-        int status = step(&x, &y, &z, s, r, b, hh);
-        if (status) {
-            *count = i + transient;
-            return status;
-        }
+        rk4(&x, &y, &z, s, r, b, hh);
+        for (int v = 0; v < 2; v++)
+            if (!(isfinite(x[v]) && isfinite(y[v]) && isfinite(z[v]))) {
+                *count = i + transient;
+                return v + 1;
+            }
         v2d v = c == 0 ? x : c == 1 ? y : z;
         double delta = fabs(v[0] - v[1]) * 0.5;
         if (!isfinite(delta))
@@ -161,5 +127,7 @@ int lorenz_key(double x0, double y0, double z0,
             zeros += xor_key(out + i, hi == lo ? 0 : (unsigned char)((window[i] - lo) / range * 255.0));
     }
     *count = zeros;
+    double final[6] = {x[0], y[0], z[0], x[1], y[1], z[1]};
+    memcpy(state, final, sizeof final);
     return 0;
 }

@@ -9,8 +9,9 @@ retained window to bytes under one of two strategies:
 
 `generate_keystream` and the CLI share one route, `_xor_keystream`: the key
 kernel `lorenz` loaded turns each sample into a key byte, so no orbit pair
-or delta array is stored. `lower_bound_error` and `extract_bytes` with
-`lorenz.integrate_pair` are the numpy reference the tests hold it to.
+or delta array is stored. `lower_bound_error` and `extract_bytes` over the
+pure-Python oracle `lorenz.integrate_pair` are the numpy reference the
+tests hold it to.
 """
 
 from __future__ import annotations
@@ -199,8 +200,8 @@ def _xor_keystream(params: LorenzParams, initial: LorenzState,
     except (MemoryError, OverflowError):  # OverflowError: a size past sys.maxsize
         raise _allocation_error("the key", config.n_samples, "9 bytes per key byte"
                                 if minmax else "1 byte per key byte") from None
-    zeros = lorenz._load_kernel()[1](
+    zeros = lorenz._load_kernel()[0](
         out, window, config.transient, COMPONENTS.index(config.component),
-        initial.x, initial.y, initial.z, params.sigma, params.rho, params.beta, params.h)
+        [initial.x, initial.y, initial.z] * 2, params.sigma, params.rho, params.beta, params.h)
     _warn_if_degenerate(zeros, len(out))
     return out

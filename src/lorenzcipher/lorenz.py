@@ -13,17 +13,19 @@ Python is itself the evaluation-order guarantee. Do not reorder, fuse or
 reassociate the kernels below: an optimizer that collapses the two forms
 into one destroys the keystream.
 
-The pure-Python `_deriv`/`_rk4` are the bit-level specification.
-`_kernel.c` mirrors them operation for operation, with variants A and B
-in the two lanes of one SIMD vector, each lane an independent orbit.
-Both integrate all three components and store only the requested one,
-into a pair buffer of shape (n_steps, 2), [sample, variant A=0 / B=1].
-Chosen once per process, the compiled integrator and key kernel run if they
-pass a self-check, else `_integrate_python` and `_key_python`, whose pair
-goes to `_xor_key`: the one Python extraction, and the self-check's
-reference. The key kernel is what every keystream runs, in the library and
-the CLI; `integrate_pair`, the only function here that imports numpy, is
-the reference the tests hold it to.
+The pure-Python `_deriv`/`_rk4` are the bit-level specification, and
+`_integrate_python` runs them for both variants in lockstep, storing one
+component into a pair buffer of shape (n_steps, 2), [sample, variant A=0 /
+B=1]. `integrate_pair`, the only function here that imports numpy, always
+runs it: it is the oracle the tests hold every keystream to.
+
+Every keystream, in the library and the CLI, comes from one key kernel,
+chosen once per process: `_kernel.c`'s `lorenz_key`, which mirrors `_rk4`
+operation for operation with variants A and B in the two lanes of one SIMD
+vector, if it passes a self-check against `_key_python`; else
+`_key_python` itself, whose oracle pair goes to `_xor_key`, the one Python
+extraction. Both take the six-double state of A then B and, on success,
+leave the final state in it.
 """
 
 from __future__ import annotations
@@ -186,10 +188,10 @@ def _allocation_error(what: str, n_steps: int, per_step: str) -> DomainError:
                        f"2**{math.log2(n_steps):.2f} ({per_step})")
 
 
-def _integrate_python(out, c, x, y, z, sigma, rho, beta, h):
-    xa = xb = x
-    ya = yb = y
-    za = zb = z
+def _integrate_python(out, c, state, sigma, rho, beta, h):
+    """Fill `out`, an (n, 2) float64 buffer, with component c of variants A
+    and B from `state` (A's x, y, z, then B's) and return their final state."""
+    xa, ya, za, xb, yb, zb = state
     isfinite = math.isfinite
     for n in range(out.shape[0]):
         xa, ya, za = _rk4(xa, ya, za, sigma, rho, beta, h, False)
@@ -200,6 +202,7 @@ def _integrate_python(out, c, x, y, z, sigma, rho, beta, h):
             raise _blowup("b", n)
         out[n, 0] = (xa, ya, za)[c]
         out[n, 1] = (xb, yb, zb)[c]
+    return xa, ya, za, xb, yb, zb
 
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
@@ -211,12 +214,14 @@ _KERNEL_CACHE = os.path.join(_HERE, "__pycache__")
 # flush-to-zero off. No -march=native, so the cached .so never depends on
 # the CPU that built it.
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math")
-# The paper key at h = 0.05, not 1e-6: the variants first differ at samples
-# 4-7, inside the oracle's 32, so swapped or merged dy forms fail; and the
-# key window starts far apart, where delta's low mantissa bytes are not zero.
-_CHECK_KEY = (DEFAULT_INITIAL.x, DEFAULT_INITIAL.y, DEFAULT_INITIAL.z,
-              DEFAULT_PARAMS.sigma, DEFAULT_PARAMS.rho, DEFAULT_PARAMS.beta, 0.05)
-_ORACLE_STEPS, _CHECK_TRANSIENT, _CHECK_STEPS = 32, 448, 512
+# The paper key at h = 0.05, not 1e-6. From its one start the variants
+# first differ at steps 4-7, inside the check's 16, so swapped or merged dy
+# forms change the final state; from a second start for B, delta is far from
+# zero at once, so its low mantissa bytes vary.
+_CHECK_PARAMS = (DEFAULT_PARAMS.sigma, DEFAULT_PARAMS.rho, DEFAULT_PARAMS.beta, 0.05)
+_CHECK_START = (DEFAULT_INITIAL.x, DEFAULT_INITIAL.y, DEFAULT_INITIAL.z)
+_CHECK_APART = _CHECK_START + (0.9, 0.5, 1.0)
+_CHECK_TRANSIENT, _CHECK_WINDOW = 8, 8
 _CHUNK = 4096  # samples per step of _xor_key's loops
 _load_lock = threading.Lock()
 
@@ -232,8 +237,7 @@ def _address(buffer):
 
 
 def _build_kernel():
-    """_kernel.c as (an integrator like _integrate_python, a key kernel);
-    OSError says why not."""
+    """_kernel.c's key kernel, called like _key_python; OSError says why not."""
     import shutil
     cc = shutil.which("cc")
     if cc is None:
@@ -260,35 +264,26 @@ def _build_kernel():
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
-    compiled = ctypes.CDLL(library)
-    pair, key = compiled.lorenz_pair, compiled.lorenz_key
-    pair.argtypes = [ctypes.c_double] * 7 + [
-        ctypes.c_int64, ctypes.c_int, ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)]
-    key.argtypes = [ctypes.c_double] * 7 + [
+    key = ctypes.CDLL(library).lorenz_key
+    key.argtypes = [ctypes.POINTER(ctypes.c_double)] + [ctypes.c_double] * 4 + [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p,
         ctypes.POINTER(ctypes.c_int64)]
-    pair.restype = key.restype = ctypes.c_int
+    key.restype = ctypes.c_int
 
-    def integrate_compiled(out, c, x, y, z, sigma, rho, beta, h):
-        # out: a writable, C-contiguous (n, 2) float64 buffer.
-        bad_step = ctypes.c_int64()
-        status = pair(x, y, z, sigma, rho, beta, h, out.shape[0], c,
-                      _address(out), ctypes.byref(bad_step))
-        if status:
-            raise _blowup("ab"[status - 1], bad_step.value)
-
-    def key_compiled(out, window, transient, c, x, y, z, sigma, rho, beta, h):
+    def key_compiled(out, window, transient, c, state, sigma, rho, beta, h):
         """XOR len(out) key bytes into the bytearray `out` and return how many
-        are zero. `window` is None for mantissa-lsb, else 8 bytes per key byte."""
-        count = ctypes.c_int64()
-        status = key(x, y, z, sigma, rho, beta, h, transient, len(out), c, _address(out),
+        are zero. `window` is None for mantissa-lsb, else 8 bytes per key byte;
+        `state`, a list of six floats, ends as the final state."""
+        count, orbit = ctypes.c_int64(), (ctypes.c_double * 6)(*state)
+        status = key(orbit, sigma, rho, beta, h, transient, len(out), c, _address(out),
                      None if window is None else _address(window), ctypes.byref(count))
         if status == 3:
             raise DomainError(_NON_FINITE_PAIR)
         if status:
             raise _blowup("ab"[status - 1], count.value)
+        state[:] = orbit
         return count.value
-    return integrate_compiled, key_compiled
+    return key_compiled
 
 
 def _xor_key(out: bytearray, pair, window) -> int:
@@ -327,69 +322,74 @@ def _xor_key(out: bytearray, pair, window) -> int:
     return zeros
 
 
-def _key_python(out, window, transient, c, *key):
+def _key_python(out, window, transient, c, state, *params):
     """key_compiled without a compiler: the oracle's stored pair through _xor_key."""
     n = transient + len(out)
     try:
         pair = _pair_buffer(n)
     except MemoryError:
         raise _allocation_error("the orbit pair", n, "16 bytes per step") from None
-    _integrate_python(pair, c, *key)
-    return _xor_key(out, pair, window)
+    final = _integrate_python(pair, c, state, *params)
+    zeros = _xor_key(out, pair, window)
+    state[:] = final
+    return zeros
 
 
-def _self_check(integrate, key) -> bool:
-    """Compare the compiled integrator with the oracle on every component, so
-    a wrong component select is caught too, then the key kernel under both
-    strategies with _xor_key over its pair, XORing onto nonzero bytes."""
-    under = bytes(range(_CHECK_STEPS - _CHECK_TRANSIENT))
+def _self_check(key) -> bool:
+    """Compare `key` with _key_python on every component, under mantissa-lsb
+    from two starts apart and minmax-scale from one shared start: the key
+    bytes, XORed onto nonzero bytes, the zero count and the final state, bit
+    for bit."""
     for c in range(len(COMPONENTS)):
-        pair, want = _pair_buffer(_CHECK_STEPS), _pair_buffer(_ORACLE_STEPS)
-        integrate(pair, c, *_CHECK_KEY)
-        _integrate_python(want, c, *_CHECK_KEY)
-        if not pair.tobytes().startswith(want.tobytes()):
-            return False
-        for window in (None, bytearray(8 * len(under))):
-            got, expected = bytearray(under), bytearray(under)
-            zeros = key(got, window, _CHECK_TRANSIENT, c, *_CHECK_KEY)
-            if zeros != _xor_key(expected, pair, window) or got != expected:
+        for start, window in ((_CHECK_APART, None),
+                              (_CHECK_START * 2, bytearray(8 * _CHECK_WINDOW))):
+            results = []
+            for kernel in (key, _key_python):
+                out, state = bytearray(range(1, _CHECK_WINDOW + 1)), list(start)
+                zeros = kernel(out, window, _CHECK_TRANSIENT, c, state, *_CHECK_PARAMS)
+                results.append((zeros, out, array.array("d", state).tobytes()))
+            if results[0] != results[1]:
                 return False
     return True
 
 
-@functools.cache
 def _load_kernel():
-    """Return (compiled integrator, compiled key kernel, None), or
-    (_integrate_python, _key_python, cause).
+    """Return (compiled key kernel, None), or (_key_python, cause).
 
     Compiles _kernel.c with `cc` on first use into __pycache__ next to
     this file, under a checksum of source, flags, sys.platform,
     os.uname().machine and the path `cc` resolves to, and loads it with
     ctypes. No `cc` or os.uname, a build or load failure, or any difference
     from the pure-Python kernel on a short self-check, an exception inside
-    it included, logs one WARNING naming the cause.
+    it included, logs one WARNING naming the cause, however many threads
+    call this first at once.
     """
     with _load_lock:
+        return _choose_kernel()
+
+
+@functools.cache
+def _choose_kernel():
+    try:
+        key = _build_kernel()
+    except (OSError, AttributeError) as e:
+        cause = str(e)
+    else:
         try:
-            integrate, key = _build_kernel()
-        except (OSError, AttributeError) as e:
-            cause = str(e)
-        else:
-            try:
-                if _self_check(integrate, key):
-                    return integrate, key, None
-                cause = "self-check mismatch"
-            except Exception as e:  # whatever the candidate raises, it fails the check
-                cause = f"self-check raised {type(e).__name__}: {e}"
+            if _self_check(key):
+                return key, None
+            cause = "self-check mismatch"
+        except Exception as e:  # whatever the candidate raises, it fails the check
+            cause = f"self-check raised {type(e).__name__}: {e}"
     import logging
     logging.getLogger("lorenzcipher").warning(
         "compiled RK4 kernel unavailable (%s); using the pure-Python kernel", cause)
-    return _integrate_python, _key_python, cause
+    return _key_python, cause
 
 
 def kernel_backend() -> str:
-    """Which kernels integrate_pair and the key route run: "c" or "pure-python"."""
-    return "c" if _load_kernel()[2] is None else "pure-python"
+    """Which key kernel every keystream runs: "c" or "pure-python"."""
+    return "c" if _load_kernel()[1] is None else "pure-python"
 
 
 def integrate_pair(initial: LorenzState, params: LorenzParams,
@@ -400,19 +400,18 @@ def integrate_pair(initial: LorenzState, params: LorenzParams,
     pair[n, v] is `component` ("x", "y" or "z") of variant v (0 = A, 1 = B)
     after n+1 steps; the shared initial state is not a sample. All three
     components are integrated and checked for blow-up either way.
-    Bit-exact reproducible: identical arguments yield identical bit patterns,
-    whichever kernel runs (see kernel_backend).
+    Bit-exact reproducible: identical arguments yield identical bit patterns.
+    Always the pure-Python oracle, at a few microseconds per step.
     """
     if component not in COMPONENTS:
         raise DomainError(f"unknown component {component!r}, expected one of {COMPONENTS}")
     _check_count("n_steps", n_steps, 1)
-    key = (COMPONENTS.index(component), initial.x, initial.y, initial.z,
-           params.sigma, params.rho, params.beta, params.h)
     import numpy as np
     try:
         pair = np.empty((n_steps, 2), dtype=np.float64)
     except (MemoryError, ValueError):  # ValueError: a size numpy cannot represent
         raise _allocation_error("the orbit pair", n_steps, "16 bytes per step") from None
-    _load_kernel()[0](pair, *key)
+    _integrate_python(pair, COMPONENTS.index(component), (initial.x, initial.y, initial.z) * 2,
+                      params.sigma, params.rho, params.beta, params.h)
     pair.setflags(write=False)
     return pair

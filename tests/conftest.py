@@ -43,10 +43,10 @@ def quiet_keystream(params, initial, config):
 
 
 def reference_keystream(params, initial, config):
-    """The numpy reference for every keystream: the stored orbit pair, its
-    lower bound error and the extracted window, with the quality warning on
-    its zero count. It shares no code with the key kernel but the oracle's
-    integrator."""
+    """The numpy reference for every keystream: the pure-Python oracle's
+    stored orbit pair, its lower bound error and the extracted window, with
+    the quality warning on its zero count. It runs no compiled code and
+    shares nothing with the key kernel but the oracle's integrator."""
     pair = integrate_pair(initial, params, config.n_samples, config.component)
     data = extract_bytes(lower_bound_error(pair), config)
     _warn_if_degenerate(int(np.count_nonzero(data == 0)), data.shape[0])
@@ -54,10 +54,9 @@ def reference_keystream(params, initial, config):
 
 
 def pure_python():
-    """Route integrate_pair and the key route to the pure-Python kernels,
-    as without a compiler, while active."""
-    return mock.patch.object(lorenz, "_load_kernel", lambda: (
-        lorenz._integrate_python, lorenz._key_python, "oracle"))
+    """Route the key route to the pure-Python key kernel, as without a
+    compiler, while active; integrate_pair is the oracle either way."""
+    return mock.patch.object(lorenz, "_load_kernel", lambda: (lorenz._key_python, "oracle"))
 
 
 def full_orbits(initial, params, n):

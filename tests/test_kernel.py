@@ -1,11 +1,14 @@
-"""Compiled RK4 pair kernel against the pure-Python oracle, and its fallback."""
+"""The compiled key kernel against the pure-Python one, and its fallback."""
 
+import array
 import logging
 import os
 import platform
 import shutil
 import subprocess
 import sys
+import threading
+import warnings
 import zlib
 from fractions import Fraction
 from types import SimpleNamespace
@@ -15,37 +18,51 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import WORKING_PARAMS, pure_python, quiet_keystream
-from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS,
-                          IntegrationBlowupError, KeystreamConfig,
-                          LorenzParams, LorenzState, integrate_pair,
-                          kernel_backend, lorenz)
+from conftest import WORKING_PARAMS, pure_python, quiet_keystream, reference_keystream
+from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, DomainError,
+                          KeystreamConfig, KeystreamQualityWarning,
+                          LorenzParams, LorenzState, kernel_backend, lorenz)
 from lorenzcipher.keystream import STRATEGIES
 from lorenzcipher.lorenz import COMPONENTS
 
 BLOWUP_STEPS = (0.1, 0.2, 0.5, 1.0, 10.0)
+# Each link of a chain starts from the state the one before it ended in.
+CHAIN = (1, 2, 8, 64, 3000)
 
-_CAUSE = lorenz._load_kernel()[2]
+_CAUSE = lorenz._load_kernel()[1]
 needs_c = pytest.mark.skipif(
     _CAUSE is not None, reason=f"compiled kernel unavailable: {_CAUSE}")
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="cc not found")
+# The line of _kernel.c that sums RK4's four y stages.
+RK4_Y = "*y = *y + h6 * (k1y + two * k2y + two * k3y + k4y);"
 
 
-def outcome(initial, params, n, component):
-    """The pair's A and B bytes, or the blow-up's message, variant and step index."""
+def run_key(kernel, state, params, n, component, strategy, transient=0):
+    """`kernel`'s n key bytes XORed onto nonzero bytes, its zero count and
+    the bits of the final state, left in the list `state`; or the error's
+    message, variant and step index."""
+    out = bytearray(i % 255 + 1 for i in range(n))
+    window = bytearray(8 * n) if strategy == "minmax-scale" else None
     try:
-        pair = integrate_pair(initial, params, n, component)
-    except IntegrationBlowupError as e:
-        return str(e), e.variant, e.step_index
-    return pair[:, 0].tobytes(), pair[:, 1].tobytes()
+        zeros = kernel(out, window, transient, COMPONENTS.index(component), state,
+                       params.sigma, params.rho, params.beta, params.h)
+    except DomainError as e:
+        return str(e), getattr(e, "variant", None), getattr(e, "step_index", None)
+    return bytes(out), zeros, array.array("d", state).tobytes()
 
 
-def assert_matches_oracle(initial, params, n, component):
-    got = outcome(initial, params, n, component)
-    with pure_python():
-        want = outcome(initial, params, n, component)
-    assert got == want
-    return got
+def assert_matches_oracle(initial, params, steps, component, strategy="mantissa-lsb",
+                          transient=0):
+    """Run the loaded key kernel and _key_python along the chain `steps`
+    from `initial` in both lanes and return what the last link gave, which
+    must be the same for both at every link."""
+    got, want = [[initial.x, initial.y, initial.z] * 2 for _ in range(2)]
+    for n in steps:
+        outcome = run_key(lorenz._load_kernel()[0], got, params, n, component, strategy,
+                          transient)
+        assert outcome == run_key(lorenz._key_python, want, params, n, component, strategy,
+                                  transient)
+    return outcome
 
 
 def lorenz_warnings(caplog):
@@ -57,19 +74,33 @@ def lorenz_warnings(caplog):
 class TestDifferential:
     @given(st.floats(15.2, 16.8), st.floats(43.6, 48.2), st.floats(3.8, 4.2),
            st.floats(0.5, 1.5), st.floats(0.0, 1.0), st.floats(0.4, 1.4),
-           st.floats(1e-6, 3e-2), st.integers(1, 3000), st.sampled_from(COMPONENTS))
-    @example(16.0, 45.92, 4.0, 0.0, 0.0, 0.0, 0.01, 500, "x")
-    @example(16.0, 45.92, 4.0, 1.0, 0.5, 0.9, 0.01, 500, "z")
-    def test_jittered_keys(self, sigma, rho, beta, x0, y0, z0, h, n, component):
-        assert_matches_oracle(LorenzState(x0, y0, z0),
-                              LorenzParams(sigma, rho, beta, h), n, component)
+           st.floats(1e-6, 3e-2), st.integers(1, 3000), st.sampled_from(COMPONENTS),
+           st.sampled_from(STRATEGIES))
+    @example(16.0, 45.92, 4.0, 0.0, 0.0, 0.0, 0.01, 500, "x", "mantissa-lsb")
+    @example(16.0, 45.92, 4.0, 1.0, 0.5, 0.9, 0.01, 500, "z", "minmax-scale")
+    def test_jittered_keys(self, sigma, rho, beta, x0, y0, z0, h, n, component, strategy):
+        assert_matches_oracle(LorenzState(x0, y0, z0), LorenzParams(sigma, rho, beta, h),
+                              [n], component, strategy)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("component", COMPONENTS)
+    def test_chained_step_counts(self, component, strategy):
+        # A fault that moves both orbits alike leaves delta, and so the key
+        # bytes, unchanged for a while; the final state shows it at once.
+        chained = assert_matches_oracle(DEFAULT_INITIAL, WORKING_PARAMS, CHAIN,
+                                        component, strategy)
+        # A chain ends where one call of its total length does.
+        whole = [DEFAULT_INITIAL.x, DEFAULT_INITIAL.y, DEFAULT_INITIAL.z] * 2
+        run_key(lorenz._load_kernel()[0], whole, WORKING_PARAMS, sum(CHAIN), component, strategy)
+        assert array.array("d", whole).tobytes() == chained[2]
 
     @pytest.mark.parametrize("h", [DEFAULT_PARAMS.h, WORKING_PARAMS.h])
     def test_default_key_256x256_window(self, h):
         params = LorenzParams(16.0, 45.92, 4.0, h)
         for component in COMPONENTS:
-            a, b = assert_matches_oracle(DEFAULT_INITIAL, params, 67536, component)
-            assert len(a) == len(b) == 67536 * 8
+            key, _, _ = assert_matches_oracle(DEFAULT_INITIAL, params, [256 * 256], component,
+                                              transient=2000)
+            assert len(key) == 256 * 256
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("component", COMPONENTS)
@@ -83,7 +114,8 @@ class TestDifferential:
     @pytest.mark.parametrize("h", BLOWUP_STEPS)
     def test_blowup_at_paper_key(self, h):
         params = LorenzParams(16.0, 45.92, 4.0, h)
-        got = {assert_matches_oracle(DEFAULT_INITIAL, params, 200, c) for c in COMPONENTS}
+        got = {assert_matches_oracle(DEFAULT_INITIAL, params, [200], c, s)
+               for c in COMPONENTS for s in STRATEGIES}
         [(message, variant, step)] = got
         assert message == f"variant A produced a non-finite state at step {step}"
         assert variant == "a"
@@ -95,7 +127,7 @@ class TestDifferential:
         params = LorenzParams(15.467243504088904, 46.677155448041326,
                               4.1493423342906475, 0.1)
         for component in COMPONENTS:
-            assert assert_matches_oracle(initial, params, 200, component) == (
+            assert assert_matches_oracle(initial, params, [200], component) == (
                 "variant B produced a non-finite state at step 99", "b", 99)
 
     @given(st.floats(15.2, 16.8), st.floats(43.6, 48.2), st.floats(3.8, 4.2),
@@ -103,7 +135,7 @@ class TestDifferential:
            st.sampled_from(BLOWUP_STEPS), st.sampled_from(COMPONENTS))
     def test_blowup_over_jittered_keys(self, sigma, rho, beta, x0, y0, z0, h, component):
         assert_matches_oracle(LorenzState(x0, y0, z0),
-                              LorenzParams(sigma, rho, beta, h), 200, component)
+                              LorenzParams(sigma, rho, beta, h), [200], component)
 
 
 @needs_c
@@ -115,21 +147,22 @@ class TestDifferential:
     tuple(map(Fraction, ("16", "45.92", "4", "1", "1/2", "9/10", "1/100"))),
 ], ids=["int", "np.int64", "np.float64", "np.float32", "Fraction"])
 def test_every_real_key_takes_compiled_path(monkeypatch, key):
-    def orbits(sigma, rho, beta, x, y, z, h):
-        return outcome(LorenzState(x, y, z), LorenzParams(sigma, rho, beta, h), 3000, "y")
-    want = orbits(*map(float, key))
+    def keystream(sigma, rho, beta, x, y, z, h):
+        return quiet_keystream(LorenzParams(sigma, rho, beta, h), LorenzState(x, y, z),
+                               KeystreamConfig(16, 16)).data.tobytes()
+    want = keystream(*map(float, key))
     compiled = lorenz._load_kernel()[0]
-    assert compiled is not lorenz._integrate_python
+    assert compiled is not lorenz._key_python
     calls = []
 
-    def spy(out, c, *floats):
-        calls.append(floats)
-        compiled(out, c, *floats)
-    monkeypatch.setattr(lorenz, "_load_kernel", lambda: (spy, None, None))
-    assert orbits(*key) == want
+    def spy(out, window, transient, c, state, *params):
+        calls.append((*state, *params))
+        return compiled(out, window, transient, c, state, *params)
+    monkeypatch.setattr(lorenz, "_load_kernel", lambda: (spy, None))
+    assert keystream(*key) == want
     [floats] = calls
     assert all(type(v) is float for v in floats)
-    assert isinstance(want[0], bytes)
+    assert any(want)
 
 
 @needs_c
@@ -145,22 +178,27 @@ def test_cached_load_imports_neither_hashlib_nor_subprocess():
 
 
 class TestFallback:
+    CONFIG = KeystreamConfig(16, 16, 3000)
+
     @pytest.fixture(scope="class")
     def reference(self):
-        return outcome(DEFAULT_INITIAL, WORKING_PARAMS, 3000, "y")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", KeystreamQualityWarning)
+            return reference_keystream(WORKING_PARAMS, DEFAULT_INITIAL, self.CONFIG).tobytes()
 
     @pytest.fixture
     def cache(self, monkeypatch, tmp_path):
         """An empty kernel cache and a loader that has not run yet."""
         monkeypatch.setattr(lorenz, "_KERNEL_CACHE", str(tmp_path / "cache"))
-        lorenz._load_kernel.cache_clear()
+        lorenz._choose_kernel.cache_clear()
         yield tmp_path / "cache"
-        lorenz._load_kernel.cache_clear()
+        lorenz._choose_kernel.cache_clear()
 
     def check_fallback(self, caplog, reference, cause):
         with caplog.at_level(logging.WARNING, logger="lorenzcipher"):
-            assert outcome(DEFAULT_INITIAL, WORKING_PARAMS, 3000, "y") == reference
-            assert outcome(DEFAULT_INITIAL, WORKING_PARAMS, 3000, "y") == reference
+            for _ in range(2):
+                got = quiet_keystream(WORKING_PARAMS, DEFAULT_INITIAL, self.CONFIG)
+                assert got.data.tobytes() == reference
             assert kernel_backend() == "pure-python"
         [message] = lorenz_warnings(caplog)
         assert cause in message
@@ -172,7 +210,7 @@ class TestFallback:
     @needs_c
     def test_no_compiler_with_a_cached_library(self, cache, monkeypatch, caplog, reference):
         assert kernel_backend() == "c"
-        lorenz._load_kernel.cache_clear()
+        lorenz._choose_kernel.cache_clear()
         monkeypatch.setattr(shutil, "which", lambda name: None)
         self.check_fallback(caplog, reference, "cc not found")
 
@@ -181,7 +219,7 @@ class TestFallback:
         # The real cc fills the cache, then cc names a compiler that fails:
         # the library the first one built must not be loaded for it.
         assert kernel_backend() == "c"
-        lorenz._load_kernel.cache_clear()
+        lorenz._choose_kernel.cache_clear()
         shim = tmp_path / "bin" / "cc"
         shim.parent.mkdir()
         shim.write_text('#!/bin/sh\necho "shim compiler: broken" >&2\nexit 1\n')
@@ -221,14 +259,6 @@ class TestFallback:
         self.check_fallback(caplog, reference, "self-check mismatch")
 
     @needs_cc
-    def test_self_check_catches_a_wrong_component_select(
-            self, cache, monkeypatch, caplog, reference, tmp_path):
-        # Variant B stores x where z is asked for. The default component y
-        # is still right, so only a self-check of every component sees it.
-        self.use_mutant(monkeypatch, tmp_path, "c == 1 ? y[1] : z[1]", "c == 1 ? y[1] : x[1]")
-        self.check_fallback(caplog, reference, "self-check mismatch")
-
-    @needs_cc
     @pytest.mark.parametrize("right, wrong", [
         # The key kernel reads x where z is asked for.
         ("v2d v = c == 0 ? x : c == 1 ? y : z;", "v2d v = c == 0 ? x : c == 1 ? y : x;"),
@@ -240,7 +270,9 @@ class TestFallback:
         # minmax-scale scales onto 0..254, or zero bytes are miscounted.
         ("/ range * 255.0", "/ range * 254.0"),
         ("return k == 0;", "return k == 1;"),
-    ], ids=["component", "transient", "mantissa-byte", "store", "scale", "zero-count"])
+        # RK4 sums y's stages in another order, which moves both lanes alike.
+        (RK4_Y, RK4_Y.replace("two * k2y + two * k3y", "two * (k2y + k3y)")),
+    ], ids=["component", "transient", "mantissa-byte", "store", "scale", "zero-count", "rk4-y"])
     def test_self_check_catches_a_wrong_key_byte(
             self, cache, monkeypatch, caplog, reference, tmp_path, right, wrong):
         self.use_mutant(monkeypatch, tmp_path, right, wrong)
@@ -254,13 +286,37 @@ class TestFallback:
         def build():
             builds.append(1)
 
-            def integrate(out, c, *key):
+            def key(*args):
                 raise lorenz._blowup("a", 0)
-            return integrate, None
+            return key
         monkeypatch.setattr(lorenz, "_build_kernel", build)
         self.check_fallback(caplog, reference, "self-check raised IntegrationBlowupError: "
                                                "variant A produced a non-finite state at step 0")
         assert builds == [1]
+
+    def test_concurrent_first_load_warns_once(self, cache, monkeypatch, caplog):
+        # Threads that call the loader together choose one kernel between them.
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+        barrier, results = threading.Barrier(4, timeout=30), []
+
+        def load():
+            barrier.wait()
+            results.append(lorenz._load_kernel())
+        threads = [threading.Thread(target=load) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with caplog.at_level(logging.WARNING, logger="lorenzcipher"):
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(lorenz_warnings(caplog)) == 1
+        assert len(results) == 4 and all(r is results[0] for r in results)
+        assert results[0] == (lorenz._key_python, "cc not found")
 
     @needs_cc
     def test_blowup_tests_catch_lane_b_checked_first(self, cache, monkeypatch, tmp_path):
@@ -294,7 +350,7 @@ class TestFallback:
         want = [name(platform.machine()), name("elsewhere")]
         assert kernel_backend() == "c"
         assert [p.name for p in cache.iterdir()] == want[:1]
-        lorenz._load_kernel.cache_clear()
+        lorenz._choose_kernel.cache_clear()
         monkeypatch.setattr(os, "uname", lambda: SimpleNamespace(machine="elsewhere"))
         assert kernel_backend() == "c"
         assert sorted(p.name for p in cache.iterdir()) == sorted(want)

@@ -6,8 +6,8 @@ calls the loaded key kernel: the compiled one, which turns the orbit pair
 into key bytes without storing it, or, without a compiler,
 `lorenz._key_python`, which stores the pair and extracts it in
 `lorenz._xor_key`. Either XORs the key bytes in place, and its bytes,
-errors and warning must be those of `reference_keystream`: integrate_pair,
-lower_bound_error and extract_bytes.
+errors and warning must be those of `reference_keystream`: the pure-Python
+oracle integrate_pair, lower_bound_error and extract_bytes.
 """
 
 import io
@@ -31,6 +31,7 @@ from lorenzcipher import (COMPONENTS, DEFAULT_INITIAL, DEFAULT_PARAMS,
                           lower_bound_error)
 from lorenzcipher.cli import run_command
 from lorenzcipher.keystream import _xor_keystream
+from test_known_answers import VECTORS, answer, key_of, recorded
 
 needs_c = pytest.mark.skipif(kernel_backend() != "c", reason="compiled kernel unavailable")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -133,6 +134,19 @@ class TestKeyBytes:
                     KeystreamConfig(10, 10, transient, strategy, component))
 
 
+def load_mutant(monkeypatch, tmp_path, right, wrong):
+    """Build a copy of _kernel.c with the line `right` changed to `wrong`,
+    and make its key kernel the loaded one."""
+    with open(lorenz._KERNEL_SOURCE) as fh:
+        source = fh.read()
+    assert source.count(right) == 1
+    (tmp_path / "mutant.c").write_text(source.replace(right, wrong))
+    monkeypatch.setattr(lorenz, "_KERNEL_SOURCE", str(tmp_path / "mutant.c"))
+    monkeypatch.setattr(lorenz, "_KERNEL_CACHE", str(tmp_path / "cache"))
+    key = lorenz._build_kernel()
+    monkeypatch.setattr(lorenz, "_load_kernel", lambda: (key, None))
+
+
 @needs_c
 @pytest.mark.skipif(shutil.which("cc") is None, reason="cc not found")
 @pytest.mark.parametrize("h", [0.01, 0.1])
@@ -142,15 +156,8 @@ def test_non_finite_delta(monkeypatch, tmp_path, h):
     # deltas overflow once |a - b| > 1.8, which happens in the transient, at
     # sample 2289 for h = 0.01 and at sample 4 for h = 0.1. There a state goes
     # non-finite one step later, which still wins, as in the reference.
-    with open(lorenz._KERNEL_SOURCE) as fh:
-        source = fh.read()
     right = "double delta = fabs(v[0] - v[1]) * 0.5;"
-    assert source.count(right) == 1
-    (tmp_path / "scaled.c").write_text(source.replace(right, right.replace("0.5", "1e308")))
-    monkeypatch.setattr(lorenz, "_KERNEL_SOURCE", str(tmp_path / "scaled.c"))
-    monkeypatch.setattr(lorenz, "_KERNEL_CACHE", str(tmp_path / "cache"))
-    integrate, key = lorenz._build_kernel()
-    monkeypatch.setattr(lorenz, "_load_kernel", lambda: (integrate, key, None))
+    load_mutant(monkeypatch, tmp_path, right, right.replace("0.5", "1e308"))
     with pytest.raises(DomainError) as refusal:
         lower_bound_error(np.array([[np.inf, 0.0]]))
     params = LorenzParams(16.0, 45.92, 4.0, h)
@@ -162,6 +169,26 @@ def test_non_finite_delta(monkeypatch, tmp_path, h):
         else:
             want, _ = reference(params, DEFAULT_INITIAL, config)
             assert got == want and want[0].__name__ == "IntegrationBlowupError"
+
+
+@needs_c
+@pytest.mark.skipif(shutil.which("cc") is None, reason="cc not found")
+def test_reference_catches_a_wrong_compiled_integrator(monkeypatch, tmp_path):
+    # The reference runs no compiled code, so a library whose RK4 sums y's
+    # stages in another order, which moves both lanes alike, shows against
+    # it, while the reference still gives every known answer. The paper
+    # key's 8x8 keystream at h = 0.01 is all zero, where no fault can show,
+    # so the key here is at h = 0.02.
+    right = "*y = *y + h6 * (k1y + two * k2y + two * k3y + k4y);"
+    load_mutant(monkeypatch, tmp_path, right,
+                right.replace("two * k2y + two * k3y", "two * (k2y + k3y)"))
+    params = LorenzParams(16.0, 45.92, 4.0, 0.02)
+    config = KeystreamConfig(16, 16)
+    want = reference(params, DEFAULT_INITIAL, config)
+    assert any(want[0]) and key_route(params, DEFAULT_INITIAL, config) != want
+    wrong = [i for i, v in enumerate(VECTORS)
+             if answer(reference_keystream, *key_of(v)) != recorded(v)]
+    assert wrong == []
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -185,12 +212,11 @@ def test_reference_catches_a_wrong_extraction(monkeypatch, strategy):
 
 def test_loader_without_cc_returns_the_python_key_kernel(monkeypatch):
     monkeypatch.setattr(shutil, "which", lambda name: None)
-    lorenz._load_kernel.cache_clear()
+    lorenz._choose_kernel.cache_clear()
     try:
-        assert lorenz._load_kernel() == (
-            lorenz._integrate_python, lorenz._key_python, "cc not found")
+        assert lorenz._load_kernel() == (lorenz._key_python, "cc not found")
     finally:
-        lorenz._load_kernel.cache_clear()
+        lorenz._choose_kernel.cache_clear()
 
 
 def test_python_extraction_refuses_a_non_finite_delta():
