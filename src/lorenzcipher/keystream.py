@@ -188,8 +188,9 @@ def _xor_keystream(params: LorenzParams, initial: LorenzState,
 
     The bytes, errors and warning are the reference pipeline's; nothing here
     imports numpy. A sample count whose orbit pair (16 bytes per step) would
-    not fit in the address space is refused, but below that the compiled key
-    kernel, which stores no pair, runs any transient in linear time.
+    not fit in the address space is refused, as the reference refuses it, but
+    below that either key kernel, which stores no pair, runs any transient in
+    linear time.
     """
     if 16 * config.n_samples > sys.maxsize:  # also keeps the kernel's int64 counts exact
         raise _allocation_error("the orbit pair", config.n_samples, "16 bytes per step")

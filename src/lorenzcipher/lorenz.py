@@ -14,18 +14,20 @@ reassociate the kernels below: an optimizer that collapses the two forms
 into one destroys the keystream.
 
 The pure-Python `_deriv`/`_rk4` are the bit-level specification, and
-`_integrate_python` runs them for both variants in lockstep, storing one
-component into a pair buffer of shape (n_steps, 2), [sample, variant A=0 /
-B=1]. `integrate_pair`, the only function here that imports numpy, always
-runs it: it is the oracle the tests hold every keystream to.
+`_orbit` runs them for both variants in lockstep, yielding the state of
+both after each step. `integrate_pair`, the only function here that imports
+numpy, stores one component of it in a pair of shape (n_steps, 2),
+[sample, variant A=0 / B=1]: it is the oracle the tests hold every
+keystream to.
 
 Every keystream, in the library and the CLI, comes from one key kernel,
 chosen once per process: `_kernel.c`'s `lorenz_key`, which mirrors `_rk4`
 operation for operation with variants A and B in the two lanes of one SIMD
 vector, if it passes a self-check against `_key_python`; else
-`_key_python` itself, whose oracle pair goes to `_xor_key`, the one Python
-extraction. Both take the six-double state of A then B and, on success,
-leave the final state in it.
+`_key_python` itself, which mirrors `lorenz_key` statement for statement
+over `_orbit`'s states. Neither stores the orbit: each turns every sample
+into a key byte as it goes. Both take the six-double state of A then B and,
+on success, leave the final state in it.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ import enum
 import functools
 import itertools
 import math
-import operator
 import os
+import struct
 import sys
 import threading
 import zlib
@@ -188,21 +190,19 @@ def _allocation_error(what: str, n_steps: int, per_step: str) -> DomainError:
                        f"2**{math.log2(n_steps):.2f} ({per_step})")
 
 
-def _integrate_python(out, c, state, sigma, rho, beta, h):
-    """Fill `out`, an (n, 2) float64 buffer, with component c of variants A
-    and B from `state` (A's x, y, z, then B's) and return their final state."""
+def _orbit(state, sigma, rho, beta, h):
+    """Yield the state of variants A and B (A's x, y, z, then B's) after each
+    RK4 step from `state`, without end; raise at the first non-finite one."""
     xa, ya, za, xb, yb, zb = state
     isfinite = math.isfinite
-    for n in range(out.shape[0]):
+    for n in itertools.count():
         xa, ya, za = _rk4(xa, ya, za, sigma, rho, beta, h, False)
         if not (isfinite(xa) and isfinite(ya) and isfinite(za)):
             raise _blowup("a", n)
         xb, yb, zb = _rk4(xb, yb, zb, sigma, rho, beta, h, True)
         if not (isfinite(xb) and isfinite(yb) and isfinite(zb)):
             raise _blowup("b", n)
-        out[n, 0] = (xa, ya, za)[c]
-        out[n, 1] = (xb, yb, zb)[c]
-    return xa, ya, za, xb, yb, zb
+        yield xa, ya, za, xb, yb, zb
 
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
@@ -222,13 +222,7 @@ _CHECK_PARAMS = (DEFAULT_PARAMS.sigma, DEFAULT_PARAMS.rho, DEFAULT_PARAMS.beta, 
 _CHECK_START = (DEFAULT_INITIAL.x, DEFAULT_INITIAL.y, DEFAULT_INITIAL.z)
 _CHECK_APART = _CHECK_START + (0.9, 0.5, 1.0)
 _CHECK_TRANSIENT, _CHECK_WINDOW = 8, 8
-_CHUNK = 4096  # samples per step of _xor_key's loops
 _load_lock = threading.Lock()
-
-
-def _pair_buffer(n: int) -> memoryview:
-    """A zeroed, writable (n, 2) float64 buffer, made without numpy."""
-    return memoryview(bytearray(16 * n)).cast("d", (n, 2))
 
 
 def _address(buffer):
@@ -286,52 +280,33 @@ def _build_kernel():
     return key_compiled
 
 
-def _xor_key(out: bytearray, pair, window) -> int:
-    """lorenz_key's extraction: XOR into `out` the key bytes of the last
-    len(out) samples of `pair` and return how many are zero. `window` is, as
-    for lorenz_key, None under mantissa-lsb, else 8 bytes per key byte under
-    minmax-scale. Every delta = |a - b| * 0.5 must be finite. A key byte is
-    delta's low byte, or under minmax floor((delta - lo) / (hi - lo) * 255.0)
-    over the window (0 if hi == lo). The window's deltas go to `window`, or to
-    a buffer of that size; the rest it stores is a few chunks of _CHUNK."""
-    flat = pair.cast("B").cast("d")
-    start = len(flat) - 2 * len(out)
-    # a - b is finite exactly where |a - b| * 0.5 is.
-    if not all(map(math.isfinite, map(operator.sub, flat[:start:2], flat[1:start:2]))):
-        raise DomainError(_NON_FINITE_PAIR)
-    deltas = memoryview(bytearray(8 * len(out)) if window is None else window).cast("d")
-    values = map(operator.mul, map(abs, map(operator.sub, flat[start::2], flat[start + 1::2])),
-                 itertools.repeat(0.5))
-    for i in range(0, len(out), _CHUNK):
-        deltas[i:i + _CHUNK] = array.array("d", itertools.islice(values, _CHUNK))
-    if not all(map(math.isfinite, deltas)):
-        raise DomainError(_NON_FINITE_PAIR)
-    if window is None:
-        key = iter(deltas.cast("B")[0 if sys.byteorder == "little" else 7::8])
-    else:
-        lo, hi = min(deltas), max(deltas)
-        key = (math.floor((d - lo) / (hi - lo) * 255.0) if hi > lo else 0 for d in deltas)
-    zeros = 0
-    for i in range(0, len(out), _CHUNK):
-        part = bytes(itertools.islice(key, _CHUNK))
-        j = i + len(part)
-        # XORed as two integers, in one C loop per chunk.
-        out[i:j] = (int.from_bytes(out[i:j], "little") ^
-                    int.from_bytes(part, "little")).to_bytes(len(part), "little")
-        zeros += part.count(0)
-    return zeros
-
-
 def _key_python(out, window, transient, c, state, *params):
-    """key_compiled without a compiler: the oracle's stored pair through _xor_key."""
-    n = transient + len(out)
-    try:
-        pair = _pair_buffer(n)
-    except MemoryError:
-        raise _allocation_error("the orbit pair", n, "16 bytes per step") from None
-    final = _integrate_python(pair, c, state, *params)
-    zeros = _xor_key(out, pair, window)
-    state[:] = final
+    """key_compiled without a compiler: lorenz_key, statement for statement,
+    over _orbit's states."""
+    low_byte = struct.Struct("<d").pack  # byte 0 of the little-endian bits
+    deltas = None if window is None else memoryview(window).cast("d")
+    finite, zeros, point = True, 0, state
+    for i, point in zip(range(-transient, len(out)), _orbit(state, *params)):
+        delta = abs(point[c] - point[c + 3]) * 0.5
+        if not math.isfinite(delta):
+            finite = False
+        if i < 0:
+            continue
+        if deltas is not None:
+            deltas[i] = delta
+        else:
+            key = low_byte(delta)[0]
+            out[i] ^= key
+            zeros += key == 0
+    if not finite:
+        raise DomainError(_NON_FINITE_PAIR)
+    if deltas is not None:
+        lo, hi = min(deltas), max(deltas)
+        for i, delta in enumerate(deltas):
+            key = 0 if hi == lo else math.floor((delta - lo) / (hi - lo) * 255.0)
+            out[i] ^= key
+            zeros += key == 0
+    state[:] = point
     return zeros
 
 
@@ -411,7 +386,9 @@ def integrate_pair(initial: LorenzState, params: LorenzParams,
         pair = np.empty((n_steps, 2), dtype=np.float64)
     except (MemoryError, ValueError):  # ValueError: a size numpy cannot represent
         raise _allocation_error("the orbit pair", n_steps, "16 bytes per step") from None
-    _integrate_python(pair, COMPONENTS.index(component), (initial.x, initial.y, initial.z) * 2,
-                      params.sigma, params.rho, params.beta, params.h)
+    c = COMPONENTS.index(component)
+    for n, state in zip(range(n_steps), _orbit((initial.x, initial.y, initial.z) * 2,
+                                               params.sigma, params.rho, params.beta, params.h)):
+        pair[n, 0], pair[n, 1] = state[c], state[c + 3]
     pair.setflags(write=False)
     return pair

@@ -205,7 +205,7 @@ class TestKeystream:
         assert run("keystream", "--rows", "0", "--cols", "8", *WORKING)[0] == 3
 
     def test_unallocatable_key_is_domain_error(self):
-        # 10**14 samples need 1.6 PB for the orbit pair; the allocation fails at once.
+        # 10**14 key bytes need 100 TB for the key; the allocation fails at once.
         code, _, err = run("keystream", "--rows", "10000000", "--cols",
                            "10000000", "--step", "0.01")
         assert code == 3

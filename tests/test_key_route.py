@@ -2,15 +2,16 @@
 numpy.
 
 `keystream._xor_keystream`, which generate_keystream and the CLI both run,
-calls the loaded key kernel: the compiled one, which turns the orbit pair
-into key bytes without storing it, or, without a compiler,
-`lorenz._key_python`, which stores the pair and extracts it in
-`lorenz._xor_key`. Either XORs the key bytes in place, and its bytes,
-errors and warning must be those of `reference_keystream`: the pure-Python
-oracle integrate_pair, lower_bound_error and extract_bytes.
+calls the loaded key kernel: the compiled `lorenz_key` or, without a
+compiler, `lorenz._key_python`, its statement-for-statement twin over the
+oracle's streamed states. Either turns each sample into a key byte without
+storing the orbit and XORs it in place, and its bytes, errors and warning
+must be those of `reference_keystream`: the pure-Python oracle
+integrate_pair, lower_bound_error and extract_bytes.
 """
 
 import io
+import itertools
 import os
 import shutil
 import subprocess
@@ -196,13 +197,13 @@ def test_reference_catches_a_wrong_extraction(monkeypatch, strategy):
     # The reference shares no code with the key route but the oracle
     # integrator, so a fault in the extraction shows against it; a reference
     # that called the key route would agree with this mutant.
-    right = lorenz._xor_key
+    right = lorenz._key_python
 
-    def flip_first_bit(out, pair, window):
-        zeros = right(out, pair, window)
+    def flip_first_bit(out, *args):
+        zeros = right(out, *args)
         out[0] ^= 1
         return zeros
-    monkeypatch.setattr(lorenz, "_xor_key", flip_first_bit)
+    monkeypatch.setattr(lorenz, "_key_python", flip_first_bit)
     config = KeystreamConfig(8, 8, strategy=strategy)
     with pure_python():
         got = key_route(WORKING_PARAMS, DEFAULT_INITIAL, config)
@@ -219,29 +220,21 @@ def test_loader_without_cc_returns_the_python_key_kernel(monkeypatch):
         lorenz._choose_kernel.cache_clear()
 
 
-def test_python_extraction_refuses_a_non_finite_delta():
+def test_python_extraction_refuses_a_non_finite_delta(monkeypatch):
     # No key is known whose finite orbits differ by more than the largest
-    # double, so the pair is written by hand: the transient's |a - b| overflows.
-    pair = lorenz._pair_buffer(3)
-    pair[0, 0], pair[0, 1] = 1e308, -1e308
+    # double, so the orbit is written by hand: the transient's |a - b|
+    # overflows, and the refusal still comes after the whole run.
+    def orbit(state, *params):
+        yield (1e308,) * 3 + (-1e308,) * 3
+        yield from itertools.repeat(tuple(state))
+    monkeypatch.setattr(lorenz, "_orbit", orbit)
     with pytest.raises(DomainError) as refusal, np.errstate(over="ignore"):
-        lower_bound_error(np.array(pair))
-    for minmax in (False, True):
-        with pytest.raises(DomainError) as got:
-            lorenz._xor_key(bytearray(2), pair, bytearray(16) if minmax else None)
-        assert str(got.value) == str(refusal.value)
-
-
-def test_python_key_kernel_refuses_an_unallocatable_pair(monkeypatch):
-    # It stores the orbit pair, so it refuses one it cannot allocate as
-    # integrate_pair does.
-    def no_memory(n):
-        raise MemoryError
-    monkeypatch.setattr(lorenz, "_pair_buffer", no_memory)
-    with pure_python():
-        got = key_route(WORKING_PARAMS, DEFAULT_INITIAL, KeystreamConfig(16, 16, 10**6))
-    assert got == ((DomainError, "cannot allocate the orbit pair for n_steps = 2**19.93 "
-                                 "(16 bytes per step)", None, None), [])
+        lower_bound_error(np.array([[1e308, -1e308]]))
+    for c in range(len(COMPONENTS)):
+        for window in (None, bytearray(16)):
+            with pytest.raises(DomainError) as got:
+                lorenz._key_python(bytearray(2), window, 1, c, [0.0] * 6, 16.0, 45.92, 4.0, 0.01)
+            assert str(got.value) == str(refusal.value)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

@@ -302,13 +302,20 @@ class TestGenerateKeystream:
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_peak_memory_per_sample_without_a_compiler(self, strategy):
-        # The pure-Python key kernel stores the (n, 2) pair (16 B/sample),
-        # and per key byte its delta (8) and the key byte (1), besides a few
-        # chunks of fixed size; a list of Python floats takes 32 B/sample.
+        # The pure-Python key kernel stores what the compiled one does: the
+        # key and, under minmax-scale, the window's deltas; no orbit pair.
+        per_key_byte = 9 if strategy == "minmax-scale" else 1
         config = KeystreamConfig(rows=128, cols=128, strategy=strategy)
         with pure_python():
             peak = peak_bytes(config)
-        assert peak <= 16 * config.n_samples + 9 * config.rows * config.cols + 2**16
+        assert peak <= per_key_byte * config.rows * config.cols + 2**16
+
+    def test_transient_takes_no_memory_without_a_compiler(self):
+        # The transient's samples are integrated and dropped, not stored.
+        with pure_python():
+            peaks = [peak_bytes(KeystreamConfig(16, 16, transient))
+                     for transient in (0, 200_000)]
+        assert peaks[1] <= peaks[0] + 2**16
 
     def test_quality_warning_names_the_calling_line(self):
         # The warning points past the package, at the line that called it,
