@@ -42,17 +42,59 @@ class WorkScores:
 # The (row, col) offset from each pixel to its neighbour, per direction.
 _OFFSETS = dict(zip(DIRECTIONS, ((0, 1), (1, 0), (1, 1))))
 
+# Pairs per block of adjacent_correlation, whose two float64 buffers of this
+# length (512 KiB) stay in cache. It must be at least 128: numpy splits no
+# sum of up to 128 items, so a smaller block would split where numpy does not.
+_BLOCK = 2 ** 15
+
+
+def _pixels(image: GrayImage) -> np.ndarray:
+    if not isinstance(image, GrayImage):
+        raise DomainError(f"image must be a GrayImage, got {type(image).__name__}")
+    return image.pixels
+
 
 def _pair_series(image: GrayImage, direction: str) -> tuple[np.ndarray, np.ndarray]:
+    p = _pixels(image)
     if direction not in DIRECTIONS:
         raise DomainError(f"unknown direction {direction!r}, expected one of {DIRECTIONS}")
     dr, dc = _OFFSETS[direction]
-    p = image.pixels
     rows, cols = p.shape
     if rows <= dr or cols <= dc:
         raise DomainError(f"{direction} pairs need an image of at least "
                           f"{dr + 1}x{dc + 1}, got {rows}x{cols}")
     return p[:rows - dr, :cols - dc], p[dr:, dc:]
+
+
+def _tree_sum(leaf, lo: int, n: int):
+    """numpy's sum of items lo .. lo + n - 1 of a contiguous float64 array,
+    with each subtree of at most _BLOCK items summed by leaf(lo, n).
+
+    numpy sums such an array along a fixed pairwise tree: above 128 items it
+    splits n at n // 2 - (n // 2) % 8 and adds the sums of the two halves.
+    """
+    if n <= _BLOCK:
+        return leaf(lo, n)
+    half = n // 2 - (n // 2) % 8
+    return _tree_sum(leaf, lo, half) + _tree_sum(leaf, lo + half, n - half)
+
+
+def _centre(out: np.ndarray, series: np.ndarray, mean: float, lo: int) -> None:
+    """out[k] = float64(series.flat[lo + k]) - mean, converting only the
+    pairs out holds: a partial first row, whole rows, a partial last row."""
+    import numpy as np
+    n = out.size
+    cols = series.shape[1]
+    i, j = divmod(lo, cols)
+    head = min(n, cols - j)
+    rows, tail = divmod(n - head, cols)
+    np.subtract(series[i, j:j + head], mean, out=out[:head], dtype=np.float64)
+    if rows:
+        np.subtract(series[i + 1:i + 1 + rows], mean, dtype=np.float64,
+                    out=out[head:n - tail].reshape(rows, cols))
+    if tail:
+        np.subtract(series[i + 1 + rows, :tail], mean, out=out[n - tail:],
+                    dtype=np.float64)
 
 
 def adjacent_correlation(image: GrayImage, direction: str) -> float:
@@ -61,23 +103,35 @@ def adjacent_correlation(image: GrayImage, direction: str) -> float:
     All adjacent pairs are used (no sampling): horizontal pairs are
     (i,j)-(i,j+1), vertical (i,j)-(i+1,j), diagonal (i,j)-(i+1,j+1).
     Population (divide-by-m) moments over the m pairs: each mean is an exact
-    integer sum divided once, and each moment one pairwise float64 sum in
-    row-major order: bit-identical to the oracle in tests/test_metrics.py.
+    integer sum divided once, and each moment numpy's own pairwise float64
+    sum in row-major order, taken block by block along its tree, so memory
+    does not grow with m. Bit-identical to the oracle in tests/test_metrics.py.
     """
     import numpy as np
     x, y = _pair_series(image, direction)
     m = x.size
-    a = np.subtract(x, float(x.sum(dtype=np.int64)) / m, dtype=np.float64)
-    b = np.multiply(a, a)
-    sx = np.sqrt(b.sum() / m)
-    np.subtract(y, float(y.sum(dtype=np.int64)) / m, out=b, dtype=np.float64)
-    a *= b
-    b *= b
-    sy = np.sqrt(b.sum() / m)
+    mx = float(x.sum(dtype=np.int64)) / m
+    my = float(y.sum(dtype=np.int64)) / m
+    bufs = np.empty((2, min(m, _BLOCK)))
+
+    def moments(lo, n):
+        # sum (x-mx)^2, (y-my)^2 and (x-mx)(y-my) over pairs lo .. lo+n-1
+        a, b = bufs[:, :n]
+        _centre(a, x, mx, lo)
+        np.multiply(a, a, out=b)
+        sxx = b.sum()
+        _centre(b, y, my, lo)
+        a *= b
+        b *= b
+        return np.array([sxx, b.sum(), a.sum()])
+
+    sxx, syy, sxy = _tree_sum(moments, 0, m)
+    sx = np.sqrt(sxx / m)
+    sy = np.sqrt(syy / m)
     if sx == 0.0 or sy == 0.0:
         raise DomainError(
             "correlation undefined: a series has zero standard deviation")
-    r = float(a.sum() / m / (sx * sy))
+    r = float(sxy / m / (sx * sy))
     # One rounding step can push |r| a few ulp past 1; the result is a
     # correlation and must stay in [-1, 1].
     return min(1.0, max(-1.0, r))
@@ -86,7 +140,7 @@ def adjacent_correlation(image: GrayImage, direction: str) -> float:
 def histogram(image: GrayImage) -> np.ndarray:
     """Count of each intensity 0..255; counts sum to the pixel count."""
     import numpy as np
-    return np.bincount(image.pixels.ravel(), minlength=256).astype(np.int64)
+    return np.bincount(_pixels(image).ravel(), minlength=256).astype(np.int64)
 
 
 def shannon_entropy(image: GrayImage) -> float:
@@ -105,7 +159,13 @@ def shannon_entropy(image: GrayImage) -> float:
 def chi_square_uniform(counts: np.ndarray) -> float:
     """Chi-square statistic of `counts` against a uniform distribution."""
     import numpy as np
-    counts = np.asarray(counts, dtype=np.float64)
+    try:
+        counts = np.asarray(counts)
+    except ValueError:  # a ragged nesting of sequences
+        counts = None
+    if counts is None or counts.dtype.kind not in "iuf":
+        raise DomainError("chi-square counts must be an array of integers or floats")
+    counts = counts.astype(np.float64)
     if not (np.isfinite(counts) & (counts >= 0)).all():
         raise DomainError("chi-square counts must be finite and non-negative")
     if counts.size < 2 or counts.sum() <= 0:

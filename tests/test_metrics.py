@@ -6,6 +6,7 @@ numeric mismatch rather than a silent bias.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +20,8 @@ from lorenzcipher import (DIRECTIONS, DomainError, LorenzCipherError,
                           WorkScores, adjacent_correlation,
                           chi_square_uniform, efficiency_index, histogram,
                           shannon_entropy)
-from lorenzcipher.metrics import _pair_series
+from lorenzcipher import metrics
+from lorenzcipher.metrics import _BLOCK, _pair_series, _tree_sum
 
 def oracle_correlation(xs, ys):
     n = len(xs)
@@ -82,6 +84,14 @@ def reference_correlation(image, direction):
     return min(1.0, max(-1.0, r))
 
 
+def smooth_texture(rng, rows, cols):
+    """Blocky noise under a 17x17 box blur: a strongly correlated texture."""
+    coarse = rng.integers(0, 256, (rows // 16 + 1, cols // 16 + 1))
+    up = np.repeat(np.repeat(coarse, 16, 0), 16, 1)[:rows, :cols]
+    c = np.pad(np.pad(up, 8, mode="edge"), ((1, 0), (1, 0))).cumsum(0).cumsum(1)
+    return (c[17:, 17:] - c[:-17, 17:] - c[17:, :-17] + c[:-17, :-17]) // 289
+
+
 def outcome(correlation, image, direction):
     """The float bits, or the type and text of the error raised."""
     try:
@@ -116,17 +126,68 @@ class TestBitIdentity:
         rng = np.random.default_rng(12)
         side = 1024
         noise = rng.integers(0, 256, (side, side), dtype=np.uint8)
-        # Blocky noise under a box blur: a strongly correlated texture.
-        coarse = rng.integers(0, 256, (side // 16 + 1,) * 2)
-        up = np.repeat(np.repeat(coarse, 16, 0), 16, 1)[:side, :side]
-        c = np.pad(np.pad(up, 8, mode="edge"), ((1, 0), (1, 0))).cumsum(0).cumsum(1)
-        smooth = (c[17:, 17:] - c[:-17, 17:] - c[17:, :-17] + c[:-17, :-17]) // 289
+        smooth = smooth_texture(rng, side, side)
         for pixels in (noise, smooth):
             image = make_image(pixels)
             for direction in DIRECTIONS:
                 got = adjacent_correlation(image, direction)
                 assert got == reference_correlation(image, direction)
                 assert type(got) is float
+
+    # Images whose m pairs straddle the blocks of adjacent_correlation: m
+    # next to one and two blocks, blocks that start mid-row, one-row and
+    # one-column images, and rows wider than a block.
+    BLOCK_CASES = [
+        *(((1, m + 1), "horizontal") for m in (_BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                                2 * _BLOCK - 8, 2 * _BLOCK + 8)),
+        *(((m + 1, 1), "vertical") for m in (_BLOCK - 1, _BLOCK + 1, 2 * _BLOCK - 8)),
+        *(((2, m + 1), "diagonal") for m in (_BLOCK, 2 * _BLOCK + 8)),
+        ((1, 2 * _BLOCK + 3), "horizontal"),
+        ((2 * _BLOCK + 3, 1), "vertical"),
+        *(((70, 1000), d) for d in DIRECTIONS),
+        *(((3, _BLOCK + 1000), d) for d in DIRECTIONS),
+    ]
+
+    @pytest.mark.parametrize("texture", ["noise", "smooth"])
+    @pytest.mark.parametrize("shape,direction", BLOCK_CASES)
+    def test_matches_reference_across_blocks(self, shape, direction, texture):
+        rng = np.random.default_rng([*shape, len(direction)])
+        pixels = (rng.integers(0, 256, shape, dtype=np.uint8) if texture == "noise"
+                  else smooth_texture(rng, *shape))
+        image = make_image(pixels)
+        assert _pair_series(image, direction)[0].size > _BLOCK - 2
+        assert (outcome(adjacent_correlation, image, direction)
+                == outcome(reference_correlation, image, direction))
+
+    @pytest.mark.parametrize("block", [128, 200, _BLOCK])
+    def test_tree_is_numpys_summation_tree(self, monkeypatch, block):
+        # adjacent_correlation is bit-identical only if numpy's sum of a
+        # contiguous float64 array follows the tree _tree_sum descends. A
+        # numpy that sums in another order fails here under this name.
+        monkeypatch.setattr(metrics, "_BLOCK", block)
+        rng = np.random.default_rng(block)
+        lengths = [*range(1, 301), _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                   2 * _BLOCK - 8, 2 * _BLOCK, 2 * _BLOCK + 8, 1_047_552]
+        for n in lengths:
+            # Magnitudes over 16 decades: nearly any other order rounds differently.
+            arr = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+            got = _tree_sum(lambda lo, k: arr[lo:lo + k].sum(), 0, n)
+            assert got.hex() == arr.sum().hex(), n
+
+    @pytest.mark.parametrize("shape,directions", [
+        ((2048, 2048), DIRECTIONS), ((1, 2 ** 21), ("horizontal",))])
+    def test_memory_does_not_grow_with_pairs(self, shape, directions):
+        # Two block buffers and numpy's own small iterator buffers, where a
+        # whole-array form needs two float64 arrays of m pairs (32 MiB each).
+        image = make_image(np.random.default_rng(4).integers(0, 256, shape, np.uint8))
+        for direction in directions:
+            tracemalloc.start()
+            try:
+                adjacent_correlation(image, direction)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 8 * _BLOCK + 256 * 1024
 
 
 class TestPopulationCorrelation:
@@ -283,6 +344,19 @@ class TestChiSquare:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="finite and non-negative"):
                 chi_square_uniform(counts)
+
+
+class TestInputs:
+    @pytest.mark.parametrize("metric", [
+        histogram, shannon_entropy, lambda image: adjacent_correlation(image, "horizontal")])
+    def test_bare_array_is_refused(self, metric):
+        with pytest.raises(DomainError, match="image must be a GrayImage, got ndarray"):
+            metric(np.zeros((2, 2), np.uint8))
+
+    @pytest.mark.parametrize("counts", [["a", "b"], [[1, 2], [3]], [1 + 2j, 3]])
+    def test_chi_square_refuses_counts_that_are_not_real_numbers(self, counts):
+        with pytest.raises(DomainError, match="integers or floats"):
+            chi_square_uniform(counts)
 
 
 class TestEfficiencyIndex:
