@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""Smoke test of the CLI's encrypt, decrypt and keystream on the standard
-library alone: it needs neither numpy nor pytest.
+"""Smoke test of the CLI's encrypt, decrypt, keystream and index on the
+standard library alone: it needs neither numpy nor pytest.
 
     PYTHONPATH=src python scripts/cli_smoke.py
 
 It round-trips a 64x64 PGM it writes itself through encrypt and decrypt,
 runs `keystream --format raw` for every vector of tests/known_answers.json
-(the sha256 and zero-byte count must match, a blow-up must exit 3), and
-checks in a child process that the three commands import none of
-UNUSED_BY_CRYPT. Prints the kernel that ran, each failure, and exits 1 if
-there was one.
+(the sha256 and zero-byte count must match, a blow-up must exit 3), runs
+`index` on a two-work scores CSV it writes itself (its label,ic lines must
+match), and checks in child processes that encrypt, decrypt and keystream
+import none of UNUSED_BY_CRYPT and index none of UNUSED_BY_INDEX. Prints
+the kernel that ran, each failure, and exits 1 if there was one.
 """
 
 import hashlib
@@ -25,14 +26,20 @@ from lorenzcipher.cli import run_command
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 UNUSED_BY_CRYPT = ("numpy", "platform", "json", "csv", "numbers")
+UNUSED_BY_INDEX = ("numpy", "platform", "json", "numbers")
+# Each work is best in some category, so every ratio of the index is used.
+SCORES = ("label,corr_h,corr_v,corr_d,entropy\n"
+          "a,0.002,0.004,-0.001,7.99\n"
+          "b,-0.001,0.002,0.004,7.9\n")
+INDEX = "label,ic\na,0.7500\nb,0.8097\n"
 # known_answers.json key -> CLI flag, for the hex-encoded floats.
 FLOATS = {"sigma": "sigma", "rho": "rho", "beta": "beta", "h": "step",
           "x0": "x0", "y0": "y0", "z0": "z0"}
 # Runs each argv, given as one newline-joined argument, and prints the exit
 # statuses and which of the modules named in argv[1] got imported.
-CHILD = """import sys
+CHILD = """import io, sys
 from lorenzcipher.cli import run_command
-codes = [run_command(argv.split("\\n")) for argv in sys.argv[2:]]
+codes = [run_command(argv.split("\\n"), stdout=io.StringIO()) for argv in sys.argv[2:]]
 print(codes, [m for m in sys.argv[1].split() if m in sys.modules])
 """
 
@@ -84,21 +91,36 @@ def known_answers(work: pathlib.Path) -> list[str]:
     return failures
 
 
+def index(work: pathlib.Path) -> list[str]:
+    scores = work / "scores.csv"
+    scores.write_text(SCORES)
+    out, err = io.StringIO(), io.StringIO()
+    code = run_command(["index", str(scores)], stdout=out, stderr=err)
+    if (code, out.getvalue()) != (0, INDEX):
+        return [f"index: exit {code}, got {out.getvalue()!r}: {err.getvalue().strip()}"]
+    return []
+
+
 def import_set(work: pathlib.Path) -> list[str]:
     plain, enc = work / "plain.pgm", work / "enc.pgm"
-    argvs = [["encrypt", str(plain), str(enc)], ["decrypt", str(enc), str(work / "dec.pgm")],
+    crypt = [["encrypt", str(plain), str(enc)], ["decrypt", str(enc), str(work / "dec.pgm")],
              ["keystream", "--rows", "2", "--cols", "3", "--output", str(work / "key.txt")]]
-    done = subprocess.run([sys.executable, "-c", CHILD, " ".join(UNUSED_BY_CRYPT),
-                           *map("\n".join, argvs)], capture_output=True, text=True, timeout=120)
-    if done.stdout != "[0, 0, 0] []\n":
-        return [f"import set: got {done.stdout.strip()!r}, stderr {done.stderr.strip()!r}"]
-    return []
+    failures = []
+    for unused, argvs in ((UNUSED_BY_CRYPT, crypt),
+                          (UNUSED_BY_INDEX, [["index", str(work / "scores.csv")]])):
+        done = subprocess.run([sys.executable, "-c", CHILD, " ".join(unused),
+                               *map("\n".join, argvs)], capture_output=True, text=True,
+                              timeout=120)
+        if done.stdout != f"{[0] * len(argvs)} []\n":
+            failures.append(f"import set of {argvs[0][0]}: got {done.stdout.strip()!r}, "
+                            f"stderr {done.stderr.strip()!r}")
+    return failures
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = pathlib.Path(tmp)
-        failures = round_trip(work) + known_answers(work) + import_set(work)
+        failures = round_trip(work) + known_answers(work) + index(work) + import_set(work)
     print(f"kernel: {kernel_backend()}, Python {sys.version.split()[0]}")
     for failure in failures:
         print(f"FAIL {failure}")

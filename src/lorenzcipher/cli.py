@@ -3,13 +3,14 @@
 Exit codes: 0 success, 1 usage error, 2 I/O or file format error,
 3 numeric or domain error.
 
-encrypt, decrypt and keystream never import numpy: they read and write PGM
-bytes directly and XOR the payload in the key kernel, compiled or pure
-Python. analyze and index import it through the metrics. Nor do the three
-import platform, json, csv or numbers: json is imported only to read
---config, csv only by analyze and index, and numbers only for a key field
-that is not a float. A warning, such as a degenerate keystream's, prints
-as one `warning:` line on stderr that ends with the warning's category.
+Only analyze imports numpy, through the metrics. encrypt, decrypt and
+keystream read and write PGM bytes directly and XOR the payload in the key
+kernel, compiled or pure Python; index computes on plain floats. None of the
+four imports platform, json or numbers: json is imported only to read
+--config, and numbers only for a key field that is not a float. csv is
+imported only by analyze and index. A warning, such as a degenerate
+keystream's, prints as one `warning:` line on stderr that ends with the
+warning's category.
 """
 
 from __future__ import annotations
@@ -109,23 +110,35 @@ def _write_files(outputs) -> None:
     into place only once each is complete. Each temporary name is its own,
     so two outputs to one path leave the last one there, as two plain writes
     would. A target no rename could replace, the empty path or a directory,
-    is refused as open() would refuse it, before anything is staged."""
-    for _, path in outputs:
+    is refused as open() would refuse it, before anything is staged.
+
+    A symlink is resolved first, so the link stays a link and the file it
+    names is replaced. An existing target that is not a regular file, such
+    as a FIFO or a device, is never renamed over: it is written in place
+    once the staged files are renamed."""
+    targets = []
+    for output, path in outputs:
         if not path:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        real = os.path.realpath(path)
+        targets.append((output, real, os.path.exists(real) and not os.path.isfile(real)))
     staged = []
     try:
-        for index, (output, path) in enumerate(outputs):
-            staged.append((f"{path}.{os.getpid()}-{index}.tmp", path))
-            _write(output, staged[-1][0], None)
-        for tmp, path in staged:
-            os.replace(tmp, path)
+        for index, (output, real, in_place) in enumerate(targets):
+            if not in_place:
+                staged.append((f"{real}.{os.getpid()}-{index}.tmp", real))
+                _write(output, staged[-1][0], None)
+        for tmp, real in staged:
+            os.replace(tmp, real)
     finally:
         for tmp, _ in staged:
             if os.path.exists(tmp):
                 os.remove(tmp)
+    for output, real, in_place in targets:
+        if in_place:
+            _write(output, real, None)
 
 
 def _csv_text(*rows) -> str:

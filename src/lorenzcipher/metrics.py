@@ -110,8 +110,16 @@ def adjacent_correlation(image: GrayImage, direction: str) -> float:
     import numpy as np
     x, y = _pair_series(image, direction)
     m = x.size
-    mx = float(x.sum(dtype=np.int64)) / m
-    my = float(y.sum(dtype=np.int64)) / m
+    # Both exact sums from one sum of the image: x leaves out the last dr
+    # rows and dc columns, y the first ones.
+    p = image.pixels
+    dr, dc = _OFFSETS[direction]
+    rows, cols = p.shape
+    total = p.sum(dtype=np.int64)
+    mx = float(total - p[rows - dr:].sum(dtype=np.int64)
+               - p[:rows - dr, cols - dc:].sum(dtype=np.int64)) / m
+    my = float(total - p[:dr].sum(dtype=np.int64)
+               - p[dr:, :dc].sum(dtype=np.int64)) / m
     bufs = np.empty((2, min(m, _BLOCK)))
 
     def moments(lo, n):
@@ -194,10 +202,9 @@ def efficiency_index(scores: list[WorkScores]) -> list[float]:
                     f"not clamped")
         if s.entropy <= 0.0:
             raise DomainError(f"work {s.label!r} has non-positive entropy")
-    import numpy as np
-    ch = np.array([abs(s.corr_h) for s in scores])
-    cv = np.array([abs(s.corr_v) for s in scores])
-    cd = np.array([abs(s.corr_d) for s in scores])
-    en = np.array([s.entropy for s in scores])
-    ratios = (ch.min() / ch + cv.min() / cv + cd.min() / cd + en / en.max())
-    return [float(r) / 4.0 for r in ratios]
+    ch = min(abs(s.corr_h) for s in scores)
+    cv = min(abs(s.corr_v) for s in scores)
+    cd = min(abs(s.corr_d) for s in scores)
+    en = max(s.entropy for s in scores)
+    return [float(ch / abs(s.corr_h) + cv / abs(s.corr_v) + cd / abs(s.corr_d)
+                  + s.entropy / en) / 4.0 for s in scores]

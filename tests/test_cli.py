@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 import warnings
@@ -259,6 +260,39 @@ class TestAnalyze:
         assert (code, out, err) == (0, "", "")
         assert [p.name for p in tmp_path.iterdir()] == ["o.csv"]
         assert both.read_text().startswith("level,count\n0,")
+
+    @pytest.mark.parametrize("exists", [True, False], ids=["target", "dangling"])
+    def test_symlink_target_stays_a_link(self, small_pgm, tmp_path, exists):
+        target, link, hist = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "h.csv"
+        if exists:
+            target.write_text("old\n")
+        link.symlink_to(target)
+        code, out, err = run("analyze", str(small_pgm), "--report", str(link),
+                             "--histogram", str(hist))
+        assert (code, out, err) == (0, "", "")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == run("analyze", str(small_pgm))[1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["h.csv", "link.csv", "target.csv"]
+
+    def test_fifo_target_is_written_in_place(self, small_pgm, tmp_path):
+        # The reader opens without blocking first, so the CLI's open of the
+        # FIFO for writing finds it and returns at once.
+        fifo, hist = tmp_path / "report.fifo", tmp_path / "h.csv"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, out, err = run("analyze", str(small_pgm), "--report", str(fifo),
+                                 "--histogram", str(hist))
+            received = b""
+            while chunk := os.read(reader, 65536):
+                received += chunk
+        finally:
+            os.close(reader)
+        assert (code, out, err) == (0, "", "")
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert received.decode() == run("analyze", str(small_pgm))[1]
+        assert hist.read_text().startswith("level,count\n0,")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["h.csv", "report.fifo"]
 
     @pytest.mark.parametrize("to_file", [True, False], ids=["report-file", "report-stdout"])
     def test_failing_histogram_leaves_no_output(self, small_pgm, tmp_path, to_file):

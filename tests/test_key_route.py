@@ -358,7 +358,7 @@ def test_package_registers_every_traced_function_without_numpy():
 
 
 def test_analyze_and_index_run_in_a_fresh_process(tmp_path):
-    # They import numpy inside the functions that use it.
+    # analyze imports numpy inside the functions that use it; index never does.
     image = tmp_path / "img.pgm"
     image.write_bytes(b"P5 4 3 255\n" + bytes(range(0, 240, 20)))
     scores = tmp_path / "scores.csv"
@@ -367,3 +367,8 @@ def test_analyze_and_index_run_in_a_fresh_process(tmp_path):
         want = io.StringIO()
         assert run_command(argv, stdout=want) == 0
         assert cli(*argv) == (0, want.getvalue(), "")
+    code = ("import sys\n"
+            "from lorenzcipher.cli import run_command\n"
+            "code = run_command(sys.argv[1:])\n"
+            "print(code, 'numpy' in sys.modules)\n")
+    assert run_python("-c", code, "index", str(scores)) == (0, "label,ic\nw,1.0000\n0 False\n", "")

@@ -378,6 +378,12 @@ class TestEfficiencyIndex:
         assert out[2] == pytest.approx(0.5652, abs=5e-4)
         assert out[3] == pytest.approx(0.7198, abs=5e-4)
 
+    def test_published_values_keep_their_bits(self):
+        # The bits the index had while it was computed on numpy arrays.
+        assert [v.hex() for v in efficiency_index(PUBLISHED_WORKS)] == [
+            "0x1.898f5c182eaf8p-1", "0x1.82e8b3d6ed592p-2",
+            "0x1.21676870a2acap-1", "0x1.708658d786d3cp-1"]
+
     def test_zero_correlation_rejected(self):
         rows = [PUBLISHED_WORKS[0],
                 WorkScores("degenerate", 0.0, 0.001, 0.001, 7.9)]
@@ -430,4 +436,4 @@ class TestEfficiencyIndex:
             for value, r in zip(got, rows):
                 want = (ch / abs(r.corr_h) + cv / abs(r.corr_v)
                         + cd / abs(r.corr_d) + r.entropy / en) / 4.0
-                assert value == pytest.approx(want, rel=1e-12)
+                assert value == want
