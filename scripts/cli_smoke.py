@@ -5,17 +5,21 @@ standard library alone: it needs neither numpy nor pytest.
     PYTHONPATH=src python scripts/cli_smoke.py
 
 It round-trips a 64x64 PGM it writes itself through encrypt and decrypt,
-runs `keystream --format raw` for every vector of tests/known_answers.json
-(the sha256 and zero-byte count must match, a blow-up must exit 3), runs
-`index` on a two-work scores CSV it writes itself (its label,ic lines must
-match), and checks in child processes that encrypt, decrypt and keystream
-import none of UNUSED_BY_CRYPT and index none of UNUSED_BY_INDEX. Prints
-the kernel that ran, each failure, and exits 1 if there was one.
+encrypts it again to /dev/stdout in a child process whose stdout is a pipe
+(the bytes on the pipe must be the encrypted file's; skipped where there is
+no /dev/stdout), runs `keystream --format raw` for every vector of
+tests/known_answers.json (the sha256 and zero-byte count must match, a
+blow-up must exit 3), runs `index` on a two-work scores CSV it writes itself
+(its label,ic lines must match), and checks in child processes that
+encrypt, decrypt and keystream import none of UNUSED_BY_CRYPT and index
+none of UNUSED_BY_INDEX. Prints the kernel that ran, each failure, and
+exits 1 if there was one.
 """
 
 import hashlib
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -32,6 +36,8 @@ SCORES = ("label,corr_h,corr_v,corr_d,entropy\n"
           "a,0.002,0.004,-0.001,7.99\n"
           "b,-0.001,0.002,0.004,7.9\n")
 INDEX = "label,ic\na,0.7500\nb,0.8097\n"
+# The round trip's key flags.
+FLAGS = ["--step", "0.01", "--strategy", "minmax-scale"]
 # known_answers.json key -> CLI flag, for the hex-encoded floats.
 FLOATS = {"sigma": "sigma", "rho": "rho", "beta": "beta", "h": "step",
           "x0": "x0", "y0": "y0", "z0": "z0"}
@@ -54,11 +60,10 @@ def round_trip(work: pathlib.Path) -> list[str]:
     plain, enc, dec, key = (work / name for name in ("plain.pgm", "enc.pgm", "dec.pgm", "key.bin"))
     pixels = bytes(range(256)) * 16
     plain.write_bytes(b"P5\n64 64\n255\n" + pixels)
-    flags = ["--step", "0.01", "--strategy", "minmax-scale"]
-    runs = [cli("encrypt", str(plain), str(enc), *flags),
-            cli("decrypt", str(enc), str(dec), *flags),
+    runs = [cli("encrypt", str(plain), str(enc), *FLAGS),
+            cli("decrypt", str(enc), str(dec), *FLAGS),
             cli("keystream", "--rows", "64", "--cols", "64", "--format", "raw",
-                "--output", str(key), *flags)]
+                "--output", str(key), *FLAGS)]
     if any(code for code, _ in runs):
         return [f"round trip: exit statuses {[code for code, _ in runs]}: "
                 + "".join(err for _, err in runs)]
@@ -69,6 +74,20 @@ def round_trip(work: pathlib.Path) -> list[str]:
     if dec.read_bytes() != plain.read_bytes():
         failures.append("round trip: decrypt did not restore the plaintext")
     return failures
+
+
+def to_piped_stdout(work: pathlib.Path) -> list[str]:
+    """Encrypt round_trip's plaintext to /dev/stdout, here a pipe, which the
+    CLI writes in place: the bytes must be those of its encrypted file."""
+    if not os.path.exists("/dev/stdout"):
+        return []
+    done = subprocess.run([sys.executable, "-m", "lorenzcipher.cli", "encrypt",
+                           str(work / "plain.pgm"), "/dev/stdout", *FLAGS],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120)
+    if (done.returncode, done.stdout) != (0, (work / "enc.pgm").read_bytes()):
+        return [f"encrypt to /dev/stdout on a pipe: exit {done.returncode}, "
+                f"{len(done.stdout)} bytes: {done.stderr.decode().strip()}"]
+    return []
 
 
 def known_answers(work: pathlib.Path) -> list[str]:
@@ -120,7 +139,8 @@ def import_set(work: pathlib.Path) -> list[str]:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = pathlib.Path(tmp)
-        failures = round_trip(work) + known_answers(work) + index(work) + import_set(work)
+        failures = (round_trip(work) + to_piped_stdout(work) + known_answers(work)
+                    + index(work) + import_set(work))
     print(f"kernel: {kernel_backend()}, Python {sys.version.split()[0]}")
     for failure in failures:
         print(f"FAIL {failure}")

@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 I/O or file format error,
 3 numeric or domain error.
 
+Each command returns its (output, path) pairs, and run_command writes them
+all through one writer after it returns, so a command that fails writes nothing.
+
 Only analyze imports numpy, through the metrics. encrypt, decrypt and
 keystream read and write PGM bytes directly and XOR the payload in the key
 kernel, compiled or pure Python; index computes on plain floats. None of the
@@ -20,6 +23,7 @@ import contextlib
 import errno
 import io
 import os
+import stat
 import sys
 import warnings
 from dataclasses import fields, replace
@@ -90,55 +94,59 @@ def _read_text(path, kind: str) -> str:
             raise FileFormatError(f"{kind} {path}: not UTF-8 at byte {e.start}") from None
 
 
-def _write(output: str | bytes, path, stdout) -> None:
-    """Write one command's whole output to the file at `path`, or to stdout
-    when path is None."""
-    if path is not None:
-        with open(path, "wb") as fh:
-            fh.write(output.encode("utf-8") if isinstance(output, str) else output)
-    elif isinstance(output, str):
-        stdout.write(output)
-    elif hasattr(stdout, "buffer"):
-        stdout.buffer.write(output)
-    else:
-        raise _UsageError("raw keystream output needs --output or a binary stdout")
-
-
-def _write_files(outputs) -> None:
-    """Write each (output, path) pair, or none of them: every file is first
-    written beside its target under a temporary name, and all are renamed
-    into place only once each is complete. Each temporary name is its own,
-    so two outputs to one path leave the last one there, as two plain writes
-    would. A target no rename could replace, the empty path or a directory,
-    is refused as open() would refuse it, before anything is staged.
-
-    A symlink is resolved first, so the link stays a link and the file it
-    names is replaced. An existing target that is not a regular file, such
-    as a FIFO or a device, is never renamed over: it is written in place
-    once the staged files are renamed."""
-    targets = []
+def _write(outputs, stdout) -> None:
+    """Write one command's (output, path) pairs: every file or none, then
+    each output whose path is None to stdout. The empty path and a
+    directory are refused first, as open() refuses them. A target that
+    exists and is not a regular file (a FIFO, a device, /dev/stdout on a
+    pipe) is written in place through the path as given, after the rest.
+    Every other file is written beside os.path.realpath(path) under a name
+    of its own and renamed into place once all are complete, so a symlink
+    stays a link, and two outputs to one path leave the last one there."""
+    files = []
     for output, path in outputs:
+        if path is None:
+            continue
         if not path:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-        if os.path.isdir(path):
+        try:
+            mode = os.stat(path).st_mode
+        except OSError:  # missing, or a fault that the staged write reports
+            mode = stat.S_IFREG
+        if stat.S_ISDIR(mode):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        real = os.path.realpath(path)
-        targets.append((output, real, os.path.exists(real) and not os.path.isfile(real)))
+        data = output.encode("utf-8") if isinstance(output, str) else output
+        files.append((data, path, not stat.S_ISREG(mode)))
     staged = []
     try:
-        for index, (output, real, in_place) in enumerate(targets):
+        for index, (data, path, in_place) in enumerate(files):
             if not in_place:
+                real = os.path.realpath(path)
                 staged.append((f"{real}.{os.getpid()}-{index}.tmp", real))
-                _write(output, staged[-1][0], None)
+                try:
+                    with open(staged[-1][0], "wb") as fh:
+                        fh.write(data)
+                except OSError as e:
+                    if e.filename is not None:  # name the target, not its temporary file
+                        e.filename = path
+                    raise
         for tmp, real in staged:
             os.replace(tmp, real)
     finally:
         for tmp, _ in staged:
             if os.path.exists(tmp):
                 os.remove(tmp)
-    for output, real, in_place in targets:
+    for data, path, in_place in files:
         if in_place:
-            _write(output, real, None)
+            with open(path, "wb") as fh:
+                fh.write(data)
+    for output in (output for output, path in outputs if path is None):
+        if isinstance(output, str):
+            stdout.write(output)
+        elif hasattr(stdout, "buffer"):
+            stdout.buffer.write(output)
+        else:
+            raise _UsageError("raw keystream output needs --output or a binary stdout")
 
 
 def _csv_text(*rows) -> str:
@@ -183,30 +191,28 @@ def _build_key_inputs(args) -> tuple[LorenzParams, LorenzState, partial]:
             partial(KeystreamConfig, **chosen[KeystreamConfig]))
 
 
-def _cmd_crypt(args, stdout) -> None:
+def _cmd_crypt(args) -> list:
     params, initial, make_config = _build_key_inputs(args)
     with open(args.input, "rb") as fh:
         rows, cols, payload = _decode_pgm(fh.read())
     output = _xor_keystream(params, initial, make_config(rows, cols), payload)
-    _write(_pgm_header(rows, cols) + output, args.output, stdout)  # a path, never None
+    return [(_pgm_header(rows, cols) + output, args.output)]  # a path, never None
 
 
-def _cmd_keystream(args, stdout) -> None:
+def _cmd_keystream(args) -> list:
     params, initial, make_config = _build_key_inputs(args)
     key = _xor_keystream(params, initial, make_config(args.rows, args.cols))
-    _write(key.hex() + "\n" if args.format == "hex" else key, args.output, stdout)
+    return [(key.hex() + "\n" if args.format == "hex" else key, args.output)]
 
 
-def _cmd_analyze(args, stdout) -> None:
+def _cmd_analyze(args) -> list:
     image = read_pgm(args.input)
     report = _csv_text(("metric", "value"), ("entropy", shannon_entropy(image)), *(
         (f"corr_{d}", adjacent_correlation(image, d)) for d in DIRECTIONS))
-    if args.histogram is not None:
-        counts = _csv_text(("level", "count"), *enumerate(histogram(image)))
-        if args.report is not None:
-            return _write_files([(report, args.report), (counts, args.histogram)])
-        _write(counts, args.histogram, stdout)  # first, so a failure prints nothing
-    _write(report, args.report, stdout)
+    if args.histogram is None:
+        return [(report, args.report)]
+    counts = _csv_text(("level", "count"), *enumerate(histogram(image)))
+    return [(report, args.report), (counts, args.histogram)]
 
 
 def _read_scores(path) -> list[WorkScores]:
@@ -237,10 +243,10 @@ def _read_scores(path) -> list[WorkScores]:
     return scores
 
 
-def _cmd_index(args, stdout) -> None:
+def _cmd_index(args) -> list:
     scores = _read_scores(args.scores)
     rows = [(work.label, f"{ic:.4f}") for work, ic in zip(scores, efficiency_index(scores))]
-    _write(_csv_text(("label", "ic"), *rows), None, stdout)
+    return [(_csv_text(("label", "ic"), *rows), None)]
 
 
 def _build_parser() -> _Parser:
@@ -295,7 +301,7 @@ def _show_warning(stderr, message, category, *_) -> None:
 
 
 def run_command(argv, stdout=None, stderr=None) -> int:
-    """Parse argv and run one subcommand, returning the exit status."""
+    """Parse argv, run one subcommand, write its outputs; return the exit status."""
     stdout = sys.stdout if stdout is None else stdout
     stderr = sys.stderr if stderr is None else stderr
     try:
@@ -303,7 +309,7 @@ def run_command(argv, stdout=None, stderr=None) -> int:
             args = _build_parser().parse_args(argv)
         with warnings.catch_warnings():  # keeps the -W and PYTHONWARNINGS filters
             warnings.showwarning = partial(_show_warning, stderr)
-            args.func(args, stdout)
+            _write(args.func(args), stdout)
         return 0
     except _UsageError as e:
         print(f"usage error: {e}", file=stderr)

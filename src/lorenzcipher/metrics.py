@@ -54,18 +54,6 @@ def _pixels(image: GrayImage) -> np.ndarray:
     return image.pixels
 
 
-def _pair_series(image: GrayImage, direction: str) -> tuple[np.ndarray, np.ndarray]:
-    p = _pixels(image)
-    if direction not in DIRECTIONS:
-        raise DomainError(f"unknown direction {direction!r}, expected one of {DIRECTIONS}")
-    dr, dc = _OFFSETS[direction]
-    rows, cols = p.shape
-    if rows <= dr or cols <= dc:
-        raise DomainError(f"{direction} pairs need an image of at least "
-                          f"{dr + 1}x{dc + 1}, got {rows}x{cols}")
-    return p[:rows - dr, :cols - dc], p[dr:, dc:]
-
-
 def _tree_sum(leaf, lo: int, n: int):
     """numpy's sum of items lo .. lo + n - 1 of a contiguous float64 array,
     with each subtree of at most _BLOCK items summed by leaf(lo, n).
@@ -108,13 +96,18 @@ def adjacent_correlation(image: GrayImage, direction: str) -> float:
     does not grow with m. Bit-identical to the oracle in tests/test_metrics.py.
     """
     import numpy as np
-    x, y = _pair_series(image, direction)
+    p = _pixels(image)
+    if direction not in DIRECTIONS:
+        raise DomainError(f"unknown direction {direction!r}, expected one of {DIRECTIONS}")
+    dr, dc = _OFFSETS[direction]
+    rows, cols = p.shape
+    if rows <= dr or cols <= dc:
+        raise DomainError(f"{direction} pairs need an image of at least "
+                          f"{dr + 1}x{dc + 1}, got {rows}x{cols}")
+    x, y = p[:rows - dr, :cols - dc], p[dr:, dc:]
     m = x.size
     # Both exact sums from one sum of the image: x leaves out the last dr
     # rows and dc columns, y the first ones.
-    p = image.pixels
-    dr, dc = _OFFSETS[direction]
-    rows, cols = p.shape
     total = p.sum(dtype=np.int64)
     mx = float(total - p[rows - dr:].sum(dtype=np.int64)
                - p[:rows - dr, cols - dc:].sum(dtype=np.int64)) / m

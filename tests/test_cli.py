@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, file round trips, report formats, config files."""
 
 import csv
+import errno
 import io
 import json
 import os
@@ -56,6 +57,39 @@ def cipher_run(tmp_path_factory):
     code, _, err = run("encrypt", str(plain), str(cipher), "--step", "0.01")
     assert code == 0, err
     return plain, cipher
+
+
+# Each command's file output, as argv with the target under test at {out}.
+# analyze also writes a histogram beside it, so that it stages two files.
+FILE_WRITERS = {
+    "encrypt": ["encrypt", "{image}", "{out}", *WORKING],
+    "keystream": ["keystream", "--rows", "4", "--cols", "4", "--output", "{out}", *WORKING],
+    "analyze": ["analyze", "{image}", "--report", "{out}", "--histogram", "{dir}/h.csv"],
+}
+
+
+def run_writer(command, image, out):
+    """run() of one FILE_WRITERS command, its output at the path `out`."""
+    return run(*(arg.format(image=image, out=out, dir=out.parent)
+                 for arg in FILE_WRITERS[command]))
+
+
+def files_in(directory, *skip):
+    """The bytes of each file in `directory` by name, but for those in skip."""
+    return {p.name: p.read_bytes() for p in directory.iterdir() if p.name not in skip}
+
+
+@pytest.fixture(scope="module")
+def plain_outputs(small_pgm, tmp_path_factory):
+    """Per FILE_WRITERS command, its output's bytes and its other files by
+    name, as it writes them to new plain files."""
+    outputs = {}
+    for command in FILE_WRITERS:
+        base = tmp_path_factory.mktemp(command)
+        code, _, err = run_writer(command, small_pgm, base / "out")
+        assert code == 0, err
+        outputs[command] = (base / "out").read_bytes(), files_in(base, "out")
+    return outputs
 
 
 class TestUsage:
@@ -124,8 +158,10 @@ class TestCrypt:
             assert "file format error" in err and why in err
 
     def test_unwritable_output(self, small_pgm, tmp_path):
+        # The error names the target, not the temporary file staged beside it.
         target = tmp_path / "missing-dir" / "o.pgm"
-        assert run("encrypt", str(small_pgm), str(target), *WORKING)[0] == 2
+        code, _, err = run("encrypt", str(small_pgm), str(target), *WORKING)
+        assert (code, err) == (2, f"i/o error: [Errno 2] No such file or directory: '{target}'\n")
 
     def test_empty_output_path_is_io_error(self, small_pgm):
         # The output is a file path; "" is not one, and stdout gets nothing.
@@ -261,28 +297,32 @@ class TestAnalyze:
         assert [p.name for p in tmp_path.iterdir()] == ["o.csv"]
         assert both.read_text().startswith("level,count\n0,")
 
-    @pytest.mark.parametrize("exists", [True, False], ids=["target", "dangling"])
-    def test_symlink_target_stays_a_link(self, small_pgm, tmp_path, exists):
-        target, link, hist = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "h.csv"
+    @pytest.mark.parametrize("command, exists", [
+        ("analyze", True), ("analyze", False), ("encrypt", True), ("encrypt", False),
+        ("keystream", True), ("keystream", False),
+    ], ids=["target", "dangling", "encrypt-target", "encrypt-dangling",
+            "keystream-target", "keystream-dangling"])
+    def test_symlink_target_stays_a_link(self, small_pgm, tmp_path, plain_outputs,
+                                         command, exists):
+        target, link = tmp_path / "target", tmp_path / "link"
         if exists:
             target.write_text("old\n")
         link.symlink_to(target)
-        code, out, err = run("analyze", str(small_pgm), "--report", str(link),
-                             "--histogram", str(hist))
+        code, out, err = run_writer(command, small_pgm, link)
         assert (code, out, err) == (0, "", "")
         assert link.is_symlink() and os.readlink(link) == str(target)
-        assert target.read_text() == run("analyze", str(small_pgm))[1]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["h.csv", "link.csv", "target.csv"]
+        assert target.read_bytes() == plain_outputs[command][0]
+        assert files_in(tmp_path, "link", "target") == plain_outputs[command][1]
 
-    def test_fifo_target_is_written_in_place(self, small_pgm, tmp_path):
+    @pytest.mark.parametrize("command", FILE_WRITERS)
+    def test_fifo_target_is_written_in_place(self, small_pgm, tmp_path, plain_outputs, command):
         # The reader opens without blocking first, so the CLI's open of the
         # FIFO for writing finds it and returns at once.
-        fifo, hist = tmp_path / "report.fifo", tmp_path / "h.csv"
+        fifo = tmp_path / "out.fifo"
         os.mkfifo(fifo)
         reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
         try:
-            code, out, err = run("analyze", str(small_pgm), "--report", str(fifo),
-                                 "--histogram", str(hist))
+            code, out, err = run_writer(command, small_pgm, fifo)
             received = b""
             while chunk := os.read(reader, 65536):
                 received += chunk
@@ -290,9 +330,8 @@ class TestAnalyze:
             os.close(reader)
         assert (code, out, err) == (0, "", "")
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
-        assert received.decode() == run("analyze", str(small_pgm))[1]
-        assert hist.read_text().startswith("level,count\n0,")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["h.csv", "report.fifo"]
+        assert received == plain_outputs[command][0]
+        assert files_in(tmp_path, "out.fifo") == plain_outputs[command][1]
 
     @pytest.mark.parametrize("to_file", [True, False], ids=["report-file", "report-stdout"])
     def test_failing_histogram_leaves_no_output(self, small_pgm, tmp_path, to_file):
@@ -305,19 +344,23 @@ class TestAnalyze:
         assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
         assert report.read_text() == "old\n"
 
-    @pytest.mark.parametrize("report_first", [True, False])
-    def test_directory_target_writes_nothing(self, small_pgm, tmp_path, report_first):
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{image}", "--report", "{file}", "--histogram", "{dir}"],
+        ["analyze", "{image}", "--report", "{dir}", "--histogram", "{file}"],
+        ["encrypt", "{image}", "{dir}", *WORKING],
+        ["keystream", "--rows", "4", "--cols", "4", "--output", "{dir}", *WORKING],
+    ], ids=["True", "False", "encrypt", "keystream"])
+    def test_directory_target_writes_nothing(self, small_pgm, tmp_path, argv):
         # A directory cannot be replaced by a file, so it is refused before
-        # either output is staged, and the other target is left alone.
-        (tmp_path / "hdir").mkdir()
-        report, hdir = str(tmp_path / "r.csv"), str(tmp_path / "hdir")
-        targets = (report, hdir) if report_first else (hdir, report)
-        code, out, err = run("analyze", str(small_pgm), "--report", targets[0],
-                             "--histogram", targets[1])
+        # any output is staged, and another target is left alone.
+        hdir = tmp_path / "hdir"
+        hdir.mkdir()
+        code, out, err = run(*(arg.format(image=small_pgm, file=tmp_path / "r.csv", dir=hdir)
+                               for arg in argv))
         assert (code, out) == (2, "")
         assert err == f"i/o error: [Errno 21] Is a directory: '{hdir}'\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["hdir"]
-        assert list((tmp_path / "hdir").iterdir()) == []
+        assert list(hdir.iterdir()) == []
 
     def test_constant_image_is_domain_error(self, tmp_path):
         flat = tmp_path / "flat.pgm"
@@ -366,6 +409,51 @@ def test_empty_output_path_writes_nothing(small_pgm, tmp_path, monkeypatch, argv
     assert (code, raw.getvalue()) == (2, b"")
     assert err.getvalue() == "i/o error: [Errno 2] No such file or directory: ''\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def full_disk_open(file, mode="r", *args, **kwargs):
+    """open(), but each write to a file opened for writing fails with
+    ENOSPC, after the open has created or truncated it as the real one does."""
+    fh = open(file, mode, *args, **kwargs)
+    if "w" in mode:
+        def write(data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        fh.write = write
+    return fh
+
+
+@pytest.mark.parametrize("argv", [
+    ["encrypt", "{image}", "{out}", *WORKING],
+    ["keystream", "--rows", "4", "--cols", "4", "--output", "{out}", *WORKING],
+    ["analyze", "{image}", "--report", "{out}"],
+], ids=["encrypt", "keystream", "analyze-report"])
+def test_failed_write_keeps_the_old_output(small_pgm, tmp_path, monkeypatch, argv):
+    # A write that fails part way, as on a full disk, exits 2 and leaves the
+    # file that was there, with no temporary file beside it.
+    out = tmp_path / "out"
+    out.write_bytes(b"previous ciphertext")
+    monkeypatch.setattr("lorenzcipher.cli.open", full_disk_open, raising=False)
+    code, stdout, err = run(*(arg.format(image=small_pgm, out=out) for arg in argv))
+    assert (code, stdout) == (2, "")
+    assert err == "i/o error: [Errno 28] No space left on device\n"
+    assert out.read_bytes() == b"previous ciphertext"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_report_to_dev_stdout_on_a_pipe(small_pgm, tmp_path):
+    # /dev/stdout names the pipe, not a regular file, so the report is
+    # written in place through it once the histogram is renamed into place.
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "lorenzcipher.cli", "analyze", str(small_pgm),
+         "--report", "/dev/stdout", "--histogram", str(tmp_path / "h.csv")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.decode() == run("analyze", str(small_pgm))[1]
+    assert (tmp_path / "h.csv").read_text().startswith("level,count\n0,")
+    assert [p.name for p in tmp_path.iterdir()] == ["h.csv"]
 
 
 # The warning encrypt gives at the default step h = 1e-6, whose keystream

@@ -21,7 +21,7 @@ from lorenzcipher import (DIRECTIONS, DomainError, LorenzCipherError,
                           chi_square_uniform, efficiency_index, histogram,
                           shannon_entropy)
 from lorenzcipher import metrics
-from lorenzcipher.metrics import _BLOCK, _pair_series, _tree_sum
+from lorenzcipher.metrics import _BLOCK, _tree_sum
 
 def oracle_correlation(xs, ys):
     n = len(xs)
@@ -63,14 +63,30 @@ def oracle_entropy(pixels):
     return h
 
 
+# The (row, col) offset from each pixel to its neighbour, per direction.
+OFFSETS = {"horizontal": (0, 1), "vertical": (1, 0), "diagonal": (1, 1)}
+
+
+def reference_pairs(p, direction):
+    """Each pixel of `p` that has a neighbour in `direction`, and that neighbour."""
+    dr, dc = OFFSETS[direction]
+    rows, cols = p.shape
+    return p[:rows - dr, :cols - dc], p[dr:, dc:]
+
+
 def reference_correlation(image, direction):
     """The correlation as computed from float64 copies of both series.
 
     Two float64 copies, two centred copies and three product arrays: the
     straightforward population form, kept as the oracle that the buffered
-    library version must match bit for bit.
+    library version must match bit for bit. It slices its own pairs, and
+    refuses an image too small to hold one with the library's message.
     """
-    x, y = _pair_series(image, direction)
+    x, y = reference_pairs(image.pixels, direction)
+    if x.size == 0:
+        dr, dc = OFFSETS[direction]
+        raise DomainError(f"{direction} pairs need an image of at least "
+                          f"{dr + 1}x{dc + 1}, got {image.rows}x{image.cols}")
     x = x.astype(np.float64).ravel()
     y = y.astype(np.float64).ravel()
     dx = x - x.mean()
@@ -155,7 +171,7 @@ class TestBitIdentity:
         pixels = (rng.integers(0, 256, shape, dtype=np.uint8) if texture == "noise"
                   else smooth_texture(rng, *shape))
         image = make_image(pixels)
-        assert _pair_series(image, direction)[0].size > _BLOCK - 2
+        assert reference_pairs(pixels, direction)[0].size > _BLOCK - 2
         assert (outcome(adjacent_correlation, image, direction)
                 == outcome(reference_correlation, image, direction))
 
