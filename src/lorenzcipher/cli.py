@@ -33,8 +33,8 @@ from .errors import DomainError, FileFormatError
 from .keystream import STRATEGIES, KeystreamConfig, _xor_keystream
 from .lorenz import (COMPONENTS, DEFAULT_INITIAL, DEFAULT_PARAMS, LorenzParams,
                      LorenzState)
-from .metrics import (DIRECTIONS, WorkScores, adjacent_correlation,
-                      efficiency_index, histogram, shannon_entropy)
+from .metrics import (DIRECTIONS, WorkScores, _entropy, adjacent_correlation,
+                      efficiency_index, histogram)
 from .pgm import _decode_pgm, _pgm_header, read_pgm
 
 __all__ = ["run_command", "main"]
@@ -207,12 +207,13 @@ def _cmd_keystream(args) -> list:
 
 def _cmd_analyze(args) -> list:
     image = read_pgm(args.input)
-    report = _csv_text(("metric", "value"), ("entropy", shannon_entropy(image)), *(
+    counts = histogram(image)
+    report = _csv_text(("metric", "value"), ("entropy", _entropy(counts)), *(
         (f"corr_{d}", adjacent_correlation(image, d)) for d in DIRECTIONS))
     if args.histogram is None:
         return [(report, args.report)]
-    counts = _csv_text(("level", "count"), *enumerate(histogram(image)))
-    return [(report, args.report), (counts, args.histogram)]
+    return [(report, args.report),
+            (_csv_text(("level", "count"), *enumerate(counts)), args.histogram)]
 
 
 def _read_scores(path) -> list[WorkScores]:

@@ -85,7 +85,7 @@ def parse_pgm(buf: bytes) -> GrayImage:
 
 def encode_pgm(image: GrayImage) -> bytes:
     """Encode an image as binary PGM with maxval 255."""
-    return _pgm_header(image.rows, image.cols) + image.pixels.tobytes()
+    return b"".join((_pgm_header(image.rows, image.cols), image.pixels))
 
 
 def read_pgm(path) -> GrayImage:

@@ -8,6 +8,7 @@ numeric mismatch rather than a silent bias.
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from lorenzcipher import (DIRECTIONS, DomainError, LorenzCipherError,
                           WorkScores, adjacent_correlation,
                           chi_square_uniform, efficiency_index, histogram,
                           shannon_entropy)
-from lorenzcipher import metrics
-from lorenzcipher.metrics import _BLOCK, _tree_sum
+from lorenzcipher import encode_pgm, metrics, parse_pgm
+from lorenzcipher.metrics import _BLOCK, _WORDS, _tree_sum
 
 def oracle_correlation(xs, ys):
     n = len(xs)
@@ -331,6 +332,56 @@ class TestEntropyAndHistogram:
     @given(arrays(np.uint8, (5, 7)))
     def test_histogram_conserves_pixels(self, pixels):
         assert histogram(make_image(pixels)).sum() == pixels.size
+
+    @staticmethod
+    def assert_counts_every_byte(image):
+        counts = histogram(image)
+        assert counts.dtype == np.int64 and counts.shape == (256,)
+        seen = Counter(image.pixels.tobytes())
+        assert counts.tolist() == [seen[level] for level in range(256)]
+
+    # Odd and even pixel counts, an odd last pixel after one full chunk of
+    # pixel pairs, and a second chunk holding a single pair.
+    @pytest.mark.parametrize("shape", [
+        (1, 1), (1, 2), (2, 1), (3, 5), (1, 2 * _WORDS - 1),
+        (1, 2 * _WORDS + 1), (2 * _WORDS + 3, 1)])
+    def test_histogram_matches_byte_counter(self, shape):
+        rng = np.random.default_rng(shape)
+        self.assert_counts_every_byte(make_image(rng.integers(0, 256, shape, np.uint8)))
+
+    @pytest.mark.parametrize("level", [0, 1, 128, 255])
+    def test_histogram_of_one_level(self, level):
+        self.assert_counts_every_byte(make_image(np.full((7, 9), level, np.uint8)))
+
+    def test_histogram_of_every_level(self):
+        self.assert_counts_every_byte(make_image(np.arange(17 * 257).reshape(17, 257) % 256))
+
+    @given(arrays(np.uint8, st.tuples(st.integers(1, 9), st.integers(1, 9))))
+    def test_histogram_matches_bincount(self, pixels):
+        want = np.bincount(pixels.ravel(), minlength=256)
+        assert np.array_equal(histogram(make_image(pixels)), want)
+
+    def test_histogram_of_unaligned_pixels(self):
+        # parse_pgm keeps the pixels in the PGM's buffer, 17 bytes past its
+        # start, so the pixel pairs are read from an odd address.
+        pixels = np.random.default_rng(9).integers(0, 256, (1024, 1024), np.uint8)
+        image = parse_pgm(encode_pgm(make_image(pixels)))
+        assert image.pixels.ctypes.data % 2 == 1
+        self.assert_counts_every_byte(image)
+
+    @pytest.mark.parametrize("shape", [(2048, 2048), (1, 2 ** 22)])
+    @pytest.mark.parametrize("metric", [histogram, shannon_entropy])
+    def test_memory_does_not_grow_with_pixels(self, shape, metric):
+        # One chunk's intp copy and two 65,536-bin counts, where counting the
+        # whole image at once casts it to intp: 8 bytes a pixel, 32 MiB here.
+        image = make_image(np.random.default_rng(5).integers(0, 256, shape, np.uint8))
+        tracemalloc.start()
+        try:
+            metric(image)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 class TestChiSquare:

@@ -1,5 +1,7 @@
 """Binary PGM codec tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -137,6 +139,25 @@ class TestEncode:
     def test_round_trip(self, pixels):
         back = parse_pgm(encode_pgm(make_image(pixels)))
         assert np.array_equal(back.pixels, pixels)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (7, 1), (1, 9), (1024, 1024)])
+    def test_bytes_are_header_then_pixels(self, shape):
+        rows, cols = shape
+        header = f"P5\n{cols} {rows}\n255\n".encode()
+        pixels = np.random.default_rng(shape).integers(0, 256, shape, np.uint8)
+        # parse_pgm's image views the pixels inside the PGM's own buffer.
+        for image in make_image(pixels), parse_pgm(header + pixels.tobytes()):
+            assert encode_pgm(image) == header + pixels.tobytes()
+
+    def test_pixels_are_copied_once(self):
+        image = make_image(np.random.default_rng(2).integers(0, 256, (2048, 2048), np.uint8))
+        tracemalloc.start()
+        try:
+            encode_pgm(image)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2048 * 2048 + 64 * 1024
 
 
 class TestFileIo:
