@@ -26,7 +26,15 @@ def main(argv=None) -> int:
     ap.add_argument("--strategy", choices=lc.STRATEGIES,
                     default=lc.KeystreamConfig.strategy)
     args = ap.parse_args(argv)
+    try:
+        return report(args)
+    except lc.LorenzCipherError as e:
+        print(f"domain error: {e}", file=sys.stderr)
+        return 3
 
+
+def report(args) -> int:
+    """Print one table row per step."""
     plain = lc.reference_image(args.size, args.size)
     config = lc.KeystreamConfig(rows=args.size, cols=args.size,
                                 strategy=args.strategy)

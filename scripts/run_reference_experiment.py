@@ -45,7 +45,15 @@ def main(argv=None) -> int:
                     default=lc.KeystreamConfig.strategy)
     ap.add_argument("--outdir", help="also write plain/cipher/decrypted PGMs here")
     args = ap.parse_args(argv)
+    try:
+        return experiment(args)
+    except lc.LorenzCipherError as e:
+        print(f"domain error: {e}", file=sys.stderr)
+        return 3
 
+
+def experiment(args) -> int:
+    """Run the experiment and print its report; 0 if the round trip is exact, else 1."""
     t0 = time.perf_counter()
     plain = lc.reference_image(args.size, args.size)
     params = replace(lc.DEFAULT_PARAMS, h=args.step)

@@ -1,11 +1,17 @@
+import json
+import pathlib
+import shutil
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
 
-from lorenzcipher import (GrayImage, KeystreamQualityWarning, LorenzParams,
-                          WorkScores, extract_bytes, generate_keystream,
+from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, DomainError, GrayImage,
+                          KeystreamConfig, KeystreamQualityWarning, LorenzParams,
+                          LorenzState, WorkScores, extract_bytes, generate_keystream,
                           integrate_pair, lorenz, lower_bound_error)
 from lorenzcipher.keystream import _warn_if_degenerate
 
@@ -31,6 +37,54 @@ PUBLISHED_WORKS = [
     WorkScores("work-c", 0.00083, 0.00223, 0.00650, 7.9998),
     WorkScores("work-d", 0.0016, 0.0025, 0.0003, 7.9826),
 ]
+
+
+_CAUSE = lorenz._load_kernel()[1]
+needs_c = pytest.mark.skipif(_CAUSE is not None, reason=f"compiled kernel unavailable: {_CAUSE}")
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="cc not found")
+# The line of _kernel.c that sums RK4's four y stages.
+RK4_Y = "*y = *y + h6 * (k1y + two * k2y + two * k3y + k4y);"
+
+# Full keys with the sha256 and zero count of each keystream or the blow-up it
+# raises, written by scripts/make_known_answers.py from the pure-Python oracle.
+VECTORS = json.loads((pathlib.Path(__file__).parent / "known_answers.json").read_text())
+
+
+def key_of(v):
+    """A vector's (params, initial, config)."""
+    return (LorenzParams(*(float.fromhex(v[n]) for n in ("sigma", "rho", "beta", "h"))),
+            LorenzState(*(float.fromhex(v[n]) for n in ("x0", "y0", "z0"))),
+            KeystreamConfig(v["rows"], v["cols"], v["transient"], v["strategy"], v["component"]))
+
+
+_BLOWUPS = [(key_of(v)[:2], v["error"]["variant"]) for v in VECTORS if "error" in v]
+# The steps at which the paper's key blows up, and the one key whose variant B
+# blows up first, as the script that wrote the vectors chose them.
+BLOWUP_STEPS = [params.h for (params, initial), _ in _BLOWUPS
+                if initial == DEFAULT_INITIAL and replace(params, h=DEFAULT_PARAMS.h) == DEFAULT_PARAMS]
+[VARIANT_B_KEY] = {key for key, variant in _BLOWUPS if variant == "b"}
+
+
+def observe(make):
+    """make()'s bytes, or its error's type, message, variant and step index;
+    and the messages of the KeystreamQualityWarnings it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = bytes(make())
+        except DomainError as e:
+            got = (type(e), str(e), getattr(e, "variant", None), getattr(e, "step_index", None))
+    return got, [str(w.message) for w in caught if w.category is KeystreamQualityWarning]
+
+
+def write_mutant(monkeypatch, tmp_path, right, wrong):
+    """Point the loader at a copy of _kernel.c with the line `right` changed to `wrong`."""
+    with open(lorenz._KERNEL_SOURCE) as fh:
+        source = fh.read()
+    assert source.count(right) == 1
+    mutant = tmp_path / "mutant.c"
+    mutant.write_text(source.replace(right, wrong))
+    monkeypatch.setattr(lorenz, "_KERNEL_SOURCE", str(mutant))
 
 
 def quiet_keystream(params, initial, config):

@@ -1,6 +1,7 @@
 """The compiled key kernel against the pure-Python one, and its fallback."""
 
 import array
+import itertools
 import logging
 import os
 import platform
@@ -18,37 +19,34 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import WORKING_PARAMS, pure_python, quiet_keystream, reference_keystream
-from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, DomainError,
-                          KeystreamConfig, KeystreamQualityWarning,
-                          LorenzParams, LorenzState, kernel_backend, lorenz)
+from conftest import (BLOWUP_STEPS, RK4_Y, WORKING_PARAMS, needs_c, needs_cc, observe,
+                      quiet_keystream, reference_keystream, write_mutant)
+from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, KeystreamConfig,
+                          KeystreamQualityWarning, LorenzParams, LorenzState,
+                          kernel_backend, lorenz)
 from lorenzcipher.keystream import STRATEGIES
 from lorenzcipher.lorenz import COMPONENTS
+import test_key_route
 
-BLOWUP_STEPS = (0.1, 0.2, 0.5, 1.0, 10.0)
 # Each link of a chain starts from the state the one before it ended in.
 CHAIN = (1, 2, 8, 64, 3000)
-
-_CAUSE = lorenz._load_kernel()[1]
-needs_c = pytest.mark.skipif(
-    _CAUSE is not None, reason=f"compiled kernel unavailable: {_CAUSE}")
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="cc not found")
-# The line of _kernel.c that sums RK4's four y stages.
-RK4_Y = "*y = *y + h6 * (k1y + two * k2y + two * k3y + k4y);"
 
 
 def run_key(kernel, state, params, n, component, strategy, transient=0):
     """`kernel`'s n key bytes XORed onto nonzero bytes, its zero count and
-    the bits of the final state, left in the list `state`; or the error's
-    message, variant and step index."""
+    the bits of the final state, left in the list `state`; or, as observe
+    gives it, the error's type, message, variant and step index."""
     out = bytearray(i % 255 + 1 for i in range(n))
     window = bytearray(8 * n) if strategy == "minmax-scale" else None
-    try:
-        zeros = kernel(out, window, transient, COMPONENTS.index(component), state,
-                       params.sigma, params.rho, params.beta, params.h)
-    except DomainError as e:
-        return str(e), getattr(e, "variant", None), getattr(e, "step_index", None)
-    return bytes(out), zeros, array.array("d", state).tobytes()
+    zeros = []
+
+    def key():
+        zeros.append(kernel(out, window, transient, COMPONENTS.index(component), state,
+                            params.sigma, params.rho, params.beta, params.h))
+        return out
+    got, _ = observe(key)
+    # The state is left defined only on success.
+    return (got, *zeros, array.array("d", state).tobytes()) if zeros else got
 
 
 def assert_matches_oracle(initial, params, steps, component, strategy="mantissa-lsb",
@@ -72,6 +70,9 @@ def lorenz_warnings(caplog):
 
 @needs_c
 class TestDifferential:
+    # What only the bare kernels show: the final state, chaining and the
+    # 256x256 window. Keystreams and blow-ups are TestKeyBytes' and the
+    # known-answer vectors'.
     @given(st.floats(15.2, 16.8), st.floats(43.6, 48.2), st.floats(3.8, 4.2),
            st.floats(0.5, 1.5), st.floats(0.0, 1.0), st.floats(0.4, 1.4),
            st.floats(1e-6, 3e-2), st.integers(1, 3000), st.sampled_from(COMPONENTS),
@@ -101,41 +102,6 @@ class TestDifferential:
             key, _, _ = assert_matches_oracle(DEFAULT_INITIAL, params, [256 * 256], component,
                                               transient=2000)
             assert len(key) == 256 * 256
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    @pytest.mark.parametrize("component", COMPONENTS)
-    def test_keystream_bytes(self, strategy, component):
-        config = KeystreamConfig(64, 64, strategy=strategy, component=component)
-        got = quiet_keystream(WORKING_PARAMS, DEFAULT_INITIAL, config)
-        with pure_python():
-            want = quiet_keystream(WORKING_PARAMS, DEFAULT_INITIAL, config)
-        assert got.data.tobytes() == want.data.tobytes()
-
-    @pytest.mark.parametrize("h", BLOWUP_STEPS)
-    def test_blowup_at_paper_key(self, h):
-        params = LorenzParams(16.0, 45.92, 4.0, h)
-        got = {assert_matches_oracle(DEFAULT_INITIAL, params, [200], c, s)
-               for c in COMPONENTS for s in STRATEGIES}
-        [(message, variant, step)] = got
-        assert message == f"variant A produced a non-finite state at step {step}"
-        assert variant == "a"
-
-    def test_variant_b_blowup(self):
-        # A rare key whose variant B overflows while A stays finite; every
-        # paper-key case above stops at variant A.
-        initial = LorenzState(-0.5413349849971425, -9.481188946409766, 42.94378725037812)
-        params = LorenzParams(15.467243504088904, 46.677155448041326,
-                              4.1493423342906475, 0.1)
-        for component in COMPONENTS:
-            assert assert_matches_oracle(initial, params, [200], component) == (
-                "variant B produced a non-finite state at step 99", "b", 99)
-
-    @given(st.floats(15.2, 16.8), st.floats(43.6, 48.2), st.floats(3.8, 4.2),
-           st.floats(-25, 25), st.floats(-25, 25), st.floats(0, 50),
-           st.sampled_from(BLOWUP_STEPS), st.sampled_from(COMPONENTS))
-    def test_blowup_over_jittered_keys(self, sigma, rho, beta, x0, y0, z0, h, component):
-        assert_matches_oracle(LorenzState(x0, y0, z0),
-                              LorenzParams(sigma, rho, beta, h), [200], component)
 
 
 @needs_c
@@ -167,8 +133,9 @@ def test_every_real_key_takes_compiled_path(monkeypatch, key):
 
 @needs_c
 def test_cached_load_imports_neither_hashlib_nor_subprocess():
-    # Nor numpy: the self-check compares memoryviews of bytearrays. Nor
-    # platform: the cache name reads the machine from os.uname().
+    # Nor numpy: the self-check compares bytearrays and the final states'
+    # array.array("d").tobytes(). Nor platform: the cache name reads the
+    # machine from os.uname().
     src = os.path.dirname(os.path.dirname(lorenz.__file__))
     code = ("import sys, lorenzcipher; print(lorenzcipher.kernel_backend(), *(name in sys.modules "
             "for name in ('hashlib', 'subprocess', 'numpy', 'platform')))")
@@ -235,27 +202,18 @@ class TestFallback:
         self.check_fallback(caplog, reference, "broken kernel")
         assert not any(cache.iterdir())
 
-    def use_mutant(self, monkeypatch, tmp_path, right, wrong):
-        """Point the loader at a copy of _kernel.c with one line changed."""
-        with open(lorenz._KERNEL_SOURCE) as fh:
-            source = fh.read()
-        assert source.count(right) == 1
-        mutant = tmp_path / "mutant.c"
-        mutant.write_text(source.replace(right, wrong))
-        monkeypatch.setattr(lorenz, "_KERNEL_SOURCE", str(mutant))
-
     @needs_cc
     def test_self_check_mismatch(self, cache, monkeypatch, caplog, reference, tmp_path):
         # Lane B computes dy in variant A's form.
-        self.use_mutant(monkeypatch, tmp_path, "v2d b = x * rho - x * z - y;",
-                        "v2d b = x * (rho - z) - y;")
+        write_mutant(monkeypatch, tmp_path, "v2d b = x * rho - x * z - y;",
+                     "v2d b = x * (rho - z) - y;")
         self.check_fallback(caplog, reference, "self-check mismatch")
 
     @needs_cc
     def test_self_check_catches_a_swapped_lane_select(
             self, cache, monkeypatch, caplog, reference, tmp_path):
         # Lane A keeps variant B's dy and lane B keeps A's.
-        self.use_mutant(monkeypatch, tmp_path, "(v2d){a[0], b[1]}", "(v2d){b[0], a[1]}")
+        write_mutant(monkeypatch, tmp_path, "(v2d){a[0], b[1]}", "(v2d){b[0], a[1]}")
         self.check_fallback(caplog, reference, "self-check mismatch")
 
     @needs_cc
@@ -275,7 +233,7 @@ class TestFallback:
     ], ids=["component", "transient", "mantissa-byte", "store", "scale", "zero-count", "rk4-y"])
     def test_self_check_catches_a_wrong_key_byte(
             self, cache, monkeypatch, caplog, reference, tmp_path, right, wrong):
-        self.use_mutant(monkeypatch, tmp_path, right, wrong)
+        write_mutant(monkeypatch, tmp_path, right, wrong)
         self.check_fallback(caplog, reference, "self-check mismatch")
 
     def test_self_check_that_raises_falls_back(self, cache, monkeypatch, caplog, reference):
@@ -323,12 +281,12 @@ class TestFallback:
         # The self-check key never blows up, so this mutant loads. At the
         # paper key both lanes overflow in the same step, where the oracle
         # names variant A and the mutant names B.
-        self.use_mutant(monkeypatch, tmp_path, "for (int v = 0; v < 2; v++)",
-                        "for (int v = 1; v >= 0; v--)")
+        write_mutant(monkeypatch, tmp_path, "for (int v = 0; v < 2; v++)",
+                     "for (int v = 1; v >= 0; v--)")
         assert kernel_backend() == "c"
-        for h in BLOWUP_STEPS:
+        for case in itertools.product(test_key_route.BLOWUP_TRANSIENTS, BLOWUP_STEPS, STRATEGIES):
             with pytest.raises(AssertionError):
-                TestDifferential().test_blowup_at_paper_key(h)
+                test_key_route.TestKeyBytes().test_blowup_at_paper_key(*case)
 
     @needs_cc
     def test_no_uname(self, cache, monkeypatch, caplog, reference):

@@ -16,40 +16,27 @@ import os
 import shutil
 import subprocess
 import sys
-import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (WORKING_PARAMS, pure_python, quiet_keystream,
-                      reference_keystream)
+from conftest import (BLOWUP_STEPS, RK4_Y, VARIANT_B_KEY, VECTORS, WORKING_PARAMS, key_of,
+                      needs_c, needs_cc, observe, pure_python, quiet_keystream,
+                      reference_keystream, write_mutant)
 from lorenzcipher import (COMPONENTS, DEFAULT_INITIAL, DEFAULT_PARAMS,
                           STRATEGIES, DomainError, KeystreamConfig,
-                          KeystreamQualityWarning, LorenzParams, LorenzState,
-                          generate_keystream, kernel_backend, lorenz,
+                          LorenzParams, LorenzState, generate_keystream, lorenz,
                           lower_bound_error)
 from lorenzcipher.cli import run_command
 from lorenzcipher.keystream import _xor_keystream
-from test_known_answers import VECTORS, answer, key_of, recorded
+from test_known_answers import answer, recorded
 
-needs_c = pytest.mark.skipif(kernel_backend() != "c", reason="compiled kernel unavailable")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
-BLOWUP_STEPS = (0.1, 0.2, 0.5, 1.0, 10.0)
-
-
-def observe(make):
-    """make()'s bytes, or its error's type, message, variant and step index;
-    and the messages of the KeystreamQualityWarnings it issued."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            got = bytes(make())
-        except DomainError as e:
-            got = (type(e), str(e), getattr(e, "variant", None), getattr(e, "step_index", None))
-    return got, [str(w.message) for w in caught if w.category is KeystreamQualityWarning]
+BLOWUP_TRANSIENTS = (0, 5, 2000)
 
 
 def key_route(params, initial, config, payload=None):
@@ -105,25 +92,27 @@ class TestKeyBytes:
         [message] = warned
         assert message.startswith("keystream zero-byte fraction 100.00% exceeds 2%")
 
-    @pytest.mark.parametrize("transient", [0, 5, 2000])
+    @pytest.mark.parametrize("transient", BLOWUP_TRANSIENTS)
     @pytest.mark.parametrize("h", BLOWUP_STEPS)
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_blowup_at_paper_key(self, transient, h, strategy):
-        params = LorenzParams(16.0, 45.92, 4.0, h)
-        (kind, message, variant, step), warned = assert_same(
-            params, DEFAULT_INITIAL, KeystreamConfig(16, 16, transient, strategy))
-        assert kind.__name__ == "IntegrationBlowupError" and variant == "a"
-        assert not warned
+        for component in COMPONENTS:
+            (kind, message, variant, step), warned = assert_same(
+                replace(DEFAULT_PARAMS, h=h), DEFAULT_INITIAL,
+                KeystreamConfig(16, 16, transient, strategy, component))
+            assert kind.__name__ == "IntegrationBlowupError" and not warned
+            assert (message, variant) == (
+                f"variant A produced a non-finite state at step {step}", "a")
 
     @pytest.mark.parametrize("component", COMPONENTS)
     def test_variant_b_blowup(self, component):
-        initial = LorenzState(-0.5413349849971425, -9.481188946409766, 42.94378725037812)
-        params = LorenzParams(15.467243504088904, 46.677155448041326,
-                              4.1493423342906475, 0.1)
-        (_, message, variant, step), _ = assert_same(
-            params, initial, KeystreamConfig(10, 10, 50, "minmax-scale", component))
-        assert (message, variant, step) == (
-            "variant B produced a non-finite state at step 99", "b", 99)
+        # Variant B overflows while A stays finite; every paper-key case
+        # above stops at variant A.
+        for strategy in STRATEGIES:
+            (_, message, variant, step), _ = assert_same(
+                *VARIANT_B_KEY, KeystreamConfig(10, 10, 50, strategy, component))
+            assert (message, variant, step) == (
+                "variant B produced a non-finite state at step 99", "b", 99)
 
     @given(st.floats(15.2, 16.8), st.floats(43.6, 48.2), st.floats(3.8, 4.2),
            st.floats(-25, 25), st.floats(-25, 25), st.floats(0, 50),
@@ -136,20 +125,15 @@ class TestKeyBytes:
 
 
 def load_mutant(monkeypatch, tmp_path, right, wrong):
-    """Build a copy of _kernel.c with the line `right` changed to `wrong`,
-    and make its key kernel the loaded one."""
-    with open(lorenz._KERNEL_SOURCE) as fh:
-        source = fh.read()
-    assert source.count(right) == 1
-    (tmp_path / "mutant.c").write_text(source.replace(right, wrong))
-    monkeypatch.setattr(lorenz, "_KERNEL_SOURCE", str(tmp_path / "mutant.c"))
+    """Build write_mutant's library and make its key kernel the loaded one."""
+    write_mutant(monkeypatch, tmp_path, right, wrong)
     monkeypatch.setattr(lorenz, "_KERNEL_CACHE", str(tmp_path / "cache"))
     key = lorenz._build_kernel()
     monkeypatch.setattr(lorenz, "_load_kernel", lambda: (key, None))
 
 
 @needs_c
-@pytest.mark.skipif(shutil.which("cc") is None, reason="cc not found")
+@needs_cc
 @pytest.mark.parametrize("h", [0.01, 0.1])
 def test_non_finite_delta(monkeypatch, tmp_path, h):
     # No key is known whose finite orbits differ by more than the largest
@@ -173,16 +157,15 @@ def test_non_finite_delta(monkeypatch, tmp_path, h):
 
 
 @needs_c
-@pytest.mark.skipif(shutil.which("cc") is None, reason="cc not found")
+@needs_cc
 def test_reference_catches_a_wrong_compiled_integrator(monkeypatch, tmp_path):
     # The reference runs no compiled code, so a library whose RK4 sums y's
     # stages in another order, which moves both lanes alike, shows against
     # it, while the reference still gives every known answer. The paper
     # key's 8x8 keystream at h = 0.01 is all zero, where no fault can show,
     # so the key here is at h = 0.02.
-    right = "*y = *y + h6 * (k1y + two * k2y + two * k3y + k4y);"
-    load_mutant(monkeypatch, tmp_path, right,
-                right.replace("two * k2y + two * k3y", "two * (k2y + k3y)"))
+    load_mutant(monkeypatch, tmp_path, RK4_Y,
+                RK4_Y.replace("two * k2y + two * k3y", "two * (k2y + k3y)"))
     params = LorenzParams(16.0, 45.92, 4.0, 0.02)
     config = KeystreamConfig(16, 16)
     want = reference(params, DEFAULT_INITIAL, config)

@@ -13,12 +13,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import WORKING_PARAMS, pure_python, quiet_keystream
+from conftest import WORKING_PARAMS, needs_c, pure_python, quiet_keystream
 from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, STRATEGIES,
                           DomainError, GrayImage, Keystream, KeystreamConfig,
                           KeystreamQualityWarning, LorenzState, decrypt,
                           encrypt, extract_bytes, generate_keystream,
-                          kernel_backend, lower_bound_error)
+                          lower_bound_error)
 
 
 def make_pair(a_values, b_values):
@@ -256,43 +256,13 @@ class TestGenerateKeystream:
                                     config)
         assert not ks.data.any()
 
-    def test_default_step_keystream_is_degenerate(self):
-        # At the default step 1e-6 the two variants remain bit-identical
-        # far past this window (first differing sample near 1.5e5), so the
-        # extracted key is all zeros. This is the pinned current behavior;
-        # see the acceptance suite for the consequences.
-        config = KeystreamConfig(rows=32, cols=32)
-        with pytest.warns(KeystreamQualityWarning):
-            ks = generate_keystream(DEFAULT_PARAMS, DEFAULT_INITIAL, config)
-        assert not ks.data.any()
-
-    def test_deterministic_across_invocations(self):
-        config = KeystreamConfig(rows=16, cols=16)
-        k1 = quiet_keystream(WORKING_PARAMS, DEFAULT_INITIAL, config)
-        k2 = quiet_keystream(WORKING_PARAMS, DEFAULT_INITIAL, config)
-        assert k1.data.tobytes() == k2.data.tobytes()
-
-    @pytest.mark.parametrize("rows,cols", [(3, 5), (7, 2), (1, 1)])
-    def test_length_law(self, rows, cols):
-        config = KeystreamConfig(rows=rows, cols=cols)
-        ks = quiet_keystream(WORKING_PARAMS, DEFAULT_INITIAL, config)
-        assert ks.data.shape == (rows * cols,)
-
-    @pytest.mark.parametrize("component", ["x", "y", "z"])
-    @pytest.mark.parametrize("strategy", ["mantissa-lsb", "minmax-scale"])
-    def test_all_components_and_strategies_produce_keys(self, component, strategy):
-        config = KeystreamConfig(rows=8, cols=8, strategy=strategy,
-                                 component=component)
-        ks = quiet_keystream(WORKING_PARAMS, DEFAULT_INITIAL, config)
-        assert ks.data.shape == (64,)
-
     def test_no_warning_in_working_regime_at_full_size(self):
         config = KeystreamConfig(rows=192, cols=192)
         with warnings.catch_warnings():
             warnings.simplefilter("error", KeystreamQualityWarning)
             generate_keystream(WORKING_PARAMS, DEFAULT_INITIAL, config)
 
-    @pytest.mark.skipif(kernel_backend() != "c", reason="compiled kernel unavailable")
+    @needs_c
     def test_peak_memory_per_sample(self):
         # The compiled key kernel stores the key (1 B per key byte) and,
         # under minmax-scale, the window's deltas (8 more); no orbit pair.

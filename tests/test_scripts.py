@@ -4,6 +4,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -34,6 +36,24 @@ def test_quality_report_runs():
     assert proc.returncode == 0, proc.stderr
     assert "step" in proc.stdout
     assert "1e-02" in proc.stdout or "0.01" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("run_reference_experiment.py", "--size", "1"),
+    ("run_reference_experiment.py", "--size", "0"),
+    ("run_reference_experiment.py", "--step", "0"),
+    ("run_reference_experiment.py", "--step", "10"),
+    ("keystream_quality_report.py", "--size", "1"),
+    ("keystream_quality_report.py", "--steps", "-1"),
+], ids=["experiment-size-1", "experiment-size-0", "experiment-step-0", "experiment-blowup",
+        "report-size-1", "report-negative-step"])
+def test_package_error_exits_3_with_one_line(argv):
+    # Exit 1 is run_reference_experiment.py's failed round trip, so a
+    # package error exits 3 as in the CLI, with no traceback. Without cc
+    # the kernel loader logs a line first.
+    proc = run_script(*argv)
+    assert proc.returncode == 3 and "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("domain error: ")
 
 
 def test_known_answers_script_rewrites_the_committed_file(tmp_path):
