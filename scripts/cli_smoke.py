@@ -29,6 +29,9 @@ from lorenzcipher import kernel_backend
 from lorenzcipher.cli import run_command
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
+# Modules encrypt, decrypt and keystream never import: numpy is for the
+# library, json for --config, csv for analyze and index, numbers for key
+# fields that are not floats, and platform for nothing.
 UNUSED_BY_CRYPT = ("numpy", "platform", "json", "csv", "numbers")
 UNUSED_BY_INDEX = ("numpy", "platform", "json", "numbers")
 # Each work is best in some category, so every ratio of the index is used.

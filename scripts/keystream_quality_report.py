@@ -34,16 +34,16 @@ def main(argv=None) -> int:
 
 
 def report(args) -> int:
-    """Print one table row per step."""
+    """Print one table row per step, once every row is computed, so a run
+    that fails prints none of the table."""
     plain = lc.reference_image(args.size, args.size)
     config = lc.KeystreamConfig(rows=args.size, cols=args.size,
                                 strategy=args.strategy)
 
-    print(f"keystream quality vs step ({args.size}x{args.size}, "
-          f"{args.strategy}, {config.n_samples} samples per orbit)")
-    header = (f"{'step':>8} {'first-diff':>10} {'zero%':>8} {'distinct':>8} "
-              f"{'entropy':>8} {'chi2':>12} {'ciph-H':>8} {'max|corr|':>10}")
-    print(header)
+    table = [f"keystream quality vs step ({args.size}x{args.size}, "
+             f"{args.strategy}, {config.n_samples} samples per orbit)",
+             f"{'step':>8} {'first-diff':>10} {'zero%':>8} {'distinct':>8} "
+             f"{'entropy':>8} {'chi2':>12} {'ciph-H':>8} {'max|corr|':>10}"]
     for step in args.steps:
         params = replace(lc.DEFAULT_PARAMS, h=step)
         delta = lc.lower_bound_error(lc.integrate_pair(
@@ -54,10 +54,11 @@ def report(args) -> int:
         counts = lc.histogram(key)
         cipher = lc.xor_apply(plain, lc.Keystream(data, config))
         worst = max(abs(lc.adjacent_correlation(cipher, d)) for d in lc.DIRECTIONS)
-        print(f"{step:>8.0e} {diff[0] if diff.size else '-':>10} "
-              f"{100.0 * float(np.mean(data == 0)):>8.3f} {len(np.unique(data)):>8} "
-              f"{lc.shannon_entropy(key):>8.4f} {lc.chi_square_uniform(counts):>12.1f} "
-              f"{lc.shannon_entropy(cipher):>8.4f} {worst:>10.2e}")
+        table.append(f"{step:>8.0e} {diff[0] if diff.size else '-':>10} "
+                     f"{100.0 * float(np.mean(data == 0)):>8.3f} {len(np.unique(data)):>8} "
+                     f"{lc.shannon_entropy(key):>8.4f} {lc.chi_square_uniform(counts):>12.1f} "
+                     f"{lc.shannon_entropy(cipher):>8.4f} {worst:>10.2e}")
+    print("\n".join(table))
     return 0
 
 

@@ -50,10 +50,15 @@ def main(argv=None) -> int:
     except lc.LorenzCipherError as e:
         print(f"domain error: {e}", file=sys.stderr)
         return 3
+    except OSError as e:
+        print(f"i/o error: {e}", file=sys.stderr)
+        return 2
 
 
 def experiment(args) -> int:
-    """Run the experiment and print its report; 0 if the round trip is exact, else 1."""
+    """Run the experiment and print its report; 0 if the round trip is exact,
+    else 1. The report is printed only once every metric is computed and the
+    images are written, so a run that fails prints none of it."""
     t0 = time.perf_counter()
     plain = lc.reference_image(args.size, args.size)
     params = replace(lc.DEFAULT_PARAMS, h=args.step)
@@ -67,32 +72,30 @@ def experiment(args) -> int:
     back = lc.xor_apply(cipher, key)
     round_trip = bool(np.array_equal(back.pixels, plain.pixels))
 
-    print(f"reference experiment: {args.size}x{args.size}, step {args.step}, "
-          f"{args.strategy}")
-    print(f"round trip exact: {round_trip}")
-    for warning in caught:
-        print(f"warning: {warning.message}")
+    report = [f"reference experiment: {args.size}x{args.size}, step {args.step}, "
+              f"{args.strategy}",
+              f"round trip exact: {round_trip}"]
+    report += [f"warning: {warning.message}" for warning in caught]
 
-    print(f"\n{'metric':<12}{'plaintext':>14}{'ciphertext':>14}")
+    report.append(f"\n{'metric':<12}{'plaintext':>14}{'ciphertext':>14}")
     pm, cm = image_metrics(plain), image_metrics(cipher)
-    for name in pm:
-        print(f"{name:<12}{pm[name]:>14.6f}{cm[name]:>14.6f}")
+    report += [f"{name:<12}{pm[name]:>14.6f}{cm[name]:>14.6f}" for name in pm]
     hc = lc.histogram(cipher)
-    print(f"\nciphertext histogram: min {hc.min()}, max {hc.max()}, "
-          f"chi2 {lc.chi_square_uniform(hc):.1f}")
+    report.append(f"\nciphertext histogram: min {hc.min()}, max {hc.max()}, "
+                  f"chi2 {lc.chi_square_uniform(hc):.1f}")
 
     key_image = lc.GrayImage.from_array(key.data.reshape(args.size, args.size))
-    print(f"keystream: zero fraction {float(np.mean(key.data == 0)):.4%}, "
-          f"distinct {len(np.unique(key.data))}, "
-          f"entropy {lc.shannon_entropy(key_image):.4f}, "
-          f"chi2 {lc.chi_square_uniform(lc.histogram(key_image)):.1f}")
+    report.append(f"keystream: zero fraction {float(np.mean(key.data == 0)):.4%}, "
+                  f"distinct {len(np.unique(key.data))}, "
+                  f"entropy {lc.shannon_entropy(key_image):.4f}, "
+                  f"chi2 {lc.chi_square_uniform(lc.histogram(key_image)):.1f}")
 
     rows = BENCHMARK_ROWS + [
         lc.WorkScores("this-run", abs(cm["corr_h"]), abs(cm["corr_v"]),
                       abs(cm["corr_d"]), cm["entropy"])]
-    print("\nefficiency index (vs fixed benchmark rows):")
-    for work, ic in zip(rows, lc.efficiency_index(rows)):
-        print(f"  {work.label:<10}{ic:.4f}")
+    report.append("\nefficiency index (vs fixed benchmark rows):")
+    report += [f"  {work.label:<10}{ic:.4f}"
+               for work, ic in zip(rows, lc.efficiency_index(rows))]
 
     if args.outdir:
         import pathlib
@@ -101,9 +104,10 @@ def experiment(args) -> int:
         lc.write_pgm(plain, out / "plain.pgm")
         lc.write_pgm(cipher, out / "cipher.pgm")
         lc.write_pgm(back, out / "decrypted.pgm")
-        print(f"\nwrote images to {out}")
+        report.append(f"\nwrote images to {out}")
 
-    print(f"\nelapsed {time.perf_counter() - t0:.2f} s")
+    report.append(f"\nelapsed {time.perf_counter() - t0:.2f} s")
+    print("\n".join(report))
     return 0 if round_trip else 1
 
 

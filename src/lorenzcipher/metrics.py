@@ -47,12 +47,9 @@ _OFFSETS = dict(zip(DIRECTIONS, ((0, 1), (1, 0), (1, 1))))
 # sum of up to 128 items, so a smaller block would split where numpy does not.
 _BLOCK = 2 ** 15
 
-# Pixel pairs per np.bincount call of histogram, which casts them to an
-# intp copy of 1 MiB. On a 2-vCPU Xeon a 4096x4096 histogram took 32 ms with
-# a 2 MiB traced peak, against 78 ms and 128 MiB for one bincount of the
-# whole image; chunks of 2**16 to 2**19 words ran within 10% of one another,
-# and each doubling adds 1 MiB to the peak.
-_WORDS = 2 ** 17
+# Pixels per np.bincount call of histogram, which casts them to an intp copy
+# of 1 MiB; one bincount of a whole 4096x4096 image would copy 128 MiB.
+_CHUNK = 2 ** 17
 
 
 def _pixels(image: GrayImage) -> np.ndarray:
@@ -148,20 +145,14 @@ def adjacent_correlation(image: GrayImage, direction: str) -> float:
 def histogram(image: GrayImage) -> np.ndarray:
     """Count of each intensity 0..255; counts sum to the pixel count.
 
-    Counts the pixels two at a time, as uint16 words in bounded chunks, into
-    65,536 bins, then adds each bin to the counts of both of its bytes. So
-    byte order does not matter and memory does not grow with the image.
+    Counts the pixels in bounded chunks, so memory does not grow with the
+    image.
     """
     import numpy as np
     flat = _pixels(image).reshape(-1)
-    words = flat[:flat.size & ~1].view(np.uint16)
-    pairs = np.zeros(65536, dtype=np.int64)
-    for lo in range(0, words.size, _WORDS):
-        pairs += np.bincount(words[lo:lo + _WORDS], minlength=65536)
-    pairs = pairs.reshape(256, 256)
-    counts = pairs.sum(axis=0) + pairs.sum(axis=1)
-    if flat.size & 1:
-        counts[flat[-1]] += 1
+    counts = np.zeros(256, dtype=np.int64)
+    for lo in range(0, flat.size, _CHUNK):
+        counts += np.bincount(flat[lo:lo + _CHUNK], minlength=256)
     return counts
 
 

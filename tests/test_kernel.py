@@ -32,6 +32,17 @@ import test_key_route
 CHAIN = (1, 2, 8, 64, 3000)
 
 
+def x86_fma():
+    """Whether this is an x86-64 CPU with FMA, so an -mfma build runs here."""
+    if platform.machine() != "x86_64":
+        return False
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return "fma" in fh.read().split()
+    except OSError:
+        return False
+
+
 def run_key(kernel, state, params, n, component, strategy, transient=0):
     """`kernel`'s n key bytes XORed onto nonzero bytes, its zero count and
     the bits of the final state, left in the list `state`; or, as observe
@@ -230,10 +241,26 @@ class TestFallback:
         ("return k == 0;", "return k == 1;"),
         # RK4 sums y's stages in another order, which moves both lanes alike.
         (RK4_Y, RK4_Y.replace("two * k2y + two * k3y", "two * (k2y + k3y)")),
-    ], ids=["component", "transient", "mantissa-byte", "store", "scale", "zero-count", "rk4-y"])
+        # dx distributes sigma, or h / 6 becomes h times a reciprocal.
+        ("*dx = sigma * (y - x);", "*dx = sigma * y - sigma * x;"),
+        ("v2d h6 = h / six;", "v2d h6 = h * (1.0 / six);"),
+    ], ids=["component", "transient", "mantissa-byte", "store", "scale", "zero-count", "rk4-y",
+            "dx-distributed", "h6-reciprocal"])
     def test_self_check_catches_a_wrong_key_byte(
             self, cache, monkeypatch, caplog, reference, tmp_path, right, wrong):
         write_mutant(monkeypatch, tmp_path, right, wrong)
+        self.check_fallback(caplog, reference, "self-check mismatch")
+
+    @needs_cc
+    @pytest.mark.parametrize("flags", [
+        ("-freciprocal-math",),
+        pytest.param(("-mfma", "-ffp-contract=fast"), marks=pytest.mark.skipif(
+            not x86_fma(), reason="needs an x86-64 CPU with FMA")),
+    ], ids=["reciprocal-math", "fma"])
+    def test_self_check_catches_a_wrong_build(self, cache, monkeypatch, caplog, reference, flags):
+        # The right source built to divide by reciprocals, or to fuse a*b + c
+        # into one rounding.
+        monkeypatch.setattr(lorenz, "_CFLAGS", lorenz._CFLAGS + flags)
         self.check_fallback(caplog, reference, "self-check mismatch")
 
     def test_self_check_that_raises_falls_back(self, cache, monkeypatch, caplog, reference):

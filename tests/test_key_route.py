@@ -13,6 +13,7 @@ integrate_pair, lower_bound_error and extract_bytes.
 import io
 import itertools
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -265,10 +266,9 @@ def cli(*argv):
     return run_python("-m", "lorenzcipher.cli", *argv)
 
 
-# Modules encrypt, decrypt and keystream never import: numpy is for the
-# library, json for --config, csv for analyze and index, numbers for key
-# fields that are not floats, and platform for nothing.
-UNUSED_BY_CRYPT = ("numpy", "platform", "json", "csv", "numbers")
+# Modules encrypt, decrypt and keystream never import, as the CLI smoke
+# script names them.
+UNUSED_BY_CRYPT = runpy.run_path(os.path.join(ROOT, "scripts", "cli_smoke.py"))["UNUSED_BY_CRYPT"]
 
 
 def check_crypt_without_numpy(tmp_path, path, backend):

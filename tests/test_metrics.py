@@ -22,7 +22,7 @@ from lorenzcipher import (DIRECTIONS, DomainError, LorenzCipherError,
                           chi_square_uniform, efficiency_index, histogram,
                           shannon_entropy)
 from lorenzcipher import encode_pgm, metrics, parse_pgm
-from lorenzcipher.metrics import _BLOCK, _WORDS, _tree_sum
+from lorenzcipher.metrics import _BLOCK, _CHUNK, _tree_sum
 
 def oracle_correlation(xs, ys):
     n = len(xs)
@@ -340,11 +340,11 @@ class TestEntropyAndHistogram:
         seen = Counter(image.pixels.tobytes())
         assert counts.tolist() == [seen[level] for level in range(256)]
 
-    # Odd and even pixel counts, an odd last pixel after one full chunk of
-    # pixel pairs, and a second chunk holding a single pair.
+    # Small shapes, one pixel short of a full chunk, and one pixel past one
+    # and past two full chunks.
     @pytest.mark.parametrize("shape", [
-        (1, 1), (1, 2), (2, 1), (3, 5), (1, 2 * _WORDS - 1),
-        (1, 2 * _WORDS + 1), (2 * _WORDS + 3, 1)])
+        (1, 1), (1, 2), (2, 1), (3, 5), (1, _CHUNK - 1),
+        (1, _CHUNK + 1), (2 * _CHUNK + 1, 1)])
     def test_histogram_matches_byte_counter(self, shape):
         rng = np.random.default_rng(shape)
         self.assert_counts_every_byte(make_image(rng.integers(0, 256, shape, np.uint8)))
@@ -363,7 +363,7 @@ class TestEntropyAndHistogram:
 
     def test_histogram_of_unaligned_pixels(self):
         # parse_pgm keeps the pixels in the PGM's buffer, 17 bytes past its
-        # start, so the pixel pairs are read from an odd address.
+        # start, so the pixels are read from an odd address.
         pixels = np.random.default_rng(9).integers(0, 256, (1024, 1024), np.uint8)
         image = parse_pgm(encode_pgm(make_image(pixels)))
         assert image.pixels.ctypes.data % 2 == 1
@@ -372,8 +372,8 @@ class TestEntropyAndHistogram:
     @pytest.mark.parametrize("shape", [(2048, 2048), (1, 2 ** 22)])
     @pytest.mark.parametrize("metric", [histogram, shannon_entropy])
     def test_memory_does_not_grow_with_pixels(self, shape, metric):
-        # One chunk's intp copy and two 65,536-bin counts, where counting the
-        # whole image at once casts it to intp: 8 bytes a pixel, 32 MiB here.
+        # One chunk's intp copy, where counting the whole image at once
+        # casts it to intp: 8 bytes a pixel, 32 MiB here.
         image = make_image(np.random.default_rng(5).integers(0, 256, shape, np.uint8))
         tracemalloc.start()
         try:

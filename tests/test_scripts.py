@@ -49,11 +49,22 @@ def test_quality_report_runs():
         "report-size-1", "report-negative-step"])
 def test_package_error_exits_3_with_one_line(argv):
     # Exit 1 is run_reference_experiment.py's failed round trip, so a
-    # package error exits 3 as in the CLI, with no traceback. Without cc
-    # the kernel loader logs a line first.
+    # package error exits 3 as in the CLI, with no traceback and no part of
+    # the report. Without cc the kernel loader logs a line first.
     proc = run_script(*argv)
     assert proc.returncode == 3 and "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("domain error: ")
+    assert proc.stdout == ""
+
+
+def test_experiment_io_error_exits_2_with_one_line(tmp_path):
+    # An output directory under a regular file is an i/o error, as in the CLI.
+    (tmp_path / "file").touch()
+    proc = run_script("run_reference_experiment.py", "--size", "16",
+                      "--outdir", str(tmp_path / "file" / "sub"))
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("i/o error: ")
+    assert proc.stdout == ""
 
 
 def test_known_answers_script_rewrites_the_committed_file(tmp_path):
