@@ -9,11 +9,11 @@ encrypts it again to /dev/stdout in a child process whose stdout is a pipe
 (the bytes on the pipe must be the encrypted file's; skipped where there is
 no /dev/stdout), runs `keystream --format raw` for every vector of
 tests/known_answers.json (the sha256 and zero-byte count must match, a
-blow-up must exit 3), runs `index` on a two-work scores CSV it writes itself
-(its label,ic lines must match), and checks in child processes that
-encrypt, decrypt and keystream import none of UNUSED_BY_CRYPT and index
-none of UNUSED_BY_INDEX. Prints the kernel that ran, each failure, and
-exits 1 if there was one.
+blow-up must exit 3), runs `index` on a two-work scores CSV it writes itself,
+with and without a UTF-8 byte-order mark (its label,ic lines must match),
+and checks in child processes that encrypt, decrypt and keystream import
+none of UNUSED_BY_CRYPT and index none of UNUSED_BY_INDEX. Prints the
+kernel that ran, each failure, and exits 1 if there was one.
 """
 
 import hashlib
@@ -114,13 +114,18 @@ def known_answers(work: pathlib.Path) -> list[str]:
 
 
 def index(work: pathlib.Path) -> list[str]:
-    scores = work / "scores.csv"
-    scores.write_text(SCORES)
-    out, err = io.StringIO(), io.StringIO()
-    code = run_command(["index", str(scores)], stdout=out, stderr=err)
-    if (code, out.getvalue()) != (0, INDEX):
-        return [f"index: exit {code}, got {out.getvalue()!r}: {err.getvalue().strip()}"]
-    return []
+    """index on SCORES, and on a copy that starts with the byte-order mark
+    spreadsheet tools write."""
+    (work / "scores.csv").write_text(SCORES)
+    (work / "bom.csv").write_bytes(b"\xef\xbb\xbf" + SCORES.encode())
+    failures = []
+    for name in ("scores.csv", "bom.csv"):
+        out, err = io.StringIO(), io.StringIO()
+        code = run_command(["index", str(work / name)], stdout=out, stderr=err)
+        if (code, out.getvalue()) != (0, INDEX):
+            failures.append(f"index {name}: exit {code}, got {out.getvalue()!r}: "
+                            f"{err.getvalue().strip()}")
+    return failures
 
 
 def import_set(work: pathlib.Path) -> list[str]:

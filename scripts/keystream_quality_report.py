@@ -46,9 +46,9 @@ def report(args) -> int:
              f"{'entropy':>8} {'chi2':>12} {'ciph-H':>8} {'max|corr|':>10}"]
     for step in args.steps:
         params = replace(lc.DEFAULT_PARAMS, h=step)
-        delta = lc.lower_bound_error(lc.integrate_pair(
+        delta = lc.keystream.lower_bound_error(lc.lorenz.integrate_pair(
             lc.DEFAULT_INITIAL, params, config.n_samples, config.component))
-        data = lc.extract_bytes(delta, config)
+        data = lc.keystream.extract_bytes(delta, config)
         diff = np.flatnonzero(delta)
         key = lc.GrayImage.from_array(data.reshape(config.rows, config.cols))
         counts = lc.histogram(key)

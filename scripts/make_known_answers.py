@@ -5,10 +5,11 @@ Every vector is a full key (parameters, initial state, rows, cols,
 transient, strategy, component), each float stored exactly as float.hex,
 and either the sha256 and zero-byte count of its keystream or the
 IntegrationBlowupError it raises, with message, variant and step index.
-The keystreams come from `integrate_pair`, which always runs the
-pure-Python oracle, through `lower_bound_error` and `extract_bytes`, so
-the file pins the contract every kernel and route must meet. The keys are fixed by a seeded generator: rerunning the script
-rewrites the same file.
+The keystreams come from `lorenz.integrate_pair`, which always runs the
+pure-Python oracle, through `keystream.lower_bound_error` and
+`keystream.extract_bytes`, so the file pins the contract every kernel and
+route must meet. The keys are fixed by a seeded generator: rerunning the
+script rewrites the same file.
 
     PYTHONPATH=src python scripts/make_known_answers.py [--out FILE]
 """
@@ -24,7 +25,9 @@ import numpy as np
 
 from lorenzcipher import (COMPONENTS, DEFAULT_INITIAL, DEFAULT_PARAMS, STRATEGIES,
                           IntegrationBlowupError, KeystreamConfig, LorenzParams,
-                          LorenzState, extract_bytes, integrate_pair, lower_bound_error)
+                          LorenzState)
+from lorenzcipher.keystream import extract_bytes, lower_bound_error
+from lorenzcipher.lorenz import integrate_pair
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "tests" / "known_answers.json"
 PARAM_NAMES = ("sigma", "rho", "beta", "h")

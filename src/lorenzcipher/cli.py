@@ -86,10 +86,11 @@ def _add_key_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _read_text(path, kind: str) -> str:
-    """The text of the `kind` file at `path`, which must be UTF-8."""
+    """The text of the `kind` file at `path`, which must be UTF-8, without
+    one leading byte-order mark, which spreadsheet tools write."""
     with open(path, "rb") as fh:
         try:
-            return fh.read().decode("utf-8")
+            return fh.read().decode("utf-8").removeprefix("\ufeff")
         except UnicodeDecodeError as e:
             raise FileFormatError(f"{kind} {path}: not UTF-8 at byte {e.start}") from None
 

@@ -11,7 +11,7 @@ retained window to bytes under one of two strategies:
 kernel `lorenz` loaded turns each sample into a key byte, so no orbit pair
 or delta array is stored. `lower_bound_error` and `extract_bytes` over the
 pure-Python oracle `lorenz.integrate_pair` are the numpy reference the
-tests hold it to.
+tests hold it to; no keystream runs them, so they are not exported.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ __all__ = [
     "KeystreamConfig",
     "Keystream",
     "KeystreamQualityWarning",
-    "lower_bound_error",
-    "extract_bytes",
     "generate_keystream",
 ]
 

@@ -17,8 +17,9 @@ The pure-Python `_deriv`/`_rk4` are the bit-level specification, and
 `_orbit` runs them for both variants in lockstep, yielding the state of
 both after each step. `integrate_pair`, the only function here that imports
 numpy, stores one component of it in a pair of shape (n_steps, 2),
-[sample, variant A=0 / B=1]: it is the oracle the tests hold every
-keystream to.
+[sample, variant A=0 / B=1]. No keystream runs through it, so it is not
+exported: it is the oracle the tests hold every keystream to, kept here
+by name because perfbench's tracer wraps it in this module.
 
 Every keystream, in the library and the CLI, comes from one key kernel,
 chosen once per process: `_kernel.c`'s `lorenz_key`, which mirrors `_rk4`
@@ -55,7 +56,6 @@ __all__ = [
     "DEFAULT_PARAMS",
     "DEFAULT_INITIAL",
     "rk4_step",
-    "integrate_pair",
     "kernel_backend",
 ]
 

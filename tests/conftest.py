@@ -1,5 +1,6 @@
 import json
 import pathlib
+import runpy
 import shutil
 import warnings
 from dataclasses import replace
@@ -11,9 +12,9 @@ from hypothesis import HealthCheck, settings
 
 from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, DomainError, GrayImage,
                           KeystreamConfig, KeystreamQualityWarning, LorenzParams,
-                          LorenzState, WorkScores, extract_bytes, generate_keystream,
-                          integrate_pair, lorenz, lower_bound_error)
-from lorenzcipher.keystream import _warn_if_degenerate
+                          LorenzState, generate_keystream, lorenz)
+from lorenzcipher.keystream import _warn_if_degenerate, extract_bytes, lower_bound_error
+from lorenzcipher.lorenz import integrate_pair
 
 settings.register_profile(
     "repo",
@@ -29,14 +30,10 @@ settings.load_profile("repo")
 WORKING_PARAMS = LorenzParams(16.0, 45.92, 4.0, 0.01)
 
 # The four works the paper compares, as (label, corr_h, corr_v, corr_d,
-# entropy); their published efficiency indices are 0.7687, 0.3778, 0.5652
-# and 0.7198.
-PUBLISHED_WORKS = [
-    WorkScores("work-a", 0.00045, 0.0015, 0.0040, 7.9973),
-    WorkScores("work-b", 0.0028, 0.0059, 0.0031, 7.9969),
-    WorkScores("work-c", 0.00083, 0.00223, 0.00650, 7.9998),
-    WorkScores("work-d", 0.0016, 0.0025, 0.0003, 7.9826),
-]
+# entropy), as the reference experiment script lists them; their published
+# efficiency indices are 0.7687, 0.3778, 0.5652 and 0.7198.
+_EXPERIMENT = pathlib.Path(__file__).parent.parent / "scripts" / "run_reference_experiment.py"
+PUBLISHED_WORKS = runpy.run_path(str(_EXPERIMENT))["BENCHMARK_ROWS"]
 
 
 _CAUSE = lorenz._load_kernel()[1]

@@ -205,6 +205,13 @@ class TestPackageApi:
             for name in module.__all__:
                 assert getattr(lorenzcipher, name) is getattr(module, name)
 
+    def test_numpy_reference_is_reached_through_its_modules_only(self):
+        # The tests' reference pipeline, which no keystream runs.
+        for name, module in (("integrate_pair", "lorenz"), ("lower_bound_error", "keystream"),
+                             ("extract_bytes", "keystream")):
+            assert not hasattr(lorenzcipher, name) and name not in lorenzcipher.__all__
+            assert callable(getattr(importlib.import_module(f"lorenzcipher.{module}"), name))
+
     def test_star_import_binds_only_the_public_names(self):
         namespace = {}
         exec("from lorenzcipher import *", namespace)

@@ -186,6 +186,19 @@ class TestCrypt:
                            "--step", "10")
         assert code == 3
 
+    def test_output_header_is_canonical(self, tmp_path):
+        # A comment, a maxval below 255 and a byte after the pixels are not
+        # kept: both outputs are written as encode_pgm writes them.
+        plain, enc, dec = tmp_path / "p.pgm", tmp_path / "e.pgm", tmp_path / "d.pgm"
+        samples = bytes([0, 5, 10, 15])
+        plain.write_bytes(b"P5 # maxval 15\n2 2\n15\n" + samples + b"\x07")
+        assert run("encrypt", str(plain), str(enc), *WORKING)[0] == 0
+        assert run("decrypt", str(enc), str(dec), *WORKING)[0] == 0
+        key = quiet_keystream(WORKING_PARAMS, DEFAULT_INITIAL, KeystreamConfig(2, 2, 3000))
+        cipher = bytes(s ^ k for s, k in zip(samples, key.data))
+        assert enc.read_bytes() == b"P5\n2 2\n255\n" + cipher
+        assert dec.read_bytes() == b"P5\n2 2\n255\n" + samples
+
 
 class TestKeystream:
     def test_hex_matches_library(self):
@@ -581,6 +594,14 @@ class TestIndex:
         assert "domain error" in err and "non-positive entropy" in err
         assert out == ""
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Spreadsheet tools save "CSV UTF-8" with a byte-order mark.
+        plain, marked = tmp_path / "s.csv", tmp_path / "bom.csv"
+        plain.write_text(self.HEADER + self.ROWS)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want = run("index", str(plain))
+        assert want[0] == 0 and run("index", str(marked)) == want
+
     def test_label_with_a_comma_is_one_field(self, tmp_path):
         scores = tmp_path / "s.csv"
         scores.write_text(self.HEADER + '"smith, 2019",0.0028,0.0059,0.0031,7.9969\n'
@@ -634,6 +655,24 @@ class TestConfigFile:
         assert run("decrypt", str(enc), str(dec), "--config", str(cfg),
                    *WORKING)[0] == 0
         assert dec.read_bytes() == small_pgm.read_bytes()
+
+    def test_byte_order_mark_is_skipped(self, small_pgm, tmp_path):
+        cfg = tmp_path / "key.json"
+        cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({"step": 0.01, "transient": 3000}).encode())
+        via_cfg, via_flags = tmp_path / "cfg.pgm", tmp_path / "flags.pgm"
+        assert run("encrypt", str(small_pgm), str(via_cfg), "--config", str(cfg))[0] == 0
+        assert run("encrypt", str(small_pgm), str(via_flags), *WORKING)[0] == 0
+        assert via_cfg.read_bytes() == via_flags.read_bytes()
+
+    @pytest.mark.parametrize("kind, argv", [
+        ("scores", ["index"]), ("config", ["keystream", "--rows", "4", "--cols", "4", "--config"])],
+        ids=["scores", "config"])
+    def test_not_utf8_counts_from_the_first_byte(self, tmp_path, kind, argv):
+        # The byte-order mark is bytes 0-2 of the file, so 0xff is byte 5.
+        path = tmp_path / "text"
+        path.write_bytes(b"\xef\xbb\xbfab\xffc\n")
+        code, out, err = run(*argv, str(path))
+        assert (code, out) == (2, "") and f"{kind} {path}: not UTF-8 at byte 5\n" in err
 
     def test_missing_config(self, tmp_path):
         code, _, _ = run("keystream", "--rows", "4", "--cols", "4",

@@ -29,10 +29,9 @@ from conftest import (BLOWUP_STEPS, RK4_Y, VARIANT_B_KEY, VECTORS, WORKING_PARAM
                       reference_keystream, write_mutant)
 from lorenzcipher import (COMPONENTS, DEFAULT_INITIAL, DEFAULT_PARAMS,
                           STRATEGIES, DomainError, KeystreamConfig,
-                          LorenzParams, LorenzState, generate_keystream, lorenz,
-                          lower_bound_error)
+                          LorenzParams, LorenzState, generate_keystream, lorenz)
 from lorenzcipher.cli import run_command
-from lorenzcipher.keystream import _xor_keystream
+from lorenzcipher.keystream import _xor_keystream, lower_bound_error
 from test_known_answers import answer, recorded
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -17,8 +17,8 @@ from conftest import WORKING_PARAMS, needs_c, pure_python, quiet_keystream
 from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, STRATEGIES,
                           DomainError, GrayImage, Keystream, KeystreamConfig,
                           KeystreamQualityWarning, LorenzState, decrypt,
-                          encrypt, extract_bytes, generate_keystream,
-                          lower_bound_error)
+                          encrypt, generate_keystream)
+from lorenzcipher.keystream import extract_bytes, lower_bound_error
 
 
 def make_pair(a_values, b_values):

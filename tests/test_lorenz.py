@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from conftest import WORKING_PARAMS, full_orbits, pure_python
 from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, DomainError,
                           ExtensionVariant, IntegrationBlowupError,
-                          KeystreamConfig, LorenzParams, LorenzState,
-                          integrate_pair, lower_bound_error, rk4_step)
-from lorenzcipher.lorenz import _deriv
+                          KeystreamConfig, LorenzParams, LorenzState, rk4_step)
+from lorenzcipher.keystream import lower_bound_error
+from lorenzcipher.lorenz import _deriv, integrate_pair
 
 A, B = ExtensionVariant.A, ExtensionVariant.B
 
