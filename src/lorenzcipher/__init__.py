@@ -13,16 +13,15 @@ runs: only the CLI's analyze loads it. encrypt, decrypt and keystream load
 none of numpy, platform, json, csv or numbers, and index only csv of them.
 """
 
-from . import cipher, errors, keystream, lorenz, metrics, pgm, reference
+from . import cipher, errors, keystream, lorenz, metrics, pgm
 from .cipher import *
 from .errors import *
 from .keystream import *
 from .lorenz import *
 from .metrics import *
 from .pgm import *
-from .reference import *
 
 __version__ = "0.1.0"
 
 __all__ = (cipher.__all__ + errors.__all__ + keystream.__all__ + lorenz.__all__
-           + metrics.__all__ + pgm.__all__ + reference.__all__)
+           + metrics.__all__ + pgm.__all__)

@@ -1,4 +1,5 @@
-"""XOR image cipher. Encryption and decryption are the same involution."""
+"""XOR image cipher, whose encryption and decryption are the same
+involution, and the deterministic texture the scripts and tests encrypt."""
 
 from __future__ import annotations
 
@@ -8,7 +9,10 @@ from .errors import DomainError
 from .keystream import Keystream, KeystreamConfig, _read_only, generate_keystream
 from .lorenz import LorenzParams, LorenzState
 
-__all__ = ["GrayImage", "xor_apply", "encrypt", "decrypt"]
+__all__ = ["GrayImage", "reference_image", "xor_apply", "encrypt", "decrypt"]
+
+# The refusal of anything but a GrayImage where an image is expected.
+_IS_IMAGE = "image must be a GrayImage"
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,6 +52,25 @@ class GrayImage:
             arr = arr.astype(np.uint8, order="C")
             arr.setflags(write=False)  # a fresh array, so the constructor keeps it
         return cls(arr)
+
+
+def reference_image(rows: int = 256, cols: int = 256) -> GrayImage:
+    """A rows x cols grayscale texture of a few incommensurate sinusoids
+    plus a gentle gradient: photo-like where cipher evaluation cares
+    (entropy well below 8, adjacent-pixel correlations near 1, a lumpy
+    histogram), without shipping a photograph."""
+    import numpy as np
+    i = np.arange(rows, dtype=np.float64)[:, None]
+    j = np.arange(cols, dtype=np.float64)[None, :]
+    tau = 2.0 * np.pi
+    v = (96.0
+         + 55.0 * np.sin(tau * i / 97.0) * np.cos(tau * j / 61.0)
+         + 40.0 * np.sin(tau * (i + j) / 149.0)
+         + 25.0 * np.cos(tau * (2.0 * i - j) / 211.0)
+         + 18.0 * np.sin(tau * i * j / (rows * cols / 3.0))
+         + 0.12 * i + 0.08 * j)
+    pixels = np.clip(np.rint(v), 0.0, 255.0).astype(np.uint8)
+    return GrayImage.from_array(pixels)
 
 
 def xor_apply(image: GrayImage, key: Keystream) -> GrayImage:

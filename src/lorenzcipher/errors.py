@@ -35,3 +35,16 @@ class IntegrationBlowupError(DomainError):
         super().__init__(message)
         self.variant = variant
         self.step_index = step_index
+
+
+def _require_type(value, cls, what: str) -> None:
+    """Refuse `value` unless it is an instance of `cls` (a class or a tuple
+    of them); `what` says what it must be, e.g. "image must be a GrayImage"."""
+    if not isinstance(value, cls):
+        raise DomainError(f"{what}, got {type(value).__name__}")
+
+
+def _require_choice(value, choices: tuple, what: str) -> None:
+    """Refuse `value` unless it is one of `choices`; `what` names it."""
+    if value not in choices:
+        raise DomainError(f"unknown {what} {value!r}, expected one of {choices}")

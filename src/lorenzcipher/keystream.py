@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 from . import lorenz
-from .errors import DomainError
+from .errors import DomainError, _require_choice, _require_type
 from .lorenz import (_NON_FINITE_PAIR, COMPONENTS, LorenzParams, LorenzState,
                      _allocation_error, _check_count)
 
@@ -58,10 +58,8 @@ class KeystreamConfig:
     def __post_init__(self):
         for name, least in (("rows", 1), ("cols", 1), ("transient", 0)):
             _check_count(name, getattr(self, name), least)
-        if self.strategy not in STRATEGIES:
-            raise DomainError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
-        if self.component not in COMPONENTS:
-            raise DomainError(f"unknown component {self.component!r}, expected one of {COMPONENTS}")
+        _require_choice(self.strategy, STRATEGIES, "strategy")
+        _require_choice(self.component, COMPONENTS, "component")
 
     @property
     def n_samples(self) -> int:
@@ -72,8 +70,7 @@ class KeystreamConfig:
 def _read_only(value, name: str) -> np.ndarray:
     """`value` as a read-only, C-contiguous array, copying a writable or strided one."""
     import numpy as np
-    if not isinstance(value, np.ndarray):
-        raise DomainError(f"{name} must be a numpy array, got {type(value).__name__}")
+    _require_type(value, np.ndarray, f"{name} must be a numpy array")
     if value.flags.writeable or not value.flags.c_contiguous:
         value = np.array(value, order="C")
         value.setflags(write=False)

@@ -46,7 +46,7 @@ import threading
 import zlib
 from dataclasses import dataclass
 
-from .errors import DomainError, IntegrationBlowupError
+from .errors import DomainError, IntegrationBlowupError, _require_choice, _require_type
 
 __all__ = [
     "COMPONENTS",
@@ -162,8 +162,7 @@ def rk4_step(state: LorenzState, params: LorenzParams,
     Stage combination is k1 + 2*k2 + 2*k3 + k4, left to right, then
     scaled by h/6.
     """
-    if not isinstance(variant, ExtensionVariant):
-        raise DomainError(f"variant must be an ExtensionVariant, got {type(variant).__name__}")
+    _require_type(variant, ExtensionVariant, "variant must be an ExtensionVariant")
     nx, ny, nz = _rk4(state.x, state.y, state.z,
                       params.sigma, params.rho, params.beta, params.h,
                       variant is ExtensionVariant.B)
@@ -380,8 +379,7 @@ def integrate_pair(initial: LorenzState, params: LorenzParams,
     Bit-exact reproducible: identical arguments yield identical bit patterns.
     Always the pure-Python oracle, at a few microseconds per step.
     """
-    if component not in COMPONENTS:
-        raise DomainError(f"unknown component {component!r}, expected one of {COMPONENTS}")
+    _require_choice(component, COMPONENTS, "component")
     _check_count("n_steps", n_steps, 1)
     import numpy as np
     try:

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cipher import GrayImage
-from .errors import DomainError
+from .cipher import _IS_IMAGE, GrayImage
+from .errors import DomainError, _require_choice, _require_type
 
 __all__ = [
     "DIRECTIONS",
@@ -52,12 +52,6 @@ _BLOCK = 2 ** 15
 _CHUNK = 2 ** 17
 
 
-def _pixels(image: GrayImage) -> np.ndarray:
-    if not isinstance(image, GrayImage):
-        raise DomainError(f"image must be a GrayImage, got {type(image).__name__}")
-    return image.pixels
-
-
 def _tree_sum(leaf, lo: int, n: int):
     """numpy's sum of items lo .. lo + n - 1 of a contiguous float64 array,
     with each subtree of at most _BLOCK items summed by leaf(lo, n).
@@ -100,9 +94,9 @@ def adjacent_correlation(image: GrayImage, direction: str) -> float:
     does not grow with m. Bit-identical to the oracle in tests/test_metrics.py.
     """
     import numpy as np
-    p = _pixels(image)
-    if direction not in DIRECTIONS:
-        raise DomainError(f"unknown direction {direction!r}, expected one of {DIRECTIONS}")
+    _require_type(image, GrayImage, _IS_IMAGE)
+    _require_choice(direction, DIRECTIONS, "direction")
+    p = image.pixels
     dr, dc = _OFFSETS[direction]
     rows, cols = p.shape
     if rows <= dr or cols <= dc:
@@ -149,7 +143,8 @@ def histogram(image: GrayImage) -> np.ndarray:
     image.
     """
     import numpy as np
-    flat = _pixels(image).reshape(-1)
+    _require_type(image, GrayImage, _IS_IMAGE)
+    flat = image.pixels.reshape(-1)
     counts = np.zeros(256, dtype=np.int64)
     for lo in range(0, flat.size, _CHUNK):
         counts += np.bincount(flat[lo:lo + _CHUNK], minlength=256)

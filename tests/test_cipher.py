@@ -193,7 +193,7 @@ class TestEncryptDecrypt:
 
 class TestPackageApi:
     MODULES = [importlib.import_module(f"lorenzcipher.{name}") for name in (
-        "cipher", "errors", "keystream", "lorenz", "metrics", "pgm", "reference")]
+        "cipher", "errors", "keystream", "lorenz", "metrics", "pgm")]
 
     def test_namespace_is_the_modules_declared_api(self):
         declared = [name for module in self.MODULES for name in module.__all__]
