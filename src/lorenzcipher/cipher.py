@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, _require_type
 from .keystream import Keystream, KeystreamConfig, _read_only, generate_keystream
 from .lorenz import LorenzParams, LorenzState
 
@@ -75,6 +75,8 @@ def reference_image(rows: int = 256, cols: int = 256) -> GrayImage:
 
 def xor_apply(image: GrayImage, key: Keystream) -> GrayImage:
     """XOR each pixel with the matching key byte, row-major."""
+    _require_type(image, GrayImage, _IS_IMAGE)
+    _require_type(key, Keystream, "key must be a Keystream")
     kc = key.config
     if (kc.rows, kc.cols) != (image.rows, image.cols):
         raise DomainError(
@@ -90,6 +92,8 @@ def encrypt(image: GrayImage, params: LorenzParams, initial: LorenzState,
 
     Applying the same call to the ciphertext restores the plaintext.
     """
+    _require_type(image, GrayImage, _IS_IMAGE)
+    _require_type(config, KeystreamConfig, "config must be a KeystreamConfig")
     if (config.rows, config.cols) != (image.rows, image.cols):
         raise DomainError(
             f"config is {config.rows}x{config.cols} but image is "

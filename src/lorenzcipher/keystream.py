@@ -170,6 +170,9 @@ def generate_keystream(params: LorenzParams, initial: LorenzState,
     ...)), config), the reference. Bit-reproducible in all arguments.
     Warns (never raises) when the zero-byte fraction exceeds ZERO_FRACTION_WARN.
     """
+    _require_type(params, LorenzParams, "params must be a LorenzParams")
+    _require_type(initial, LorenzState, "initial must be a LorenzState")
+    _require_type(config, KeystreamConfig, "config must be a KeystreamConfig")
     import numpy as np
     data = np.frombuffer(_xor_keystream(params, initial, config), dtype=np.uint8)
     data.setflags(write=False)

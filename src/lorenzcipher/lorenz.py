@@ -162,6 +162,8 @@ def rk4_step(state: LorenzState, params: LorenzParams,
     Stage combination is k1 + 2*k2 + 2*k3 + k4, left to right, then
     scaled by h/6.
     """
+    _require_type(state, LorenzState, "state must be a LorenzState")
+    _require_type(params, LorenzParams, "params must be a LorenzParams")
     _require_type(variant, ExtensionVariant, "variant must be an ExtensionVariant")
     nx, ny, nz = _rk4(state.x, state.y, state.z,
                       params.sigma, params.rho, params.beta, params.h,

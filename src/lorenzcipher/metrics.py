@@ -180,10 +180,15 @@ def chi_square_uniform(counts: np.ndarray) -> float:
     counts = counts.astype(np.float64)
     if not (np.isfinite(counts) & (counts >= 0)).all():
         raise DomainError("chi-square counts must be finite and non-negative")
-    if counts.size < 2 or counts.sum() <= 0:
-        raise DomainError("chi-square needs >= 2 bins with a positive total")
-    expected = counts.sum() / counts.size
-    return float(((counts - expected) ** 2 / expected).sum())
+    with np.errstate(all="ignore"):  # an overflow is refused below, not warned of
+        total = counts.sum()
+        if counts.size < 2 or total <= 0:
+            raise DomainError("chi-square needs >= 2 bins with a positive total")
+        expected = total / counts.size
+        statistic = float(((counts - expected) ** 2 / expected).sum())
+    if not np.isfinite(statistic):  # also an infinite total
+        raise DomainError("chi-square statistic of these counts is not finite")
+    return statistic
 
 
 def efficiency_index(scores: list[WorkScores]) -> list[float]:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import re
 
-from .cipher import GrayImage
-from .errors import FileFormatError
+from .cipher import _IS_IMAGE, GrayImage
+from .errors import FileFormatError, _require_type
 
 __all__ = ["read_pgm", "write_pgm", "parse_pgm", "encode_pgm"]
 
@@ -65,7 +65,8 @@ def _decode_pgm(buf: bytes) -> tuple[int, int, memoryview]:
     if found < n:
         raise FileFormatError(f"truncated pixel data: expected {n} bytes, found {found}")
     if maxval < 255:
-        above = buf[pos:pos + n].translate(None, bytes(range(maxval + 1)))
+        # bytes(): a memoryview slice has no translate
+        above = bytes(buf[pos:pos + n]).translate(None, bytes(range(maxval + 1)))
         if above:
             raise FileFormatError(f"pixel value {max(above)} exceeds maxval {maxval}")
     return height, width, memoryview(buf)[pos:pos + n]
@@ -78,6 +79,8 @@ def _pgm_header(rows: int, cols: int) -> bytes:
 
 def parse_pgm(buf: bytes) -> GrayImage:
     """Decode a binary PGM byte string."""
+    _require_type(buf, (bytes, bytearray, memoryview),
+                  "buf must be bytes, bytearray or memoryview")
     import numpy as np
     rows, cols, payload = _decode_pgm(buf)
     return GrayImage.from_array(np.frombuffer(payload, dtype=np.uint8).reshape(rows, cols))
@@ -85,6 +88,7 @@ def parse_pgm(buf: bytes) -> GrayImage:
 
 def encode_pgm(image: GrayImage) -> bytes:
     """Encode an image as binary PGM with maxval 255."""
+    _require_type(image, GrayImage, _IS_IMAGE)
     return b"".join((_pgm_header(image.rows, image.cols), image.pixels))
 
 
@@ -96,6 +100,7 @@ def read_pgm(path) -> GrayImage:
 
 def write_pgm(image: GrayImage, path) -> None:
     """Write `image` as binary PGM; read_pgm(path).pixels then equals
-    image.pixels exactly."""
+    image.pixels exactly. An image refused leaves `path` untouched."""
+    data = encode_pgm(image)
     with open(path, "wb") as fh:
-        fh.write(encode_pgm(image))
+        fh.write(data)

@@ -3,7 +3,9 @@ the package namespace the cipher is used through."""
 
 import dataclasses
 import importlib
+import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,9 +16,10 @@ from hypothesis.extra.numpy import arrays
 import lorenzcipher
 from conftest import WORKING_PARAMS
 from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, DomainError,
-                          GrayImage, Keystream, KeystreamConfig,
-                          KeystreamQualityWarning, LorenzState, decrypt,
-                          encrypt, xor_apply)
+                          ExtensionVariant, GrayImage, Keystream,
+                          KeystreamConfig, KeystreamQualityWarning,
+                          LorenzState, decrypt, encrypt, generate_keystream,
+                          rk4_step, xor_apply)
 
 
 def key_from_bytes(data):
@@ -217,3 +220,60 @@ class TestPackageApi:
         exec("from lorenzcipher import *", namespace)
         namespace.pop("__builtins__")
         assert sorted(namespace) == sorted(lorenzcipher.__all__)
+
+
+def duck_params(h):
+    return SimpleNamespace(sigma=16.0, rho=45.92, beta=4.0, h=h)
+
+
+def duck_config(component):
+    return SimpleNamespace(rows=2, cols=2, transient=0, strategy="mantissa-lsb",
+                           component=component, n_samples=4)
+
+
+IMAGE_2X2 = GrayImage.from_array(np.zeros((2, 2), np.uint8))
+CONFIG_2X2 = KeystreamConfig(rows=2, cols=2, transient=0)
+WRONG_KEY_ARGUMENTS = {
+    # A look-alike params skipped LorenzParams' checks: h = 0 gave an
+    # all-zero keystream, and a string h reached the kernel.
+    "generate_keystream-params-h-zero": (
+        lambda: generate_keystream(duck_params(0.0), DEFAULT_INITIAL, CONFIG_2X2),
+        "params must be a LorenzParams, got SimpleNamespace"),
+    "generate_keystream-params-h-str": (
+        lambda: generate_keystream(duck_params("0.01"), DEFAULT_INITIAL, CONFIG_2X2),
+        "params must be a LorenzParams, got SimpleNamespace"),
+    "generate_keystream-initial": (
+        lambda: generate_keystream(WORKING_PARAMS, (1.0, 0.5, 0.9), CONFIG_2X2),
+        "initial must be a LorenzState, got tuple"),
+    "generate_keystream-config-component-q": (
+        lambda: generate_keystream(WORKING_PARAMS, DEFAULT_INITIAL, duck_config("q")),
+        "config must be a KeystreamConfig, got SimpleNamespace"),
+    "xor_apply-key": (
+        lambda: xor_apply(IMAGE_2X2, np.zeros(4, np.uint8)),
+        "key must be a Keystream, got ndarray"),
+    "encrypt-params": (
+        lambda: encrypt(IMAGE_2X2, duck_params(0.01), DEFAULT_INITIAL, CONFIG_2X2),
+        "params must be a LorenzParams, got SimpleNamespace"),
+    "encrypt-config": (
+        lambda: encrypt(IMAGE_2X2, WORKING_PARAMS, DEFAULT_INITIAL, duck_config("y")),
+        "config must be a KeystreamConfig, got SimpleNamespace"),
+    "decrypt-initial": (
+        lambda: decrypt(IMAGE_2X2, WORKING_PARAMS, SimpleNamespace(x=1.0, y=0.5, z=0.9),
+                        CONFIG_2X2),
+        "initial must be a LorenzState, got SimpleNamespace"),
+    "rk4_step-state": (
+        lambda: rk4_step((1.0, 0.5, 0.9), WORKING_PARAMS, ExtensionVariant.A),
+        "state must be a LorenzState, got tuple"),
+    "rk4_step-params-h-zero": (
+        lambda: rk4_step(DEFAULT_INITIAL, duck_params(0.0), ExtensionVariant.A),
+        "params must be a LorenzParams, got SimpleNamespace"),
+}
+
+
+@pytest.mark.parametrize("call, message", WRONG_KEY_ARGUMENTS.values(),
+                         ids=WRONG_KEY_ARGUMENTS.keys())
+def test_wrong_key_argument_type_is_refused(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape(message)):
+            call()

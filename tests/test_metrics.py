@@ -6,6 +6,7 @@ numeric mismatch rather than a silent bias.
 """
 
 import math
+import os
 import tracemalloc
 import warnings
 from collections import Counter
@@ -16,11 +17,12 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import PUBLISHED_WORKS, make_image
-from lorenzcipher import (DIRECTIONS, DomainError, LorenzCipherError,
-                          WorkScores, adjacent_correlation,
-                          chi_square_uniform, efficiency_index, histogram,
-                          shannon_entropy)
+from conftest import PUBLISHED_WORKS, WORKING_PARAMS, make_image
+from lorenzcipher import (DEFAULT_INITIAL, DIRECTIONS, DomainError, Keystream,
+                          KeystreamConfig, LorenzCipherError, WorkScores,
+                          adjacent_correlation, chi_square_uniform, decrypt,
+                          efficiency_index, encrypt, histogram,
+                          shannon_entropy, write_pgm, xor_apply)
 from lorenzcipher import encode_pgm, metrics, parse_pgm
 from lorenzcipher.metrics import _BLOCK, _CHUNK, _tree_sum
 
@@ -412,10 +414,31 @@ class TestChiSquare:
             with pytest.raises(DomainError, match="finite and non-negative"):
                 chi_square_uniform(counts)
 
+    @pytest.mark.parametrize("counts", [[1e308, 1e308], [1e300, 1e300, 0.0], [5e-324, 0.0]],
+                             ids=["total-overflows", "statistic-overflows",
+                                  "expected-underflows"])
+    def test_refuses_counts_whose_statistic_is_not_finite(self, counts):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="statistic of these counts is not finite"):
+                chi_square_uniform(counts)
+
+
+CONFIG_2X2 = KeystreamConfig(rows=2, cols=2)
+
 
 class TestInputs:
     @pytest.mark.parametrize("metric", [
-        histogram, shannon_entropy, lambda image: adjacent_correlation(image, "horizontal")])
+        histogram, shannon_entropy, lambda image: adjacent_correlation(image, "horizontal"),
+        pytest.param(lambda image: xor_apply(
+            image, Keystream(np.zeros(4, np.uint8), CONFIG_2X2)), id="xor_apply"),
+        pytest.param(lambda image: encrypt(image, WORKING_PARAMS, DEFAULT_INITIAL,
+                                           CONFIG_2X2), id="encrypt"),
+        pytest.param(lambda image: decrypt(image, WORKING_PARAMS, DEFAULT_INITIAL,
+                                           CONFIG_2X2), id="decrypt"),
+        encode_pgm,
+        # os.devnull: a parent that opened the path before refusing writes nothing
+        pytest.param(lambda image: write_pgm(image, os.devnull), id="write_pgm")])
     def test_bare_array_is_refused(self, metric):
         with pytest.raises(DomainError, match="image must be a GrayImage, got ndarray"):
             metric(np.zeros((2, 2), np.uint8))

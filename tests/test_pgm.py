@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import make_image
-from lorenzcipher import (FileFormatError, GrayImage, encode_pgm, parse_pgm,
-                          read_pgm, write_pgm)
+from lorenzcipher import (DomainError, FileFormatError, GrayImage, encode_pgm,
+                          parse_pgm, read_pgm, write_pgm)
 
 
 class TestParse:
@@ -101,6 +101,15 @@ class TestParse:
         raw[-1] = 9
         assert image.pixels.tolist() == [[1, 2]]
 
+    def test_memoryview_input_below_maxval_255(self):
+        assert parse_pgm(memoryview(b"P5 2 1 15 \x01\x0f")).pixels.tolist() == [[1, 15]]
+
+    @pytest.mark.parametrize("buf", ["P5 1 1 255 A", 5, None], ids=["str", "int", "none"])
+    def test_refuses_what_is_not_bytes_like(self, buf):
+        with pytest.raises(DomainError, match="buf must be bytes, bytearray or memoryview, "
+                                              f"got {type(buf).__name__}"):
+            parse_pgm(buf)
+
     def test_leading_zeros_do_not_count_as_digits(self):
         image = parse_pgm(b"P5 " + b"0" * 5000 + b"1 01 0255 \x07")
         assert image.pixels.tolist() == [[7]]
@@ -167,6 +176,13 @@ class TestFileIo:
         write_pgm(image, path)
         back = read_pgm(path)
         assert np.array_equal(back.pixels, image.pixels)
+
+    def test_refused_image_leaves_an_existing_file_untouched(self, tmp_path):
+        path = tmp_path / "t.pgm"
+        path.write_bytes(b"kept")
+        with pytest.raises(DomainError, match="image must be a GrayImage, got ndarray"):
+            write_pgm(np.zeros((2, 2), np.uint8), path)
+        assert path.read_bytes() == b"kept"
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
