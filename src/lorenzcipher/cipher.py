@@ -6,7 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, _require_type
-from .keystream import Keystream, KeystreamConfig, _read_only, generate_keystream
+from .keystream import (_IS_CONFIG, Keystream, KeystreamConfig, _read_only,
+                        generate_keystream)
 from .lorenz import LorenzParams, LorenzState
 
 __all__ = ["GrayImage", "reference_image", "xor_apply", "encrypt", "decrypt"]
@@ -93,7 +94,7 @@ def encrypt(image: GrayImage, params: LorenzParams, initial: LorenzState,
     Applying the same call to the ciphertext restores the plaintext.
     """
     _require_type(image, GrayImage, _IS_IMAGE)
-    _require_type(config, KeystreamConfig, "config must be a KeystreamConfig")
+    _require_type(config, KeystreamConfig, _IS_CONFIG)
     if (config.rows, config.cols) != (image.rows, image.cols):
         raise DomainError(
             f"config is {config.rows}x{config.cols} but image is "

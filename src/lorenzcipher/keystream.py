@@ -67,6 +67,10 @@ class KeystreamConfig:
         return self.transient + self.rows * self.cols
 
 
+# The refusal of anything but a KeystreamConfig where a config is expected.
+_IS_CONFIG = "config must be a KeystreamConfig"
+
+
 def _read_only(value, name: str) -> np.ndarray:
     """`value` as a read-only, C-contiguous array, copying a writable or strided one."""
     import numpy as np
@@ -89,6 +93,7 @@ class Keystream:
     def __post_init__(self):
         import numpy as np
         data = _read_only(self.data, "keystream data")
+        _require_type(self.config, KeystreamConfig, _IS_CONFIG)
         expected = self.config.rows * self.config.cols
         if data.dtype != np.uint8 or data.shape != (expected,):
             raise DomainError(
@@ -172,7 +177,7 @@ def generate_keystream(params: LorenzParams, initial: LorenzState,
     """
     _require_type(params, LorenzParams, "params must be a LorenzParams")
     _require_type(initial, LorenzState, "initial must be a LorenzState")
-    _require_type(config, KeystreamConfig, "config must be a KeystreamConfig")
+    _require_type(config, KeystreamConfig, _IS_CONFIG)
     import numpy as np
     data = np.frombuffer(_xor_keystream(params, initial, config), dtype=np.uint8)
     data.setflags(write=False)

@@ -203,6 +203,7 @@ def efficiency_index(scores: list[WorkScores]) -> list[float]:
     if not scores:
         raise DomainError("efficiency_index needs at least one work")
     for s in scores:
+        _require_type(s, WorkScores, "each of scores must be a WorkScores")
         for field in ("corr_h", "corr_v", "corr_d"):
             if getattr(s, field) == 0.0:
                 raise DomainError(

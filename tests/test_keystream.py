@@ -6,6 +6,7 @@ import math
 import struct
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -103,6 +104,13 @@ class TestKeystreamData:
     def test_rejects_a_list(self):
         with pytest.raises(DomainError, match="list"):
             Keystream([0, 0, 0, 0], KeystreamConfig(rows=2, cols=2))
+
+    @pytest.mark.parametrize("config", [None, SimpleNamespace(rows=2, cols=2)],
+                             ids=["none", "look-alike"])
+    def test_rejects_a_config_of_another_class(self, config):
+        with pytest.raises(DomainError, match="config must be a KeystreamConfig, got "
+                                              f"{type(config).__name__}"):
+            Keystream(np.zeros(4, np.uint8), config)
 
     def test_generated_data_is_read_only(self):
         ks = quiet_keystream(WORKING_PARAMS, DEFAULT_INITIAL,

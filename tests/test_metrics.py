@@ -10,6 +10,7 @@ import os
 import tracemalloc
 import warnings
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -479,6 +480,14 @@ class TestEfficiencyIndex:
                 WorkScores("degenerate", 0.0, 0.001, 0.001, 7.9)]
         with pytest.raises(DomainError):
             efficiency_index(rows)
+
+    @pytest.mark.parametrize("work", [
+        1, SimpleNamespace(label="a", corr_h=0.001, corr_v=0.001, corr_d=0.001, entropy=7.9)],
+        ids=["int", "look-alike"])
+    def test_refuses_an_entry_that_is_not_workscores(self, work):
+        with pytest.raises(DomainError, match="each of scores must be a WorkScores, got "
+                                              f"{type(work).__name__}"):
+            efficiency_index([PUBLISHED_WORKS[0], work])
 
     def test_empty_table_and_zero_entropy_rejected(self):
         with pytest.raises(DomainError, match="at least one work"):
