@@ -44,7 +44,8 @@ def _require_type(value, cls, what: str) -> None:
         raise DomainError(f"{what}, got {type(value).__name__}")
 
 
-def _require_choice(value, choices: tuple, what: str) -> None:
-    """Refuse `value` unless it is one of `choices`; `what` names it."""
-    if value not in choices:
+def _require_choice(value, choices: tuple[str, ...], what: str) -> None:
+    """Refuse `value` unless it is one of the strings `choices`; `what` names
+    it. Only a str is compared, so an array cannot answer `in` ambiguously."""
+    if not (isinstance(value, str) and value in choices):
         raise DomainError(f"unknown {what} {value!r}, expected one of {choices}")

@@ -55,6 +55,11 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             KeystreamConfig(rows=4, cols=4, component="w")
 
+    @pytest.mark.parametrize("field", ["strategy", "component"])
+    def test_rejects_a_choice_that_is_not_a_string(self, field):
+        with pytest.raises(DomainError, match=f"unknown {field} "):
+            KeystreamConfig(rows=4, cols=4, **{field: np.array(["x", "y"])})
+
     @pytest.mark.parametrize("bad", [2.0, 10.5, True, "4", None])
     def test_rejects_non_int_sizes(self, bad):
         with pytest.raises(DomainError):
