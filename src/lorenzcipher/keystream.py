@@ -21,9 +21,9 @@ import warnings
 from dataclasses import dataclass
 
 from . import lorenz
-from .errors import DomainError, _require_choice, _require_type
-from .lorenz import (_NON_FINITE_PAIR, COMPONENTS, LorenzParams, LorenzState,
-                     _allocation_error, _check_count)
+from .errors import (_NON_FINITE_PAIR, DomainError, _allocation_error, _check_count,
+                     _require_choice, _require_type)
+from .lorenz import COMPONENTS, LorenzParams, LorenzState
 
 __all__ = [
     "STRATEGIES",

@@ -46,7 +46,8 @@ import threading
 import zlib
 from dataclasses import dataclass
 
-from .errors import DomainError, IntegrationBlowupError, _require_choice, _require_type
+from .errors import (_NON_FINITE_PAIR, DomainError, IntegrationBlowupError, _allocation_error,
+                     _check_count, _require_choice, _require_type, _store_floats)
 
 __all__ = [
     "COMPONENTS",
@@ -68,34 +69,6 @@ class ExtensionVariant(enum.Enum):
 
     A = "a"
     B = "b"
-
-
-def _store_floats(key, what: str, names: tuple[str, ...]) -> None:
-    """Store each named field of `key` as a finite binary64 float, the one
-    arithmetic the cipher is defined in; refuse anything not a real number."""
-    for name in names:
-        value = getattr(key, name)
-        if type(value) is not float:
-            import numbers
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise DomainError(f"{what} {name} is a {type(value).__name__}, not a real number")
-            try:
-                value = float(value)
-            except OverflowError:  # not echoed: an int over 4300 digits cannot be printed
-                raise DomainError(f"{what} {name} is too large for a binary64 float") from None
-            object.__setattr__(key, name, value)
-        if not math.isfinite(value):
-            raise DomainError(f"{what} {name} must be finite, got {value!r}")
-
-
-def _check_count(name: str, value, least: int) -> None:
-    """Refuse anything but a plain int >= least (a bool is not a count). The
-    message never echoes an int that str() could refuse (over 4300 digits)."""
-    if type(value) is not int:
-        raise DomainError(f"{name} must be an int, got {type(value).__name__}")
-    if value < least:
-        raise DomainError(f"{name} must be >= {least}, got "
-                          f"{value if value > -2**63 else 'a huge negative int'}")
 
 
 @dataclass(frozen=True)
@@ -179,16 +152,6 @@ def _blowup(variant: str, n: int) -> IntegrationBlowupError:
     return IntegrationBlowupError(
         f"variant {variant.upper()} produced a non-finite state at step {n}",
         variant=variant, step_index=n)
-
-
-# lower_bound_error's refusal; the compiled key kernel gives the same one.
-_NON_FINITE_PAIR = "pair contains non-finite samples"
-
-
-def _allocation_error(what: str, n_steps: int, per_step: str) -> DomainError:
-    # A power of two, because str() refuses an int past 4300 digits.
-    return DomainError(f"cannot allocate {what} for n_steps = "
-                       f"2**{math.log2(n_steps):.2f} ({per_step})")
 
 
 def _orbit(state, sigma, rho, beta, h):

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cipher import _IS_IMAGE, GrayImage
-from .errors import DomainError, _require_choice, _require_type
+from .errors import DomainError, _require_choice, _require_type, _store_floats
 
 __all__ = [
     "DIRECTIONS",
@@ -32,6 +32,8 @@ class WorkScores:
     entropy: float
 
     def __post_init__(self):
+        _require_type(self.label, str, "label must be a str")
+        _store_floats(self, f"work {self.label!r}", ("corr_h", "corr_v", "corr_d", "entropy"))
         for name, lo, hi in (("corr_h", -1, 1), ("corr_v", -1, 1),
                              ("corr_d", -1, 1), ("entropy", 0, 8)):
             value = getattr(self, name)

@@ -7,6 +7,7 @@ numeric mismatch rather than a silent bias.
 
 import math
 import os
+import re
 import tracemalloc
 import warnings
 from collections import Counter
@@ -503,6 +504,20 @@ class TestEfficiencyIndex:
             values[i] = bad
             with pytest.raises(DomainError):
                 WorkScores("bad", *values, 7.9)
+
+    @pytest.mark.parametrize("args, message", [
+        (("a", "0.1", 0.0, 0.0, 1.0), "work 'a' corr_h is a str, not a real number"),
+        (("a", True, 0.1, 0.1, 7.0), "work 'a' corr_h is a bool, not a real number"),
+        (("a", 0.1, 0.1, 0.1, "7"), "work 'a' entropy is a str, not a real number"),
+        ((5, 0.1, 0.1, 0.1, 7.0), "label must be a str, got int")],
+        ids=["str-number", "bool-number", "str-entropy", "int-label"])
+    def test_refuses_a_field_of_the_wrong_type(self, args, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            WorkScores(*args)
+
+    def test_numbers_are_stored_as_floats(self):
+        work = WorkScores("a", 0, 1, -1, 8)
+        assert [type(v) for v in (work.corr_h, work.corr_v, work.corr_d, work.entropy)] == [float] * 4
 
     def test_entropy_above_eight_rejected(self):
         with pytest.raises(DomainError):
