@@ -7,7 +7,9 @@ standard library alone: it needs neither numpy nor pytest.
 It round-trips a 64x64 PGM it writes itself through encrypt and decrypt,
 encrypts it again to /dev/stdout in a child process whose stdout is a pipe
 (the bytes on the pipe must be the encrypted file's; skipped where there is
-no /dev/stdout), runs `keystream --format raw` for every vector of
+no /dev/stdout), encrypts an 8x8 PGM at the default step in a child process
+under -W error::lorenzcipher.KeystreamQualityWarning (it must exit 3 with one
+`domain error:` line and write nothing), runs `keystream --format raw` for every vector of
 tests/known_answers.json (the sha256 and zero-byte count must match, a
 blow-up must exit 3), runs `index` on a two-work scores CSV it writes itself,
 with and without a UTF-8 byte-order mark (its label,ic lines must match),
@@ -93,6 +95,24 @@ def to_piped_stdout(work: pathlib.Path) -> list[str]:
     return []
 
 
+def refusal(work: pathlib.Path) -> list[str]:
+    """The documented refusal of a degenerate keystream: the default step's
+    warning raised as an error exits 3 with one line and writes nothing."""
+    plain, out = work / "flat.pgm", work / "refused.pgm"
+    plain.write_bytes(b"P5\n8 8\n255\n" + bytes(64))
+    done = subprocess.run([sys.executable, "-W", "error::lorenzcipher.KeystreamQualityWarning",
+                           "-m", "lorenzcipher.cli", "encrypt", str(plain), str(out)],
+                          capture_output=True, text=True, timeout=120)
+    # Without cc the kernel loader logs a line of its own first.
+    lines = [line for line in done.stderr.splitlines()
+             if not line.startswith("compiled RK4 kernel unavailable")]
+    if (done.returncode, len(lines), out.exists()) != (3, 1, False) \
+            or not lines[0].startswith("domain error: "):
+        return [f"refused encrypt: exit {done.returncode}, output written {out.exists()}, "
+                f"stderr {done.stderr.strip()!r}"]
+    return []
+
+
 def known_answers(work: pathlib.Path) -> list[str]:
     vectors = json.loads((REPO / "tests" / "known_answers.json").read_text())
     out = work / "key.bin"
@@ -147,8 +167,8 @@ def import_set(work: pathlib.Path) -> list[str]:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = pathlib.Path(tmp)
-        failures = (round_trip(work) + to_piped_stdout(work) + known_answers(work)
-                    + index(work) + import_set(work))
+        failures = (round_trip(work) + to_piped_stdout(work) + refusal(work)
+                    + known_answers(work) + index(work) + import_set(work))
     print(f"kernel: {kernel_backend()}, Python {sys.version.split()[0]}")
     for failure in failures:
         print(f"FAIL {failure}")

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, _require_type
+from .errors import DomainError, _check_count, _require_type
 from .keystream import (_IS_CONFIG, Keystream, KeystreamConfig, _read_only,
                         generate_keystream)
 from .lorenz import LorenzParams, LorenzState
@@ -44,7 +44,10 @@ class GrayImage:
     @classmethod
     def from_array(cls, pixels: np.ndarray) -> "GrayImage":
         import numpy as np
-        arr = np.asarray(pixels)
+        try:
+            arr = np.asarray(pixels)
+        except ValueError:  # a ragged nesting of sequences
+            raise DomainError("pixels must be a rectangular array of integers") from None
         if arr.dtype != np.uint8:
             if arr.dtype.kind not in "iu":
                 raise DomainError(f"pixels must be integers, got dtype {arr.dtype}")
@@ -60,6 +63,8 @@ def reference_image(rows: int = 256, cols: int = 256) -> GrayImage:
     plus a gentle gradient: photo-like where cipher evaluation cares
     (entropy well below 8, adjacent-pixel correlations near 1, a lumpy
     histogram), without shipping a photograph."""
+    _check_count("rows", rows, 1)
+    _check_count("cols", cols, 1)
     import numpy as np
     i = np.arange(rows, dtype=np.float64)[:, None]
     j = np.arange(cols, dtype=np.float64)[None, :]

@@ -13,7 +13,8 @@ four imports platform, json or numbers: json is imported only to read
 --config, and numbers only for a key field that is not a float. csv is
 imported only by analyze and index. A warning, such as a degenerate
 keystream's, prints as one `warning:` line on stderr that ends with the
-warning's category.
+warning's category; a KeystreamQualityWarning that a -W filter raises as an
+error is a domain error.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import fields, replace
 from functools import partial
 
 from .errors import DomainError, FileFormatError
-from .keystream import STRATEGIES, KeystreamConfig, _xor_keystream
+from .keystream import STRATEGIES, KeystreamConfig, KeystreamQualityWarning, _xor_keystream
 from .lorenz import (COMPONENTS, DEFAULT_INITIAL, DEFAULT_PARAMS, LorenzParams,
                      LorenzState)
 from .metrics import (DIRECTIONS, WorkScores, _entropy, adjacent_correlation,
@@ -324,7 +325,7 @@ def run_command(argv, stdout=None, stderr=None) -> int:
     except OSError as e:
         print(f"i/o error: {e}", file=stderr)
         return 2
-    except DomainError as e:
+    except (DomainError, KeystreamQualityWarning) as e:  # the warning under -W error
         print(f"domain error: {e}", file=stderr)
         return 3
 

@@ -3,6 +3,7 @@
 Two broad families matter to callers: `FileFormatError` covers unreadable
 or malformed input files, while `DomainError` covers numerically or
 structurally invalid data. The CLI maps these onto distinct exit codes.
+The argument rules and refusals that several modules share live here too.
 """
 
 from __future__ import annotations

@@ -202,6 +202,7 @@ def efficiency_index(scores: list[WorkScores]) -> list[float]:
     work in a category scores exactly 1 there, and Ic is the arithmetic mean
     of the four ratios.
     """
+    _require_type(scores, (list, tuple), "scores must be a list or tuple")
     if not scores:
         raise DomainError("efficiency_index needs at least one work")
     for s in scores:

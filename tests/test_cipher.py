@@ -19,7 +19,7 @@ from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, DomainError,
                           ExtensionVariant, GrayImage, Keystream,
                           KeystreamConfig, KeystreamQualityWarning,
                           LorenzState, decrypt, encrypt, generate_keystream,
-                          rk4_step, xor_apply)
+                          reference_image, rk4_step, xor_apply)
 
 
 def key_from_bytes(data):
@@ -51,6 +51,10 @@ class TestGrayImage:
             GrayImage.from_array(np.array([[0, 256]]))
         with pytest.raises(DomainError):
             GrayImage.from_array(np.array([[-1, 0]]))
+
+    def test_rejects_a_ragged_nesting(self):
+        with pytest.raises(DomainError, match="pixels must be a rectangular array of integers"):
+            GrayImage.from_array([[1, [2]]])
 
     def test_accepts_in_range_integers(self):
         img = GrayImage.from_array(np.array([[0, 255], [7, 130]]))
@@ -220,6 +224,15 @@ class TestPackageApi:
         exec("from lorenzcipher import *", namespace)
         namespace.pop("__builtins__")
         assert sorted(namespace) == sorted(lorenzcipher.__all__)
+
+
+@pytest.mark.parametrize("rows, cols, message", [
+    (2.5, 3, "rows must be an int, got float"), (True, 3, "rows must be an int, got bool"),
+    ("a", 3, "rows must be an int, got str"), (3, 0, "cols must be >= 1, got 0")],
+    ids=["float", "bool", "str", "zero"])
+def test_reference_image_refuses_a_size_that_is_not_a_count(rows, cols, message):
+    with pytest.raises(DomainError, match=message):
+        reference_image(rows, cols)
 
 
 def duck_params(h):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from conftest import PUBLISHED_WORKS, WORKING_PARAMS, quiet_keystream
 from lorenzcipher import (COMPONENTS, DEFAULT_INITIAL, DEFAULT_PARAMS,
                           STRATEGIES, FileFormatError, GrayImage,
-                          KeystreamConfig, adjacent_correlation,
+                          KeystreamConfig, KeystreamQualityWarning, adjacent_correlation,
                           efficiency_index, read_pgm, reference_image,
                           shannon_entropy, write_pgm)
 from lorenzcipher.cli import _load_config_file, run_command
@@ -470,10 +470,12 @@ def test_report_to_dev_stdout_on_a_pipe(small_pgm, tmp_path):
 
 
 # The warning encrypt gives at the default step h = 1e-6, whose keystream
-# is all zeros, and the one line the CLI prints for it.
+# is all zeros, and the one line the CLI prints for it, or for it raised as
+# an error.
 DEGENERATE = ("keystream zero-byte fraction 100.00% exceeds 2%; the cipher is close "
               "to an identity map (try a larger step h or more iterations)")
 DEGENERATE_LINE = f"warning: {DEGENERATE} (KeystreamQualityWarning)\n"
+REFUSED_LINE = f"domain error: {DEGENERATE}\n"
 
 
 def test_warning_is_one_line(small_pgm, tmp_path):
@@ -485,13 +487,29 @@ def test_warning_is_one_line(small_pgm, tmp_path):
     assert (code, out.getvalue(), err.getvalue()) == (0, "", DEGENERATE_LINE)
 
 
+@pytest.mark.parametrize("argv", [["encrypt", "{image}", "{out}"],
+                                  ["keystream", "--rows", "16", "--cols", "16"]],
+                         ids=["encrypt", "keystream"])
+def test_warning_raised_as_error_is_a_domain_error(small_pgm, tmp_path, argv):
+    # The documented refusal of a degenerate keystream: exit 3, nothing written.
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", KeystreamQualityWarning)
+        code = run_command([arg.format(image=small_pgm, out=tmp_path / "o.pgm") for arg in argv],
+                           stdout=out, stderr=err)
+    assert (code, out.getvalue(), err.getvalue()) == (3, "", REFUSED_LINE)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("options, env, code, err", [
     ([], {}, 0, DEGENERATE_LINE),
     (["-W", "ignore"], {}, 0, ""),
     (["-W", "ignore::lorenzcipher.KeystreamQualityWarning"], {}, 0, ""),
     ([], {"PYTHONWARNINGS": "ignore"}, 0, ""),
-    (["-W", "error"], {}, 1, f"lorenzcipher.keystream.KeystreamQualityWarning: {DEGENERATE}\n"),
-], ids=["default", "W-ignore", "W-ignore-category", "PYTHONWARNINGS-ignore", "W-error"])
+    (["-W", "error"], {}, 3, REFUSED_LINE),
+    (["-W", "error::lorenzcipher.KeystreamQualityWarning"], {}, 3, REFUSED_LINE),
+], ids=["default", "W-ignore", "W-ignore-category", "PYTHONWARNINGS-ignore", "W-error",
+        "W-error-category"])
 def test_cli_warning_filters_apply(small_pgm, tmp_path, options, env, code, err):
     # A fresh interpreter, so the filters come from its own options; an
     # error-filtered warning still ends the command before it writes. Without
@@ -505,7 +523,7 @@ def test_cli_warning_filters_apply(small_pgm, tmp_path, options, env, code, err)
     stderr = "".join(line for line in done.stderr.splitlines(keepends=True)
                      if not line.startswith("compiled RK4 kernel unavailable"))
     assert (done.returncode, done.stdout) == (code, "")
-    assert stderr.endswith(err) and (code == 1 or stderr == err)
+    assert stderr == err
     assert (tmp_path / "o.pgm").exists() == (code == 0)
 
 

@@ -490,6 +490,16 @@ class TestEfficiencyIndex:
                                               f"{type(work).__name__}"):
             efficiency_index([PUBLISHED_WORKS[0], work])
 
+    @pytest.mark.parametrize("scores, kind", [
+        (iter(PUBLISHED_WORKS), "list_iterator"), (5, "int"), (None, "NoneType")],
+        ids=["iterator", "int", "None"])
+    def test_refuses_scores_that_are_not_a_list_or_tuple(self, scores, kind):
+        with pytest.raises(DomainError, match=f"scores must be a list or tuple, got {kind}"):
+            efficiency_index(scores)
+
+    def test_accepts_a_tuple(self):
+        assert efficiency_index(tuple(PUBLISHED_WORKS)) == efficiency_index(PUBLISHED_WORKS)
+
     def test_empty_table_and_zero_entropy_rejected(self):
         with pytest.raises(DomainError, match="at least one work"):
             efficiency_index([])
