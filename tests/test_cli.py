@@ -507,9 +507,7 @@ def test_warning_raised_as_error_is_a_domain_error(small_pgm, tmp_path, argv):
     (["-W", "ignore::lorenzcipher.KeystreamQualityWarning"], {}, 0, ""),
     ([], {"PYTHONWARNINGS": "ignore"}, 0, ""),
     (["-W", "error"], {}, 3, REFUSED_LINE),
-    (["-W", "error::lorenzcipher.KeystreamQualityWarning"], {}, 3, REFUSED_LINE),
-], ids=["default", "W-ignore", "W-ignore-category", "PYTHONWARNINGS-ignore", "W-error",
-        "W-error-category"])
+], ids=["default", "W-ignore", "W-ignore-category", "PYTHONWARNINGS-ignore", "W-error"])
 def test_cli_warning_filters_apply(small_pgm, tmp_path, options, env, code, err):
     # A fresh interpreter, so the filters come from its own options; an
     # error-filtered warning still ends the command before it writes. Without
