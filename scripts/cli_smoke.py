@@ -9,11 +9,11 @@ encrypts it again to /dev/stdout in a child process whose stdout is a pipe
 (the bytes on the pipe must be the encrypted file's; skipped where there is
 no /dev/stdout), encrypts an 8x8 PGM at the default step in a child process
 under -W error::lorenzcipher.KeystreamQualityWarning (it must exit 3 with one
-`domain error:` line and write nothing), runs `keystream --format raw` for every vector of
-tests/known_answers.json (the sha256 and zero-byte count must match, a
-blow-up must exit 3), runs `index` on a two-work scores CSV it writes itself,
-with and without a UTF-8 byte-order mark (its label,ic lines must match),
-and checks in child processes that encrypt, decrypt and keystream import
+`domain error:` line and write nothing), runs `keystream --format raw` for
+every vector of tests/known_answers.json (the sha256 and zero-byte count
+must match, a blow-up must exit 3), runs `index` on a two-work scores CSV
+it writes itself, with and without a UTF-8 byte-order mark (its label,ic
+lines must match), and checks in child processes that encrypt, decrypt and keystream import
 none of UNUSED_BY_CRYPT and index none of UNUSED_BY_INDEX. Prints the
 kernel that ran, each failure, and exits 1 if there was one.
 """
