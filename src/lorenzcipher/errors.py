@@ -86,7 +86,8 @@ def _check_count(name: str, value, least: int) -> None:
 _NON_FINITE_PAIR = "pair contains non-finite samples"
 
 
-def _allocation_error(what: str, n_steps: int, per_step: str) -> DomainError:
+def _allocation_error(what: str, count: int, per_item: str,
+                      name: str = "n_steps") -> DomainError:
     # A power of two, because str() refuses an int past 4300 digits.
-    return DomainError(f"cannot allocate {what} for n_steps = "
-                       f"2**{math.log2(n_steps):.2f} ({per_step})")
+    return DomainError(f"cannot allocate {what} for {name} = "
+                       f"2**{math.log2(count):.2f} ({per_item})")

@@ -1,9 +1,11 @@
 """XOR cipher unit tests: involution, shape rules, keystream recovery; and
 the package namespace the cipher is used through."""
 
+import contextlib
 import dataclasses
 import importlib
 import re
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -14,9 +16,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lorenzcipher
-from conftest import WORKING_PARAMS
-from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, DomainError,
-                          ExtensionVariant, GrayImage, Keystream,
+from conftest import WORKING_PARAMS, needs_c, pure_python
+from lorenzcipher import (COMPONENTS, DEFAULT_INITIAL, DEFAULT_PARAMS, STRATEGIES,
+                          DomainError, ExtensionVariant, GrayImage, Keystream,
                           KeystreamConfig, KeystreamQualityWarning,
                           LorenzState, decrypt, encrypt, generate_keystream,
                           reference_image, rk4_step, xor_apply)
@@ -197,6 +199,63 @@ class TestEncryptDecrypt:
         with pytest.raises(DomainError, match="config is 8x8 but image is 4x4"):
             encrypt(img, WORKING_PARAMS, DEFAULT_INITIAL, config)
 
+    # encrypt XORs the image into the buffer of the keystream it generated;
+    # xor_apply, which allocates its result, over generate_keystream is the
+    # reference.
+    @pytest.mark.parametrize("kernel", [contextlib.nullcontext, pure_python],
+                             ids=["loaded", "pure-python"])
+    @pytest.mark.parametrize("component", COMPONENTS)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_in_place_xor_matches_xor_apply(self, strategy, component, kernel):
+        rng = np.random.default_rng(23)
+        img = GrayImage.from_array(rng.integers(0, 256, (12, 17), dtype=np.uint8))
+        before = img.pixels.copy()
+        config = KeystreamConfig(12, 17, transient=300, strategy=strategy, component=component)
+        key = (WORKING_PARAMS, DEFAULT_INITIAL, config)
+        with kernel(), warnings.catch_warnings():
+            warnings.simplefilter("ignore", KeystreamQualityWarning)
+            cipher = encrypt(img, *key)
+            again = encrypt(img, *key)
+            expected = xor_apply(img, generate_keystream(*key))
+            back = decrypt(cipher, *key)
+        assert np.array_equal(cipher.pixels, expected.pixels)
+        assert not cipher.pixels.flags.writeable and cipher.pixels.flags.c_contiguous
+        assert not np.shares_memory(cipher.pixels, img.pixels)
+        assert np.array_equal(img.pixels, before)
+        assert np.array_equal(again.pixels, cipher.pixels)
+        assert not np.shares_memory(again.pixels, cipher.pixels)
+        assert np.array_equal(back.pixels, img.pixels)
+
+    @needs_c
+    def test_peak_memory_per_pixel(self):
+        # One image-sized buffer, the keystream's, which becomes the
+        # ciphertext; minmax-scale's window of deltas adds 8 bytes per pixel.
+        for strategy, per_pixel in zip(STRATEGIES, (1, 9)):
+            config = KeystreamConfig(512, 512, strategy=strategy)
+            assert encrypt_peak_bytes(config) <= per_pixel * config.rows * config.cols + 2**16
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_peak_memory_per_pixel_without_a_compiler(self, strategy):
+        # The slack is below the 16 KiB a second 128x128 buffer would take.
+        per_pixel = 9 if strategy == "minmax-scale" else 1
+        config = KeystreamConfig(128, 128, strategy=strategy)
+        with pure_python():
+            peak = encrypt_peak_bytes(config)
+        assert peak <= per_pixel * config.rows * config.cols + 2**13
+
+
+def encrypt_peak_bytes(config) -> int:
+    """Peak bytes traced by tracemalloc while encrypting a config-sized image."""
+    img = GrayImage.from_array(np.full((config.rows, config.cols), 77, np.uint8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KeystreamQualityWarning)
+        tracemalloc.start()
+        try:
+            encrypt(img, WORKING_PARAMS, DEFAULT_INITIAL, config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
 
 class TestPackageApi:
     MODULES = [importlib.import_module(f"lorenzcipher.{name}") for name in (
@@ -232,6 +291,18 @@ class TestPackageApi:
     ids=["float", "bool", "str", "zero"])
 def test_reference_image_refuses_a_size_that_is_not_a_count(rows, cols, message):
     with pytest.raises(DomainError, match=message):
+        reference_image(rows, cols)
+
+
+# Each is past what numpy can size or any address space can hold, so no
+# case allocates: numpy refuses 2**62 x 2**62 with a ValueError, makes an
+# empty array for 2**63 rows, and cannot allocate 2**59 float64 columns.
+@pytest.mark.parametrize("rows, cols, power", [
+    (2**62, 2**62, "2**124.00"), (2**63, 1, "2**63.00"), (1, 2**59, "2**59.00")],
+    ids=["too-big", "sized-empty", "unallocatable"])
+def test_reference_image_refuses_a_texture_it_cannot_allocate(rows, cols, power):
+    with pytest.raises(DomainError, match=re.escape(
+            f"cannot allocate the texture for pixels = {power} (8-byte floats per pixel)")):
         reference_image(rows, cols)
 
 
