@@ -15,27 +15,20 @@ from dataclasses import replace
 import numpy as np
 
 import lorenzcipher as lc
+from lorenzcipher.cli import exit_status
 
 DEFAULT_STEPS = (1e-6, 1e-5, 1e-4, 1e-3, 5e-3, 1e-2, 2e-2)
 
 
 def main(argv=None) -> int:
+    """Print one table row per step, once every row is computed, so a run
+    that fails prints none of the table."""
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--size", type=int, default=256)
     ap.add_argument("--steps", type=float, nargs="+", default=list(DEFAULT_STEPS))
     ap.add_argument("--strategy", choices=lc.STRATEGIES,
                     default=lc.KeystreamConfig.strategy)
     args = ap.parse_args(argv)
-    try:
-        return report(args)
-    except lc.LorenzCipherError as e:
-        print(f"domain error: {e}", file=sys.stderr)
-        return 3
-
-
-def report(args) -> int:
-    """Print one table row per step, once every row is computed, so a run
-    that fails prints none of the table."""
     plain = lc.reference_image(args.size, args.size)
     config = lc.KeystreamConfig(rows=args.size, cols=args.size,
                                 strategy=args.strategy)
@@ -63,4 +56,4 @@ def report(args) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_status(main, sys.stderr))

@@ -26,6 +26,7 @@ import numpy as np
 from lorenzcipher import (COMPONENTS, DEFAULT_INITIAL, DEFAULT_PARAMS, STRATEGIES,
                           IntegrationBlowupError, KeystreamConfig, LorenzParams,
                           LorenzState)
+from lorenzcipher.cli import exit_status
 from lorenzcipher.keystream import extract_bytes, lower_bound_error
 from lorenzcipher.lorenz import integrate_pair
 
@@ -99,4 +100,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_status(main, sys.stderr))

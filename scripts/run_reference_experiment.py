@@ -20,6 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 import lorenzcipher as lc
+from lorenzcipher.cli import exit_status
 
 # Fixed cross-method benchmark rows used as the efficiency-index baseline
 # (correlation magnitudes horizontal/vertical/diagonal, then entropy).
@@ -38,6 +39,9 @@ def image_metrics(image):
 
 
 def main(argv=None) -> int:
+    """Run the experiment and print its report; 0 if the round trip is exact,
+    else 1. The report is printed only once every metric is computed and the
+    images are written, so a run that fails prints none of it."""
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--step", type=float, default=0.01)
     ap.add_argument("--size", type=int, default=256)
@@ -45,20 +49,6 @@ def main(argv=None) -> int:
                     default=lc.KeystreamConfig.strategy)
     ap.add_argument("--outdir", help="also write plain/cipher/decrypted PGMs here")
     args = ap.parse_args(argv)
-    try:
-        return experiment(args)
-    except lc.LorenzCipherError as e:
-        print(f"domain error: {e}", file=sys.stderr)
-        return 3
-    except OSError as e:
-        print(f"i/o error: {e}", file=sys.stderr)
-        return 2
-
-
-def experiment(args) -> int:
-    """Run the experiment and print its report; 0 if the round trip is exact,
-    else 1. The report is printed only once every metric is computed and the
-    images are written, so a run that fails prints none of it."""
     t0 = time.perf_counter()
     plain = lc.reference_image(args.size, args.size)
     params = replace(lc.DEFAULT_PARAMS, h=args.step)
@@ -112,4 +102,4 @@ def experiment(args) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_status(main, sys.stderr))

@@ -1,7 +1,8 @@
 """Command-line front end: encrypt | decrypt | keystream | analyze | index.
 
 Exit codes: 0 success, 1 usage error, 2 I/O or file format error,
-3 numeric or domain error.
+3 numeric or domain error or out of memory, as the table _ENDINGS maps
+them; exit_status applies it to run_command and to the scripts.
 
 Each command returns its (output, path) pairs, and run_command writes them
 all through one writer after it returns, so a command that fails writes nothing.
@@ -13,8 +14,7 @@ four imports platform, json or numbers: json is imported only to read
 --config, and numbers only for a key field that is not a float. csv is
 imported only by analyze and index. A warning, such as a degenerate
 keystream's, prints as one `warning:` line on stderr that ends with the
-warning's category; a KeystreamQualityWarning that a -W filter raises as an
-error is a domain error.
+warning's category.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .metrics import (DIRECTIONS, WorkScores, _entropy, adjacent_correlation,
                       efficiency_index, histogram)
 from .pgm import _decode_pgm, _pgm_header, read_pgm
 
-__all__ = ["run_command", "main"]
+__all__ = ["run_command", "exit_status", "main"]
 
 # The key settings, each both a flag and a JSON config key, in flag order:
 # name -> (owner, field, help blurb, choices). Each sets one field of its
@@ -258,7 +258,7 @@ def _build_parser() -> _Parser:
         description="XOR image cipher keyed by the rounding divergence of "
                     "paired Lorenz pseudo-orbits (binary PGM in/out).",
         epilog="exit codes: 0 success, 1 usage error, 2 I/O or file format "
-               "error, 3 numeric or domain error")
+               "error, 3 numeric or domain error, or out of memory")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     for name, blurb in (("encrypt", "encrypt a PGM image"),
@@ -303,31 +303,45 @@ def _show_warning(stderr, message, category, *_) -> None:
     print(f"warning: {message} ({category.__name__})", file=stderr)
 
 
+# A failure's (exception types, stderr line, exit status); the first match wins.
+_ENDINGS = (
+    (_UsageError, "usage error: {}", 1),
+    (FileFormatError, "file format error: {}", 2),
+    (OSError, "i/o error: {}", 2),
+    ((DomainError, KeystreamQualityWarning), "domain error: {}", 3),  # the warning under -W error
+    (MemoryError, "domain error: out of memory", 3),  # which seldom has a message
+)
+
+
+def exit_status(call, stderr) -> int:
+    """call()'s exit status, or the status of the first _ENDINGS row naming
+    the exception it raises, after that row's line on stderr. A SystemExit
+    (argparse's) keeps its code; any other exception propagates."""
+    try:
+        return call()
+    except SystemExit as e:
+        return int(e.code or 0)
+    except Exception as e:
+        for types, line, status in _ENDINGS:
+            if isinstance(e, types):
+                print(line.format(e), file=stderr)
+                return status
+        raise
+
+
 def run_command(argv, stdout=None, stderr=None) -> int:
     """Parse argv, run one subcommand, write its outputs; return the exit status."""
     stdout = sys.stdout if stdout is None else stdout
     stderr = sys.stderr if stderr is None else stderr
-    try:
+
+    def run() -> int:
         with contextlib.redirect_stdout(stdout):  # where --help prints
             args = _build_parser().parse_args(argv)
         with warnings.catch_warnings():  # keeps the -W and PYTHONWARNINGS filters
             warnings.showwarning = partial(_show_warning, stderr)
             _write(args.func(args), stdout)
         return 0
-    except _UsageError as e:
-        print(f"usage error: {e}", file=stderr)
-        return 1
-    except SystemExit as e:  # --help
-        return int(e.code or 0)
-    except FileFormatError as e:
-        print(f"file format error: {e}", file=stderr)
-        return 2
-    except OSError as e:
-        print(f"i/o error: {e}", file=stderr)
-        return 2
-    except (DomainError, KeystreamQualityWarning) as e:  # the warning under -W error
-        print(f"domain error: {e}", file=stderr)
-        return 3
+    return exit_status(run, stderr)
 
 
 def main() -> None:

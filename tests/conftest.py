@@ -1,7 +1,11 @@
 import json
+import os
 import pathlib
 import runpy
 import shutil
+import subprocess
+import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -32,8 +36,9 @@ WORKING_PARAMS = LorenzParams(16.0, 45.92, 4.0, 0.01)
 # The four works the paper compares, as (label, corr_h, corr_v, corr_d,
 # entropy), as the reference experiment script lists them; their published
 # efficiency indices are 0.7687, 0.3778, 0.5652 and 0.7198.
-_EXPERIMENT = pathlib.Path(__file__).parent.parent / "scripts" / "run_reference_experiment.py"
-PUBLISHED_WORKS = runpy.run_path(str(_EXPERIMENT))["BENCHMARK_ROWS"]
+REPO = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS = REPO / "scripts"
+PUBLISHED_WORKS = runpy.run_path(str(SCRIPTS / "run_reference_experiment.py"))["BENCHMARK_ROWS"]
 
 
 _CAUSE = lorenz._load_kernel()[1]
@@ -119,3 +124,23 @@ def full_orbits(initial, params, n):
 def make_image(values):
     """Build a GrayImage from a nested list or array of small ints."""
     return GrayImage.from_array(np.asarray(values, dtype=np.uint8))
+
+
+def peak_bytes(call) -> int:
+    """Peak bytes traced by tracemalloc while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def run_python(*args, env=None, path=None):
+    """(exit status, stdout, stderr) of a fresh interpreter importing this
+    checkout, in `env` (os.environ if None) with PATH set to `path` if given."""
+    env = {**(os.environ if env is None else env), "PYTHONPATH": str(REPO / "src"),
+           **({} if path is None else {"PATH": path})}
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=300, env=env)
+    return done.returncode, done.stdout, done.stderr

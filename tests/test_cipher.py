@@ -5,7 +5,6 @@ import contextlib
 import dataclasses
 import importlib
 import re
-import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -16,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lorenzcipher
-from conftest import WORKING_PARAMS, needs_c, pure_python
+from conftest import WORKING_PARAMS, needs_c, peak_bytes, pure_python
 from lorenzcipher import (COMPONENTS, DEFAULT_INITIAL, DEFAULT_PARAMS, STRATEGIES,
                           DomainError, ExtensionVariant, GrayImage, Keystream,
                           KeystreamConfig, KeystreamQualityWarning,
@@ -249,12 +248,7 @@ def encrypt_peak_bytes(config) -> int:
     img = GrayImage.from_array(np.full((config.rows, config.cols), 77, np.uint8))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", KeystreamQualityWarning)
-        tracemalloc.start()
-        try:
-            encrypt(img, WORKING_PARAMS, DEFAULT_INITIAL, config)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return peak_bytes(lambda: encrypt(img, WORKING_PARAMS, DEFAULT_INITIAL, config))
 
 
 class TestPackageApi:

@@ -5,19 +5,18 @@ import errno
 import io
 import json
 import os
-import pathlib
 import stat
-import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PUBLISHED_WORKS, WORKING_PARAMS, quiet_keystream
+from conftest import PUBLISHED_WORKS, WORKING_PARAMS, quiet_keystream, run_python
 from lorenzcipher import (COMPONENTS, DEFAULT_INITIAL, DEFAULT_PARAMS,
                           STRATEGIES, FileFormatError, GrayImage,
                           KeystreamConfig, KeystreamQualityWarning, adjacent_correlation,
@@ -453,18 +452,28 @@ def test_failed_write_keeps_the_old_output(small_pgm, tmp_path, monkeypatch, arg
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
+@pytest.mark.parametrize("argv, name, stand_in", [
+    (["encrypt", "{image}", "{out}", *WORKING], "_pgm_header", mock.Mock(side_effect=MemoryError)),
+    (["keystream", "--rows", "4", "--cols", "4", "--output", "{out}", *WORKING], "_xor_keystream",
+     mock.Mock(return_value=mock.Mock(**{"hex.side_effect": MemoryError}))),
+], ids=["encrypt", "keystream"])
+def test_out_of_memory_exits_3_with_one_line(small_pgm, tmp_path, monkeypatch, argv, name, stand_in):
+    # Where an 8192x8192 encrypt or keystream ran out under ulimit -v: the
+    # PGM's bytes, or the key's hex text. A MemoryError has no message.
+    monkeypatch.setattr(f"lorenzcipher.cli.{name}", stand_in)
+    code, stdout, err = run(*(arg.format(image=small_pgm, out=tmp_path / "out") for arg in argv))
+    assert (code, stdout, err) == (3, "", "domain error: out of memory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
 def test_report_to_dev_stdout_on_a_pipe(small_pgm, tmp_path):
     # /dev/stdout names the pipe, not a regular file, so the report is
     # written in place through it once the histogram is renamed into place.
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    done = subprocess.run(
-        [sys.executable, "-m", "lorenzcipher.cli", "analyze", str(small_pgm),
-         "--report", "/dev/stdout", "--histogram", str(tmp_path / "h.csv")],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120,
-        env={**os.environ, "PYTHONPATH": src})
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.decode() == run("analyze", str(small_pgm))[1]
+    code, out, err = run_python("-m", "lorenzcipher.cli", "analyze", str(small_pgm),
+                                "--report", "/dev/stdout", "--histogram", str(tmp_path / "h.csv"))
+    assert code == 0, err
+    assert out == run("analyze", str(small_pgm))[1]
     assert (tmp_path / "h.csv").read_text().startswith("level,count\n0,")
     assert [p.name for p in tmp_path.iterdir()] == ["h.csv"]
 
@@ -512,15 +521,12 @@ def test_cli_warning_filters_apply(small_pgm, tmp_path, options, env, code, err)
     # A fresh interpreter, so the filters come from its own options; an
     # error-filtered warning still ends the command before it writes. Without
     # cc the kernel loader also logs a line of its own, which is not checked.
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     base = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-    done = subprocess.run(
-        [sys.executable, *options, "-m", "lorenzcipher.cli", "encrypt", str(small_pgm),
-         str(tmp_path / "o.pgm")], capture_output=True, text=True, timeout=120,
-        env={**base, "PYTHONPATH": src, **env})
-    stderr = "".join(line for line in done.stderr.splitlines(keepends=True)
+    status, out, stderr = run_python(*options, "-m", "lorenzcipher.cli", "encrypt",
+                                     str(small_pgm), str(tmp_path / "o.pgm"), env={**base, **env})
+    stderr = "".join(line for line in stderr.splitlines(keepends=True)
                      if not line.startswith("compiled RK4 kernel unavailable"))
-    assert (done.returncode, done.stdout) == (code, "")
+    assert (status, out) == (code, "")
     assert stderr == err
     assert (tmp_path / "o.pgm").exists() == (code == 0)
 

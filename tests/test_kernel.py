@@ -6,7 +6,6 @@ import logging
 import os
 import platform
 import shutil
-import subprocess
 import sys
 import threading
 import warnings
@@ -20,7 +19,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (BLOWUP_STEPS, RK4_Y, WORKING_PARAMS, needs_c, needs_cc, observe,
-                      quiet_keystream, reference_keystream, write_mutant)
+                      quiet_keystream, reference_keystream, run_python, write_mutant)
 from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, KeystreamConfig,
                           KeystreamQualityWarning, LorenzParams, LorenzState,
                           kernel_backend, lorenz)
@@ -147,12 +146,9 @@ def test_cached_load_imports_neither_hashlib_nor_subprocess():
     # Nor numpy: the self-check compares bytearrays and the final states'
     # array.array("d").tobytes(). Nor platform: the cache name reads the
     # machine from os.uname().
-    src = os.path.dirname(os.path.dirname(lorenz.__file__))
     code = ("import sys, lorenzcipher; print(lorenzcipher.kernel_backend(), *(name in sys.modules "
             "for name in ('hashlib', 'subprocess', 'numpy', 'platform')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split() == ["c", "False", "False", "False", "False"]
+    assert run_python("-c", code)[:2] == (0, "c False False False False\n")
 
 
 class TestFallback:

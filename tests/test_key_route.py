@@ -12,11 +12,8 @@ integrate_pair, lower_bound_error and extract_bytes.
 
 import io
 import itertools
-import os
 import runpy
 import shutil
-import subprocess
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -24,9 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (BLOWUP_STEPS, RK4_Y, VARIANT_B_KEY, VECTORS, WORKING_PARAMS, key_of,
-                      needs_c, needs_cc, observe, pure_python, quiet_keystream,
-                      reference_keystream, write_mutant)
+from conftest import (BLOWUP_STEPS, REPO, RK4_Y, SCRIPTS, VARIANT_B_KEY, VECTORS,
+                      WORKING_PARAMS, key_of, needs_c, needs_cc, observe, pure_python,
+                      quiet_keystream, reference_keystream, run_python, write_mutant)
 from lorenzcipher import (COMPONENTS, DEFAULT_INITIAL, DEFAULT_PARAMS,
                           STRATEGIES, DomainError, KeystreamConfig,
                           LorenzParams, LorenzState, generate_keystream, lorenz)
@@ -34,8 +31,6 @@ from lorenzcipher.cli import run_command
 from lorenzcipher.keystream import _xor_keystream, lower_bound_error
 from test_known_answers import answer, recorded
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SRC = os.path.join(ROOT, "src")
 BLOWUP_TRANSIENTS = (0, 5, 2000)
 
 
@@ -252,22 +247,13 @@ def test_huge_transient_exits_3_and_writes_nothing(tmp_path, transient):
     assert [p.name for p in tmp_path.iterdir()] == ["plain.pgm"]
 
 
-def run_python(*args, path=None):
-    """(exit status, stdout, stderr) of a fresh interpreter importing this
-    checkout, with PATH set to `path` if given."""
-    env = {**os.environ, "PYTHONPATH": SRC, **({} if path is None else {"PATH": path})}
-    done = subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          timeout=120, env=env)
-    return done.returncode, done.stdout, done.stderr
-
-
 def cli(*argv):
     return run_python("-m", "lorenzcipher.cli", *argv)
 
 
 # Modules encrypt, decrypt and keystream never import, as the CLI smoke
 # script names them.
-UNUSED_BY_CRYPT = runpy.run_path(os.path.join(ROOT, "scripts", "cli_smoke.py"))["UNUSED_BY_CRYPT"]
+UNUSED_BY_CRYPT = runpy.run_path(str(SCRIPTS / "cli_smoke.py"))["UNUSED_BY_CRYPT"]
 
 
 def check_crypt_without_numpy(tmp_path, path, backend):
@@ -335,7 +321,7 @@ def test_package_registers_every_traced_function_without_numpy():
             "    module = sys.modules['lorenzcipher.' + layer]\n"
             "    assert all(callable(getattr(module, n)) for n in names), layer\n"
             "print(sorted(LAYERS), 'numpy' in sys.modules)\n")
-    assert run_python("-c", code, os.path.join(ROOT, "perfbench")) == (
+    assert run_python("-c", code, str(REPO / "perfbench")) == (
         0, "['cipher', 'cli', 'keystream', 'lorenz', 'metrics', 'pgm'] False\n", "")
 
 

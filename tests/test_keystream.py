@@ -4,7 +4,6 @@ generation, and the working-regime regression pins."""
 import hashlib
 import math
 import struct
-import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -14,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import WORKING_PARAMS, needs_c, pure_python, quiet_keystream
+from conftest import WORKING_PARAMS, needs_c, peak_bytes, pure_python, quiet_keystream
 from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, STRATEGIES,
                           DomainError, GrayImage, Keystream, KeystreamConfig,
                           KeystreamQualityWarning, LorenzState, decrypt,
@@ -251,14 +250,9 @@ class TestExtractBytes:
         assert out.shape == (15,)
 
 
-def peak_bytes(config) -> int:
+def keystream_peak_bytes(config) -> int:
     """Peak bytes traced by tracemalloc while generating config's keystream."""
-    tracemalloc.start()
-    try:
-        quiet_keystream(WORKING_PARAMS, DEFAULT_INITIAL, config)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return peak_bytes(lambda: quiet_keystream(WORKING_PARAMS, DEFAULT_INITIAL, config))
 
 
 class TestGenerateKeystream:
@@ -281,7 +275,7 @@ class TestGenerateKeystream:
         # under minmax-scale, the window's deltas (8 more); no orbit pair.
         for strategy, per_key_byte in zip(STRATEGIES, (1, 9)):
             config = KeystreamConfig(rows=512, cols=512, strategy=strategy)
-            assert peak_bytes(config) <= per_key_byte * config.rows * config.cols + 2**16
+            assert keystream_peak_bytes(config) <= per_key_byte * config.rows * config.cols + 2**16
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_peak_memory_per_sample_without_a_compiler(self, strategy):
@@ -290,13 +284,13 @@ class TestGenerateKeystream:
         per_key_byte = 9 if strategy == "minmax-scale" else 1
         config = KeystreamConfig(rows=128, cols=128, strategy=strategy)
         with pure_python():
-            peak = peak_bytes(config)
+            peak = keystream_peak_bytes(config)
         assert peak <= per_key_byte * config.rows * config.cols + 2**16
 
     def test_transient_takes_no_memory_without_a_compiler(self):
         # The transient's samples are integrated and dropped, not stored.
         with pure_python():
-            peaks = [peak_bytes(KeystreamConfig(16, 16, transient))
+            peaks = [keystream_peak_bytes(KeystreamConfig(16, 16, transient))
                      for transient in (0, 200_000)]
         assert peaks[1] <= peaks[0] + 2**16
 

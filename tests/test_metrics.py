@@ -8,7 +8,6 @@ numeric mismatch rather than a silent bias.
 import math
 import os
 import re
-import tracemalloc
 import warnings
 from collections import Counter
 from types import SimpleNamespace
@@ -19,7 +18,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import PUBLISHED_WORKS, WORKING_PARAMS, make_image
+from conftest import PUBLISHED_WORKS, WORKING_PARAMS, make_image, peak_bytes
 from lorenzcipher import (DEFAULT_INITIAL, DIRECTIONS, DomainError, Keystream,
                           KeystreamConfig, LorenzCipherError, WorkScores,
                           adjacent_correlation, chi_square_uniform, decrypt,
@@ -202,13 +201,8 @@ class TestBitIdentity:
         # whole-array form needs two float64 arrays of m pairs (32 MiB each).
         image = make_image(np.random.default_rng(4).integers(0, 256, shape, np.uint8))
         for direction in directions:
-            tracemalloc.start()
-            try:
-                adjacent_correlation(image, direction)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 2 * 8 * _BLOCK + 256 * 1024
+            assert peak_bytes(lambda: adjacent_correlation(image, direction)) < (
+                2 * 8 * _BLOCK + 256 * 1024)
 
 
 class TestPopulationCorrelation:
@@ -379,13 +373,7 @@ class TestEntropyAndHistogram:
         # One chunk's intp copy, where counting the whole image at once
         # casts it to intp: 8 bytes a pixel, 32 MiB here.
         image = make_image(np.random.default_rng(5).integers(0, 256, shape, np.uint8))
-        tracemalloc.start()
-        try:
-            metric(image)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2 ** 20
+        assert peak_bytes(lambda: metric(image)) < 4 * 2 ** 20
 
 
 class TestChiSquare:

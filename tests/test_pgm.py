@@ -1,14 +1,12 @@
 """Binary PGM codec tests."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import make_image
+from conftest import make_image, peak_bytes
 from lorenzcipher import (DomainError, FileFormatError, GrayImage, encode_pgm,
                           parse_pgm, read_pgm, write_pgm)
 
@@ -160,13 +158,7 @@ class TestEncode:
 
     def test_pixels_are_copied_once(self):
         image = make_image(np.random.default_rng(2).integers(0, 256, (2048, 2048), np.uint8))
-        tracemalloc.start()
-        try:
-            encode_pgm(image)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2048 * 2048 + 64 * 1024
+        assert peak_bytes(lambda: encode_pgm(image)) <= 2048 * 2048 + 64 * 1024
 
 
 class TestFileIo:
