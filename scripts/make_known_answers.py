@@ -26,7 +26,7 @@ import numpy as np
 from lorenzcipher import (COMPONENTS, DEFAULT_INITIAL, DEFAULT_PARAMS, STRATEGIES,
                           IntegrationBlowupError, KeystreamConfig, LorenzParams,
                           LorenzState)
-from lorenzcipher.cli import exit_status
+from lorenzcipher.cli import _write, exit_status
 from lorenzcipher.keystream import extract_bytes, lower_bound_error
 from lorenzcipher.lorenz import integrate_pair
 
@@ -93,9 +93,9 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=pathlib.Path, default=OUT)
     args = ap.parse_args(argv)
     vectors = [vector(*key) for key in keys(random.Random(20200))]
-    args.out.write_text(json.dumps(vectors, indent=1) + "\n")
-    print(f"{args.out}: {len(vectors)} vectors, "
-          f"{sum('error' in v for v in vectors)} of them blow-ups")
+    _write([(json.dumps(vectors, indent=1) + "\n", str(args.out)),
+            (f"{args.out}: {len(vectors)} vectors, "
+             f"{sum('error' in v for v in vectors)} of them blow-ups\n", None)], sys.stdout)
     return 0
 
 

@@ -12,15 +12,16 @@ the README for the step-size study.
 """
 
 import argparse
+import os
+import pathlib
 import sys
 import time
-import warnings
 from dataclasses import replace
 
 import numpy as np
 
 import lorenzcipher as lc
-from lorenzcipher.cli import exit_status
+from lorenzcipher.cli import _write, exit_status
 
 # Fixed cross-method benchmark rows used as the efficiency-index baseline
 # (correlation magnitudes horizontal/vertical/diagonal, then entropy).
@@ -40,8 +41,8 @@ def image_metrics(image):
 
 def main(argv=None) -> int:
     """Run the experiment and print its report; 0 if the round trip is exact,
-    else 1. The report is printed only once every metric is computed and the
-    images are written, so a run that fails prints none of it."""
+    else 1. The images and then the report are written through the CLI's
+    writer once every metric is computed, so a run that fails writes none."""
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--step", type=float, default=0.01)
     ap.add_argument("--size", type=int, default=256)
@@ -54,10 +55,7 @@ def main(argv=None) -> int:
     params = replace(lc.DEFAULT_PARAMS, h=args.step)
     config = lc.KeystreamConfig(rows=args.size, cols=args.size,
                                 strategy=args.strategy)
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        key = lc.generate_keystream(params, lc.DEFAULT_INITIAL, config)
+    key = lc.generate_keystream(params, lc.DEFAULT_INITIAL, config)
     cipher = lc.xor_apply(plain, key)
     back = lc.xor_apply(cipher, key)
     round_trip = bool(np.array_equal(back.pixels, plain.pixels))
@@ -65,7 +63,6 @@ def main(argv=None) -> int:
     report = [f"reference experiment: {args.size}x{args.size}, step {args.step}, "
               f"{args.strategy}",
               f"round trip exact: {round_trip}"]
-    report += [f"warning: {warning.message}" for warning in caught]
 
     report.append(f"\n{'metric':<12}{'plaintext':>14}{'ciphertext':>14}")
     pm, cm = image_metrics(plain), image_metrics(cipher)
@@ -87,17 +84,16 @@ def main(argv=None) -> int:
     report += [f"  {work.label:<10}{ic:.4f}"
                for work, ic in zip(rows, lc.efficiency_index(rows))]
 
-    if args.outdir:
-        import pathlib
+    images = []
+    if args.outdir is not None:
+        os.makedirs(args.outdir, exist_ok=True)
         out = pathlib.Path(args.outdir)
-        out.mkdir(parents=True, exist_ok=True)
-        lc.write_pgm(plain, out / "plain.pgm")
-        lc.write_pgm(cipher, out / "cipher.pgm")
-        lc.write_pgm(back, out / "decrypted.pgm")
+        images = [(lc.encode_pgm(image), str(out / f"{name}.pgm")) for name, image in
+                  (("plain", plain), ("cipher", cipher), ("decrypted", back))]
         report.append(f"\nwrote images to {out}")
 
     report.append(f"\nelapsed {time.perf_counter() - t0:.2f} s")
-    print("\n".join(report))
+    _write(images + [("\n".join(report) + "\n", None)], sys.stdout)
     return 0 if round_trip else 1
 
 

@@ -2,19 +2,19 @@
 
 Exit codes: 0 success, 1 usage error, 2 I/O or file format error,
 3 numeric or domain error or out of memory, as the table _ENDINGS maps
-them; exit_status applies it to run_command and to the scripts.
+them. exit_status applies it to run_command and the scripts, and prints a
+warning as one `warning:` line on stderr that ends with its category.
 
 Each command returns its (output, path) pairs, and run_command writes them
-all through one writer after it returns, so a command that fails writes nothing.
+all through _write after it returns, as the scripts write theirs, so a
+command that fails writes nothing.
 
 Only analyze imports numpy, through the metrics. encrypt, decrypt and
 keystream read and write PGM bytes directly and XOR the payload in the key
 kernel, compiled or pure Python; index computes on plain floats. None of the
 four imports platform, json or numbers: json is imported only to read
 --config, and numbers only for a key field that is not a float. csv is
-imported only by analyze and index. A warning, such as a degenerate
-keystream's, prints as one `warning:` line on stderr that ends with the
-warning's category.
+imported only by analyze and index.
 """
 
 from __future__ import annotations
@@ -315,10 +315,13 @@ _ENDINGS = (
 
 def exit_status(call, stderr) -> int:
     """call()'s exit status, or the status of the first _ENDINGS row naming
-    the exception it raises, after that row's line on stderr. A SystemExit
-    (argparse's) keeps its code; any other exception propagates."""
+    the exception it raises, after that row's line on stderr; each warning
+    it issues prints as one `warning:` line there. A SystemExit (argparse's)
+    keeps its code; any other exception propagates."""
     try:
-        return call()
+        with warnings.catch_warnings():  # keeps the -W and PYTHONWARNINGS filters
+            warnings.showwarning = partial(_show_warning, stderr)
+            return call()
     except SystemExit as e:
         return int(e.code or 0)
     except Exception as e:
@@ -337,9 +340,7 @@ def run_command(argv, stdout=None, stderr=None) -> int:
     def run() -> int:
         with contextlib.redirect_stdout(stdout):  # where --help prints
             args = _build_parser().parse_args(argv)
-        with warnings.catch_warnings():  # keeps the -W and PYTHONWARNINGS filters
-            warnings.showwarning = partial(_show_warning, stderr)
-            _write(args.func(args), stdout)
+        _write(args.func(args), stdout)
         return 0
     return exit_status(run, stderr)
 

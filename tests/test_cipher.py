@@ -11,7 +11,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lorenzcipher

@@ -5,6 +5,7 @@ import errno
 import io
 import json
 import os
+import runpy
 import stat
 import sys
 import warnings
@@ -22,7 +23,7 @@ from lorenzcipher import (COMPONENTS, DEFAULT_INITIAL, DEFAULT_PARAMS,
                           KeystreamConfig, KeystreamQualityWarning, adjacent_correlation,
                           efficiency_index, read_pgm, reference_image,
                           shannon_entropy, write_pgm)
-from lorenzcipher.cli import _load_config_file, run_command
+from lorenzcipher.cli import _load_config_file, exit_status, run_command
 
 WORKING = ["--step", "0.01", "--transient", "3000"]
 
@@ -464,6 +465,29 @@ def test_out_of_memory_exits_3_with_one_line(small_pgm, tmp_path, monkeypatch, a
     code, stdout, err = run(*(arg.format(image=small_pgm, out=tmp_path / "out") for arg in argv))
     assert (code, stdout, err) == (3, "", "domain error: out of memory\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_unnamed_exception_propagates():
+    # No _ENDINGS row names a RuntimeError: it keeps its traceback, and no
+    # line is printed for it.
+    err = io.StringIO()
+    with pytest.raises(RuntimeError, match="not in the table"):
+        exit_status(mock.Mock(side_effect=RuntimeError("not in the table")), err)
+    assert err.getvalue() == ""
+
+
+def test_main_exits_with_the_command_status(tmp_path, monkeypatch, capsys):
+    # `python -m lorenzcipher.cli`, in process: main's SystemExit carries
+    # run_command's status, here a missing scores file's.
+    missing = tmp_path / "missing.csv"
+    monkeypatch.setattr(sys, "argv", ["lorenzcipher", "index", str(missing)])
+    with warnings.catch_warnings():  # runpy's note that the module is already imported
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as ended:
+            runpy.run_module("lorenzcipher.cli", run_name="__main__")
+    assert ended.value.code == 2
+    assert capsys.readouterr() == (
+        "", f"i/o error: [Errno 2] No such file or directory: '{missing}'\n")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")

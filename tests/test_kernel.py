@@ -201,6 +201,20 @@ class TestFallback:
         monkeypatch.setenv("PATH", f"{shim.parent}{os.pathsep}{os.environ['PATH']}")
         self.check_fallback(caplog, reference, "shim compiler: broken")
 
+    def test_failed_build_leaves_no_temporary_file(self, cache, monkeypatch, caplog,
+                                                   reference, tmp_path):
+        # A compiler that writes its -o file and then fails: the loader falls
+        # back and removes the half-built library from the cache.
+        shim = tmp_path / "bin" / "cc"
+        shim.parent.mkdir()
+        shim.write_text('#!/bin/sh\nwhile [ "$#" -gt 0 ]; do\n'
+                        '  if [ "$1" = -o ]; then shift; echo partial > "$1"; fi; shift\n'
+                        'done\necho "shim compiler: wrote and failed" >&2\nexit 1\n')
+        shim.chmod(0o755)
+        monkeypatch.setenv("PATH", f"{shim.parent}{os.pathsep}{os.environ['PATH']}")
+        self.check_fallback(caplog, reference, "shim compiler: wrote and failed")
+        assert list(cache.glob("*.tmp")) == [] and cache.is_dir()
+
     @needs_cc
     def test_compile_error(self, cache, monkeypatch, caplog, reference, tmp_path):
         broken = tmp_path / "broken.c"
