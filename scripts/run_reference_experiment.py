@@ -39,10 +39,20 @@ def image_metrics(image):
             **{f"corr_{d[0]}": lc.adjacent_correlation(image, d) for d in lc.DIRECTIONS}}
 
 
+def missing_dirs(path):
+    """The directories os.makedirs(path) would create, deepest first."""
+    missing, path = [], os.path.abspath(path)
+    while not os.path.lexists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
 def main(argv=None) -> int:
     """Run the experiment and print its report; 0 if the round trip is exact,
     else 1. The images and then the report are written through the CLI's
-    writer once every metric is computed, so a run that fails writes none."""
+    writer once every metric is computed, so a run that fails writes none,
+    and removes the --outdir directories it made."""
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--step", type=float, default=0.01)
     ap.add_argument("--size", type=int, default=256)
@@ -84,8 +94,9 @@ def main(argv=None) -> int:
     report += [f"  {work.label:<10}{ic:.4f}"
                for work, ic in zip(rows, lc.efficiency_index(rows))]
 
-    images = []
+    images, made = [], []
     if args.outdir is not None:
+        made = missing_dirs(args.outdir)
         os.makedirs(args.outdir, exist_ok=True)
         out = pathlib.Path(args.outdir)
         images = [(lc.encode_pgm(image), str(out / f"{name}.pgm")) for name, image in
@@ -93,7 +104,12 @@ def main(argv=None) -> int:
         report.append(f"\nwrote images to {out}")
 
     report.append(f"\nelapsed {time.perf_counter() - t0:.2f} s")
-    _write(images + [("\n".join(report) + "\n", None)], sys.stdout)
+    try:
+        _write(images + [("\n".join(report) + "\n", None)], sys.stdout)
+    except OSError:
+        for path in made:  # deepest first, each empty as the failed write left it
+            os.rmdir(path)
+        raise
     return 0 if round_trip else 1
 
 

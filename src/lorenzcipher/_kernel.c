@@ -16,11 +16,13 @@
  * operations in the oracle's order.  Lanes never mix, and no operation is
  * reordered in time or fused; the only per-lane difference is dy, where
  * both forms are computed and lane 0 keeps A's, lane 1 B's.
- * lorenz_key, the one entry point, stores no orbit: it turns each sample of
- * the keyed component into a key byte and XORs it into the caller's byte
- * buffer.  Its Python counterpart, used without a compiler and by the
- * self-check that decides whether this file is used at all, is
- * lorenz._key_python.
+ * lorenz_key stores no orbit: it turns each sample of the keyed component
+ * into a key byte and XORs it into the caller's byte buffer.  Its Python
+ * counterpart, used without a compiler and by the self-check that decides
+ * whether this file is used at all, is lorenz._key_python.
+ *
+ * count_bytes, the second entry point, is metrics.histogram's byte counter;
+ * without this file histogram counts with np.bincount instead.
  */
 
 #include <float.h>
@@ -130,4 +132,25 @@ int lorenz_key(double *state, double sigma, double rho, double beta, double h,
     double final[6] = {x[0], y[0], z[0], x[1], y[1], z[1]};
     memcpy(state, final, sizeof final);
     return 0;
+}
+
+/* Add the count of each byte value among the n bytes at data into
+ * counts[0..255].  Byte i goes to table i % 4, so a run of one value, as in
+ * a smooth image, spreads its increments over four counters instead of
+ * waiting on one. */
+void count_bytes(const unsigned char *data, int64_t n, int64_t *counts)
+{
+    int64_t t[4][256];
+    memset(t, 0, sizeof t);
+    int64_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        t[0][data[i]]++;
+        t[1][data[i + 1]]++;
+        t[2][data[i + 2]]++;
+        t[3][data[i + 3]]++;
+    }
+    for (; i < n; i++)
+        t[0][data[i]]++;
+    for (int v = 0; v < 256; v++)
+        counts[v] += t[0][v] + t[1][v] + t[2][v] + t[3][v];
 }

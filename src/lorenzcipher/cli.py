@@ -9,7 +9,8 @@ Each command returns its (output, path) pairs, and run_command writes them
 all through _write after it returns, as the scripts write theirs, so a
 command that fails writes nothing.
 
-Only analyze imports numpy, through the metrics. encrypt, decrypt and
+Only analyze imports numpy, through the metrics, which count its histogram
+in the compiled kernel library when that loads. encrypt, decrypt and
 keystream read and write PGM bytes directly and XOR the payload in the key
 kernel, compiled or pure Python; index computes on plain floats. None of the
 four imports platform, json or numbers: json is imported only to read
@@ -96,6 +97,17 @@ def _read_text(path, kind: str) -> str:
             raise FileFormatError(f"{kind} {path}: not UTF-8 at byte {e.start}") from None
 
 
+def _write_file(name, data, path) -> None:
+    """Write data to the file `name`; an OSError names `path`, the target,
+    also when write() raised it without a name (a full disk)."""
+    try:
+        with open(name, "wb") as fh:
+            fh.write(data)
+    except OSError as e:
+        e.filename = path
+        raise
+
+
 def _write(outputs, stdout) -> None:
     """Write one command's (output, path) pairs: every file or none, then
     each output whose path is None to stdout. The empty path and a
@@ -125,13 +137,7 @@ def _write(outputs, stdout) -> None:
             if not in_place:
                 real = os.path.realpath(path)
                 staged.append((f"{real}.{os.getpid()}-{index}.tmp", real))
-                try:
-                    with open(staged[-1][0], "wb") as fh:
-                        fh.write(data)
-                except OSError as e:
-                    if e.filename is not None:  # name the target, not its temporary file
-                        e.filename = path
-                    raise
+                _write_file(staged[-1][0], data, path)
         for tmp, real in staged:
             os.replace(tmp, real)
     finally:
@@ -140,8 +146,7 @@ def _write(outputs, stdout) -> None:
                 os.remove(tmp)
     for data, path, in_place in files:
         if in_place:
-            with open(path, "wb") as fh:
-                fh.write(data)
+            _write_file(path, data, path)
     for output in (output for output, path in outputs if path is None):
         if isinstance(output, str):
             stdout.write(output)

@@ -28,12 +28,14 @@ vector, if it passes a self-check against `_key_python`; else
 `_key_python` itself, which mirrors `lorenz_key` statement for statement
 over `_orbit`'s states. Neither stores the orbit: each turns every sample
 into a key byte as it goes. Both take the six-double state of A then B and,
-on success, leave the final state in it.
+on success, leave the final state in it. The same choice gives
+`metrics.histogram` `_kernel.c`'s byte counter, `count_bytes`, or none.
 """
 
 from __future__ import annotations
 
 import array
+import collections
 import ctypes
 import enum
 import functools
@@ -188,6 +190,9 @@ _CHECK_PARAMS = (15.3, 44.1, 3.7, 0.03)
 _CHECK_START = (DEFAULT_INITIAL.x, DEFAULT_INITIAL.y, DEFAULT_INITIAL.z)
 _CHECK_APART = _CHECK_START + (0.9, 0.5, 1.0)
 _CHECK_TRANSIENT, _CHECK_WINDOW = 8, 8
+# Every byte value, then a run of one value, 1027 bytes in all, so the
+# counter's unrolled loop and its tail both run.
+_CHECK_BYTES = bytes(range(256)) + bytes([201]) * 771
 _load_lock = threading.Lock()
 
 
@@ -197,7 +202,8 @@ def _address(buffer):
 
 
 def _build_kernel():
-    """_kernel.c's key kernel, called like _key_python; OSError says why not."""
+    """_kernel.c's key kernel, called like _key_python, and its byte counter,
+    count_bytes(data address, n, counts address); OSError says why not."""
     import shutil
     cc = shutil.which("cc")
     if cc is None:
@@ -224,7 +230,11 @@ def _build_kernel():
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
-    key = ctypes.CDLL(library).lorenz_key
+    compiled = ctypes.CDLL(library)
+    count_bytes = compiled.count_bytes
+    count_bytes.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+    count_bytes.restype = None
+    key = compiled.lorenz_key
     key.argtypes = [ctypes.POINTER(ctypes.c_double)] + [ctypes.c_double] * 4 + [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p,
         ctypes.POINTER(ctypes.c_int64)]
@@ -243,7 +253,7 @@ def _build_kernel():
             raise _blowup("ab"[status - 1], count.value)
         state[:] = orbit
         return count.value
-    return key_compiled
+    return key_compiled, count_bytes
 
 
 def _key_python(out, window, transient, c, state, *params):
@@ -276,11 +286,12 @@ def _key_python(out, window, transient, c, state, *params):
     return zeros
 
 
-def _self_check(key) -> bool:
+def _self_check(key, count) -> bool:
     """Compare `key` with _key_python on every component, under mantissa-lsb
     from two starts apart and minmax-scale from one shared start: the key
     bytes, XORed onto nonzero bytes, the zero count and the final state, bit
-    for bit."""
+    for bit. Then compare the counts `count` adds onto nonzero counters for
+    _CHECK_BYTES with a Counter's."""
     for c in range(len(COMPONENTS)):
         for start, window in ((_CHECK_APART, None),
                               (_CHECK_START * 2, bytearray(8 * _CHECK_WINDOW))):
@@ -291,19 +302,23 @@ def _self_check(key) -> bool:
                 results.append((zeros, out, array.array("d", state).tobytes()))
             if results[0] != results[1]:
                 return False
-    return True
+    data, counts = array.array("B", _CHECK_BYTES), array.array("q", range(256))
+    count(data.buffer_info()[0], len(data), counts.buffer_info()[0])
+    want = collections.Counter(_CHECK_BYTES)
+    return counts.tolist() == [v + want[v] for v in range(256)]
 
 
 def _load_kernel():
-    """Return (compiled key kernel, None), or (_key_python, cause).
+    """Return (compiled key kernel, compiled byte counter, None), or
+    (_key_python, None, cause).
 
     Compiles _kernel.c with `cc` on first use into __pycache__ next to
     this file, under a checksum of source, flags, sys.platform,
     os.uname().machine and the path `cc` resolves to, and loads it with
     ctypes. No `cc` or os.uname, a build or load failure, or any difference
-    from the pure-Python kernel on a short self-check, an exception inside
-    it included, logs one WARNING naming the cause, however many threads
-    call this first at once.
+    from the pure-Python kernel or a pure-Python count on a short
+    self-check, an exception inside it included, logs one WARNING naming
+    the cause, however many threads call this first at once.
     """
     with _load_lock:
         return _choose_kernel()
@@ -312,25 +327,26 @@ def _load_kernel():
 @functools.cache
 def _choose_kernel():
     try:
-        key = _build_kernel()
+        key, count = _build_kernel()
     except (OSError, AttributeError) as e:
         cause = str(e)
     else:
         try:
-            if _self_check(key):
-                return key, None
+            if _self_check(key, count):
+                return key, count, None
             cause = "self-check mismatch"
         except Exception as e:  # whatever the candidate raises, it fails the check
             cause = f"self-check raised {type(e).__name__}: {e}"
     import logging
     logging.getLogger("lorenzcipher").warning(
         "compiled RK4 kernel unavailable (%s); using the pure-Python kernel", cause)
-    return _key_python, cause
+    return _key_python, None, cause
 
 
 def kernel_backend() -> str:
-    """Which key kernel every keystream runs: "c" or "pure-python"."""
-    return "c" if _load_kernel()[1] is None else "pure-python"
+    """Which kernel library every keystream and histogram run: "c", or
+    "pure-python" for _key_python and numpy's bincount."""
+    return "c" if _load_kernel()[2] is None else "pure-python"
 
 
 def integrate_pair(initial: LorenzState, params: LorenzParams,

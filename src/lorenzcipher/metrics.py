@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import lorenz
 from .cipher import _IS_IMAGE, GrayImage
 from .errors import DomainError, _require_choice, _require_type, _store_floats
 
@@ -49,8 +50,9 @@ _OFFSETS = dict(zip(DIRECTIONS, ((0, 1), (1, 0), (1, 1))))
 # sum of up to 128 items, so a smaller block would split where numpy does not.
 _BLOCK = 2 ** 15
 
-# Pixels per np.bincount call of histogram, which casts them to an intp copy
-# of 1 MiB; one bincount of a whole 4096x4096 image would copy 128 MiB.
+# Pixels per np.bincount call of histogram without the compiled counter,
+# which casts them to an intp copy of 1 MiB; one bincount of a whole
+# 4096x4096 image would copy 128 MiB.
 _CHUNK = 2 ** 17
 
 
@@ -141,13 +143,19 @@ def adjacent_correlation(image: GrayImage, direction: str) -> float:
 def histogram(image: GrayImage) -> np.ndarray:
     """Count of each intensity 0..255; counts sum to the pixel count.
 
-    Counts the pixels in bounded chunks, so memory does not grow with the
-    image.
+    One call of the compiled byte counter over the pixels, or without it
+    np.bincount over bounded chunks, so memory does not grow with the image.
     """
     import numpy as np
     _require_type(image, GrayImage, _IS_IMAGE)
-    flat = image.pixels.reshape(-1)
+    pixels = image.pixels
     counts = np.zeros(256, dtype=np.int64)
+    count_bytes = lorenz._load_kernel()[1]
+    if count_bytes is not None:
+        # The pixels are C-contiguous and read-only, so they go by address.
+        count_bytes(pixels.ctypes.data, pixels.size, counts.ctypes.data)
+        return counts
+    flat = pixels.reshape(-1)
     for lo in range(0, flat.size, _CHUNK):
         counts += np.bincount(flat[lo:lo + _CHUNK], minlength=256)
     return counts

@@ -448,9 +448,18 @@ def test_failed_write_keeps_the_old_output(small_pgm, tmp_path, monkeypatch, arg
     monkeypatch.setattr("lorenzcipher.cli.open", full_disk_open, raising=False)
     code, stdout, err = run(*(arg.format(image=small_pgm, out=out) for arg in argv))
     assert (code, stdout) == (2, "")
-    assert err == "i/o error: [Errno 28] No space left on device\n"
+    assert err == f"i/o error: [Errno 28] No space left on device: '{out}'\n"
     assert out.read_bytes() == b"previous ciphertext"
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_failed_in_place_write_names_the_target(small_pgm):
+    # /dev/full is no regular file, so it is written in place, and its
+    # ENOSPC comes from the write itself, which names no file.
+    code, stdout, err = run("encrypt", str(small_pgm), "/dev/full", *WORKING)
+    assert (code, stdout) == (2, "")
+    assert err == "i/o error: [Errno 28] No space left on device: '/dev/full'\n"
 
 
 @pytest.mark.parametrize("argv, name, stand_in", [

@@ -1,4 +1,5 @@
-"""The compiled key kernel against the pure-Python one, and its fallback."""
+"""The compiled key kernel against the pure-Python one, and the fallback of
+the compiled library."""
 
 import array
 import itertools
@@ -18,10 +19,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import (BLOWUP_STEPS, RK4_Y, WORKING_PARAMS, needs_c, needs_cc, observe,
-                      quiet_keystream, reference_keystream, run_python, write_mutant)
+from conftest import (BLOWUP_STEPS, RK4_Y, WORKING_PARAMS, make_image, needs_c, needs_cc,
+                      observe, quiet_keystream, reference_keystream, run_python, write_mutant)
 from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, KeystreamConfig,
-                          KeystreamQualityWarning, LorenzParams, LorenzState,
+                          KeystreamQualityWarning, LorenzParams, LorenzState, histogram,
                           kernel_backend, lorenz)
 from lorenzcipher.keystream import STRATEGIES
 from lorenzcipher.lorenz import COMPONENTS
@@ -134,7 +135,7 @@ def test_every_real_key_takes_compiled_path(monkeypatch, key):
     def spy(out, window, transient, c, state, *params):
         calls.append((*state, *params))
         return compiled(out, window, transient, c, state, *params)
-    monkeypatch.setattr(lorenz, "_load_kernel", lambda: (spy, None))
+    monkeypatch.setattr(lorenz, "_load_kernel", lambda: (spy, None, None))
     assert keystream(*key) == want
     [floats] = calls
     assert all(type(v) is float for v in floats)
@@ -143,9 +144,9 @@ def test_every_real_key_takes_compiled_path(monkeypatch, key):
 
 @needs_c
 def test_cached_load_imports_neither_hashlib_nor_subprocess():
-    # Nor numpy: the self-check compares bytearrays and the final states'
-    # array.array("d").tobytes(). Nor platform: the cache name reads the
-    # machine from os.uname().
+    # Nor numpy: the self-check compares bytearrays, the final states'
+    # array.array("d").tobytes() and array.array("q") counts. Nor platform:
+    # the cache name reads the machine from os.uname().
     code = ("import sys, lorenzcipher; print(lorenzcipher.kernel_backend(), *(name in sys.modules "
             "for name in ('hashlib', 'subprocess', 'numpy', 'platform')))")
     assert run_python("-c", code)[:2] == (0, "c False False False False\n")
@@ -262,6 +263,24 @@ class TestFallback:
         self.check_fallback(caplog, reference, "self-check mismatch")
 
     @needs_cc
+    @pytest.mark.parametrize("right, wrong", [
+        # The byte counter leaves value 255 uncounted, or the last byte.
+        ("for (int v = 0; v < 256; v++)", "for (int v = 0; v < 255; v++)"),
+        ("for (; i < n; i++)", "for (; i < n - 1; i++)"),
+        # It overwrites the caller's counts, or drops one of its four tables.
+        ("counts[v] += ", "counts[v] = "),
+        ("t[2][v] + t[3][v]", "t[2][v]"),
+    ], ids=["value-255", "last-byte", "store", "table"])
+    def test_self_check_catches_a_wrong_byte_count(
+            self, cache, monkeypatch, caplog, reference, tmp_path, right, wrong):
+        # The fallback takes the histogram too, and counts with np.bincount.
+        write_mutant(monkeypatch, tmp_path, right, wrong)
+        self.check_fallback(caplog, reference, "self-check mismatch")
+        pixels = np.frombuffer(lorenz._CHECK_BYTES, np.uint8).reshape(1, -1)
+        assert histogram(make_image(pixels)).tolist() == np.bincount(
+            pixels.ravel(), minlength=256).tolist()
+
+    @needs_cc
     @pytest.mark.parametrize("flags", [
         ("-freciprocal-math",),
         pytest.param(("-mfma", "-ffp-contract=fast"), marks=pytest.mark.skipif(
@@ -283,7 +302,7 @@ class TestFallback:
 
             def key(*args):
                 raise lorenz._blowup("a", 0)
-            return key
+            return key, None
         monkeypatch.setattr(lorenz, "_build_kernel", build)
         self.check_fallback(caplog, reference, "self-check raised IntegrationBlowupError: "
                                                "variant A produced a non-finite state at step 0")
@@ -311,7 +330,7 @@ class TestFallback:
         assert not any(thread.is_alive() for thread in threads)
         assert len(lorenz_warnings(caplog)) == 1
         assert len(results) == 4 and all(r is results[0] for r in results)
-        assert results[0] == (lorenz._key_python, "cc not found")
+        assert results[0] == (lorenz._key_python, None, "cc not found")
 
     @needs_cc
     def test_blowup_tests_catch_lane_b_checked_first(self, cache, monkeypatch, tmp_path):

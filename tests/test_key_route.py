@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (BLOWUP_STEPS, REPO, RK4_Y, SCRIPTS, VARIANT_B_KEY, VECTORS,
+from conftest import (_CAUSE, BLOWUP_STEPS, REPO, RK4_Y, SCRIPTS, VARIANT_B_KEY, VECTORS,
                       WORKING_PARAMS, key_of, needs_c, needs_cc, observe, pure_python,
                       quiet_keystream, reference_keystream, run_python, write_mutant)
 from lorenzcipher import (COMPONENTS, DEFAULT_INITIAL, DEFAULT_PARAMS,
@@ -120,11 +120,11 @@ class TestKeyBytes:
 
 
 def load_mutant(monkeypatch, tmp_path, right, wrong):
-    """Build write_mutant's library and make its key kernel the loaded one."""
+    """Build write_mutant's library and make its kernels the loaded ones."""
     write_mutant(monkeypatch, tmp_path, right, wrong)
     monkeypatch.setattr(lorenz, "_KERNEL_CACHE", str(tmp_path / "cache"))
-    key = lorenz._build_kernel()
-    monkeypatch.setattr(lorenz, "_load_kernel", lambda: (key, None))
+    kernels = lorenz._build_kernel()
+    monkeypatch.setattr(lorenz, "_load_kernel", lambda: (*kernels, None))
 
 
 @needs_c
@@ -193,7 +193,7 @@ def test_loader_without_cc_returns_the_python_key_kernel(monkeypatch):
     monkeypatch.setattr(shutil, "which", lambda name: None)
     lorenz._choose_kernel.cache_clear()
     try:
-        assert lorenz._load_kernel() == (lorenz._key_python, "cc not found")
+        assert lorenz._load_kernel() == (lorenz._key_python, None, "cc not found")
     finally:
         lorenz._choose_kernel.cache_clear()
 
@@ -327,14 +327,18 @@ def test_package_registers_every_traced_function_without_numpy():
 
 def test_analyze_and_index_run_in_a_fresh_process(tmp_path):
     # analyze imports numpy inside the functions that use it; index never does.
+    # analyze's histogram loads the kernel library, which logs one line if it
+    # falls back; index loads nothing.
     image = tmp_path / "img.pgm"
     image.write_bytes(b"P5 4 3 255\n" + bytes(range(0, 240, 20)))
     scores = tmp_path / "scores.csv"
     scores.write_text("label,corr_h,corr_v,corr_d,entropy\nw,0.1,0.2,0.3,7.9\n")
-    for argv in (["analyze", str(image)], ["index", str(scores)]):
+    fallback = "" if _CAUSE is None else (
+        f"compiled RK4 kernel unavailable ({_CAUSE}); using the pure-Python kernel\n")
+    for argv, err in ((["analyze", str(image)], fallback), (["index", str(scores)], "")):
         want = io.StringIO()
         assert run_command(argv, stdout=want) == 0
-        assert cli(*argv) == (0, want.getvalue(), "")
+        assert cli(*argv) == (0, want.getvalue(), err)
     code = ("import sys\n"
             "from lorenzcipher.cli import run_command\n"
             "code = run_command(sys.argv[1:])\n"

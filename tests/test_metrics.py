@@ -5,6 +5,7 @@ Python loops, so any vectorization slip in the library shows up as a
 numeric mismatch rather than a silent bias.
 """
 
+import contextlib
 import math
 import os
 import re
@@ -18,7 +19,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import PUBLISHED_WORKS, WORKING_PARAMS, make_image, peak_bytes
+from conftest import PUBLISHED_WORKS, WORKING_PARAMS, make_image, peak_bytes, pure_python
 from lorenzcipher import (DEFAULT_INITIAL, DIRECTIONS, DomainError, Keystream,
                           KeystreamConfig, LorenzCipherError, WorkScores,
                           adjacent_correlation, chi_square_uniform, decrypt,
@@ -297,6 +298,13 @@ class TestAdjacentCorrelation:
         assert math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
 
 
+def histograms(image):
+    """histogram(image) from the loaded byte counter, then from np.bincount."""
+    loaded = histogram(image)
+    with pure_python():
+        return [loaded, histogram(image)]
+
+
 class TestEntropyAndHistogram:
     def test_constant_image_entropy_zero_positive_sign(self):
         h = shannon_entropy(make_image(np.full((4, 4), 9, dtype=np.uint8)))
@@ -333,13 +341,14 @@ class TestEntropyAndHistogram:
 
     @staticmethod
     def assert_counts_every_byte(image):
-        counts = histogram(image)
-        assert counts.dtype == np.int64 and counts.shape == (256,)
         seen = Counter(image.pixels.tobytes())
-        assert counts.tolist() == [seen[level] for level in range(256)]
+        for counts in histograms(image):
+            assert counts.dtype == np.int64 and counts.shape == (256,)
+            assert counts.tolist() == [seen[level] for level in range(256)]
 
-    # Small shapes, one pixel short of a full chunk, and one pixel past one
-    # and past two full chunks.
+    # Small shapes, tails of one to three bytes past the counter's groups of
+    # four, one pixel short of a full chunk, and one pixel past one and past
+    # two full chunks.
     @pytest.mark.parametrize("shape", [
         (1, 1), (1, 2), (2, 1), (3, 5), (1, _CHUNK - 1),
         (1, _CHUNK + 1), (2 * _CHUNK + 1, 1)])
@@ -357,7 +366,8 @@ class TestEntropyAndHistogram:
     @given(arrays(np.uint8, st.tuples(st.integers(1, 9), st.integers(1, 9))))
     def test_histogram_matches_bincount(self, pixels):
         want = np.bincount(pixels.ravel(), minlength=256)
-        assert np.array_equal(histogram(make_image(pixels)), want)
+        for counts in histograms(make_image(pixels)):
+            assert np.array_equal(counts, want)
 
     def test_histogram_of_unaligned_pixels(self):
         # parse_pgm keeps the pixels in the PGM's buffer, 17 bytes past its
@@ -370,10 +380,13 @@ class TestEntropyAndHistogram:
     @pytest.mark.parametrize("shape", [(2048, 2048), (1, 2 ** 22)])
     @pytest.mark.parametrize("metric", [histogram, shannon_entropy])
     def test_memory_does_not_grow_with_pixels(self, shape, metric):
-        # One chunk's intp copy, where counting the whole image at once
-        # casts it to intp: 8 bytes a pixel, 32 MiB here.
+        # The byte counter allocates no pixel-sized buffer; np.bincount, one
+        # chunk's intp copy, where counting the whole image at once casts it
+        # to intp: 8 bytes a pixel, 32 MiB here.
         image = make_image(np.random.default_rng(5).integers(0, 256, shape, np.uint8))
-        assert peak_bytes(lambda: metric(image)) < 4 * 2 ** 20
+        for path in (contextlib.nullcontext(), pure_python()):
+            with path:
+                assert peak_bytes(lambda: metric(image)) < 4 * 2 ** 20
 
 
 class TestChiSquare:

@@ -98,6 +98,17 @@ def test_experiment_failed_write_writes_nothing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_experiment_failed_write_removes_the_directories_it_made(tmp_path):
+    # --outdir makes new/ and new/sub/ before the write that fails.
+    outdir = tmp_path / "new" / "sub"
+    code, out, err = run_script("-c", WITH_FILE_LIMIT, "40960",
+                                SCRIPTS / "run_reference_experiment.py", "--size", "256",
+                                "--outdir", str(outdir))
+    assert (code, out) == (2, "")
+    assert err == [f"i/o error: [Errno 27] File too large: '{outdir / 'plain.pgm'}'"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_experiment_warning_is_one_stderr_line():
     # At the default step the keystream is all zeros; the warning is the
     # CLI's stderr line, not part of the report.
