@@ -1,5 +1,6 @@
 """Integrator unit tests: derivative forms, RK4 kernel, lockstep orbit pairs."""
 
+import contextlib
 import math
 import random
 from decimal import Decimal
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import WORKING_PARAMS, full_orbits
+from conftest import WORKING_PARAMS, full_orbits, pure_python
 from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, DomainError,
                           ExtensionVariant, IntegrationBlowupError,
                           KeystreamConfig, LorenzParams, LorenzState, rk4_step)
@@ -248,11 +249,13 @@ class TestIntegratePair:
             with pytest.raises(DomainError, match=r"n_steps must be >= 1, got "):
                 integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, n, "y")
 
+    @pytest.mark.parametrize("oracle", [False, True], ids=["loaded-kernel", "pure-python"])
     @pytest.mark.parametrize("n", [2.5, True, "3", None, np.int64(3)])
-    def test_rejects_non_int_step_count(self, n):
+    def test_rejects_non_int_step_count(self, oracle, n):
         # Only a plain int counts: a bool or a numpy integer is refused too.
-        with pytest.raises(DomainError, match=r"n_steps must be an int, got "):
-            integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, n, "y")
+        with pure_python() if oracle else contextlib.nullcontext():
+            with pytest.raises(DomainError, match=r"n_steps must be an int, got "):
+                integrate_pair(DEFAULT_INITIAL, DEFAULT_PARAMS, n, "y")
 
     def test_unallocatable_orbits_are_a_domain_error(self):
         # 1.6 PB fails malloc (MemoryError); 2**62 samples overflow the
