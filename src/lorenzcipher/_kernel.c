@@ -22,7 +22,9 @@
  * whether this file is used at all, is lorenz._key_python.
  *
  * count_bytes, the second entry point, is metrics.histogram's byte counter;
- * without this file histogram counts with np.bincount instead.
+ * pair_moments, the third, sums the moments of metrics.adjacent_correlation.
+ * Without this file histogram counts with np.bincount and the correlation
+ * sums its moments with numpy, whose summation order pair_moments repeats.
  */
 
 #include <float.h>
@@ -153,4 +155,148 @@ void count_bytes(const unsigned char *data, int64_t n, int64_t *counts)
         t[0][data[i]]++;
     for (int v = 0; v < 256; v++)
         counts[v] += t[0][v] + t[1][v] + t[2][v] + t[3][v];
+}
+
+/* Pairs per block of metrics._tree_sum, and items per leaf of numpy's
+ * pairwise sum. */
+#define BLOCK 32768
+#define LEAF 128
+
+/* One direction's pairs: the rows x cols bytes at x and at y, both with row
+ * stride `stride`, and each series' centring table, l[v] = (double)v - mean,
+ * numpy's uint8 to float64 cast followed by its subtraction. */
+struct pairs {
+    const unsigned char *x, *y;
+    int64_t cols, stride;
+    double lx[256], ly[256];
+};
+
+/* The sum of the n bytes at p.  The even and the odd bytes of each 64-bit
+ * word go into four 16-bit lanes, which take 128 words (at most 65,280 each)
+ * before they are added up. */
+static int64_t byte_sum(const unsigned char *p, int64_t n)
+{
+    const uint64_t even = 0x00ff00ff00ff00ffu;
+    int64_t sum = 0, i = 0;
+    while (n - i >= 8) {
+        uint64_t lanes = 0, w;
+        for (int k = 0; k < 128 && n - i >= 8; k++, i += 8) {
+            memcpy(&w, p + i, sizeof w);
+            lanes += (w & even) + (w >> 8 & even);
+        }
+        for (int k = 0; k < 64; k += 16)
+            sum += (int64_t)(lanes >> k & 0xffff);
+    }
+    while (i < n)
+        sum += p[i++];
+    return sum;
+}
+
+/* The mean of the rows x cols bytes at p: an exact integer sum, divided once. */
+static double mean(const unsigned char *p, int64_t rows, int64_t cols, int64_t stride)
+{
+    int64_t sum = 0;
+    for (int64_t i = 0; i < rows; i++)
+        sum += byte_sum(p + i * stride, cols);
+    return (double)sum / (double)(rows * cols);
+}
+
+/* ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) of numpy's eight
+ * accumulators r0 .. r7, held two by two in r[0] .. r[3]. */
+static double combine(const v2d r[4])
+{
+    return ((r[0][0] + r[0][1]) + (r[1][0] + r[1][1]))
+        + ((r[2][0] + r[2][1]) + (r[3][0] + r[3][1]));
+}
+
+/* Into s, the sums of (x - mx)^2, (y - my)^2 and (x - mx)(y - my) over pairs
+ * lo .. lo + n - 1 in row-major order, n <= LEAF, added as numpy's
+ * pairwise_sum adds a leaf: below 8 items one by one from 0.0; otherwise in
+ * eight accumulators seeded with the first eight items and strided by eight,
+ * combined pairwise, and then the remaining items one by one. */
+static void leaf(const struct pairs *p, int64_t lo, int n, double s[3])
+{
+    unsigned char bx[LEAF], by[LEAF];
+    int64_t row = lo / p->cols, col = lo % p->cols;
+    const unsigned char *x = p->x + row * p->stride + col, *y = p->y + row * p->stride + col;
+    if (col + n > p->cols) {
+        /* The pairs run past the end of a row: copy them into one run. */
+        for (int k = 0; k < n; row++, col = 0) {
+            int run = p->cols - col < n - k ? (int)(p->cols - col) : n - k;
+            memcpy(bx + k, p->x + row * p->stride + col, run);
+            memcpy(by + k, p->y + row * p->stride + col, run);
+            k += run;
+        }
+        x = bx;
+        y = by;
+    }
+    const double *lx = p->lx, *ly = p->ly;
+    double sxx = 0.0, syy = 0.0, sxy = 0.0;
+    int unrolled = n < 8 ? 0 : n - n % 8;
+    if (unrolled) {
+        /* The first eight items seed the accumulators. */
+        v2d xx[4], yy[4], xy[4];
+        for (int i = 0; i < unrolled; i += 8)
+            for (int j = 0; j < 4; j++) {
+                const unsigned char *u = x + i + 2 * j, *w = y + i + 2 * j;
+                v2d a = {lx[u[0]], lx[u[1]]}, b = {ly[w[0]], ly[w[1]]};
+                xx[j] = i ? xx[j] + a * a : a * a;
+                yy[j] = i ? yy[j] + b * b : b * b;
+                xy[j] = i ? xy[j] + a * b : a * b;
+            }
+        sxx = combine(xx);
+        syy = combine(yy);
+        sxy = combine(xy);
+    }
+    for (int i = unrolled; i < n; i++) {
+        sxx += lx[x[i]] * lx[x[i]];
+        syy += ly[y[i]] * ly[y[i]];
+        sxy += lx[x[i]] * ly[y[i]];
+    }
+    s[0] = sxx;
+    s[1] = syy;
+    s[2] = sxy;
+}
+
+/* The sums of leaf over pairs lo .. lo + n - 1 along numpy's pairwise tree,
+ * which above LEAF items splits n at n / 2 - (n / 2) % 8 and adds the sums of
+ * the two halves.  metrics._tree_sum splits the same way above BLOCK pairs
+ * (limit == BLOCK), where each block's numpy .sum() adds the pairwise sum to
+ * the identity 0.0.  That addition only turns a -0.0 block sum into +0.0,
+ * which no moment sum shows: a -0.0 sum needs every product to be -0.0, a
+ * +0.0 centred value times a negative one, so that no centred value of
+ * either series is positive, which their means rule out.  No self-check can
+ * see it; it stays to mirror numpy operation for operation. */
+static void tree(const struct pairs *p, int64_t lo, int64_t n, int64_t limit, double s[3])
+{
+    if (n > limit) {
+        int64_t half = n / 2 - (n / 2) % 8;
+        double t[3];
+        tree(p, lo, half, limit, s);
+        tree(p, lo + half, n - half, limit, t);
+        for (int k = 0; k < 3; k++)
+            s[k] = s[k] + t[k];
+    } else if (limit == BLOCK) {
+        tree(p, lo, n, LEAF, s);
+        for (int k = 0; k < 3; k++)
+            s[k] = 0.0 + s[k];
+    } else {
+        leaf(p, lo, (int)n, s);
+    }
+}
+
+/* Store in moments the population moment sums (sxx, syy, sxy) of the pairs
+ * (x[i * stride + j], y[i * stride + j]), 0 <= i < rows, 0 <= j < cols, bit
+ * for bit as metrics.adjacent_correlation sums them with numpy.  Each call
+ * keeps its state on its own stack, so threads may call it at once. */
+void pair_moments(const unsigned char *x, const unsigned char *y, int64_t rows,
+                  int64_t cols, int64_t stride, double *moments)
+{
+    struct pairs p = {x, y, cols, stride, {0}, {0}};
+    double mx = mean(x, rows, cols, stride), my = mean(y, rows, cols, stride);
+    for (int i = 0; i < 256; i++) {
+        p.lx[i] = (double)i - mx;
+        p.ly[i] = (double)i - my;
+    }
+    tree(&p, 0, rows * cols, BLOCK, moments);
 }

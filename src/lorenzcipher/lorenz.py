@@ -29,7 +29,8 @@ vector, if it passes a self-check against `_key_python`; else
 over `_orbit`'s states. Neither stores the orbit: each turns every sample
 into a key byte as it goes. Both take the six-double state of A then B and,
 on success, leave the final state in it. The same choice gives
-`metrics.histogram` `_kernel.c`'s byte counter, `count_bytes`, or none.
+`metrics.histogram` `_kernel.c`'s byte counter, `count_bytes`, and
+`metrics.adjacent_correlation` its moment sums, `pair_moments`, or neither.
 """
 
 from __future__ import annotations
@@ -190,9 +191,22 @@ _CHECK_PARAMS = (15.3, 44.1, 3.7, 0.03)
 _CHECK_START = (DEFAULT_INITIAL.x, DEFAULT_INITIAL.y, DEFAULT_INITIAL.z)
 _CHECK_APART = _CHECK_START + (0.9, 0.5, 1.0)
 _CHECK_TRANSIENT, _CHECK_WINDOW = 8, 8
-# Every byte value, then a run of one value, 1027 bytes in all, so the
-# counter's unrolled loop and its tail both run.
-_CHECK_BYTES = bytes(range(256)) + bytes([201]) * 771
+# Every byte value, a run of one value, then squares modulo 256, 1027 bytes
+# in all, so the counter's unrolled loop and its tail both run.
+_CHECK_BYTES = bytes(range(256)) + bytes([201]) * 4 + bytes(i * i % 256 for i in range(767))
+# The moment sums (sxx, syy, sxy) of _CHECK_BYTES as a 13x79 image, per
+# (row, column) offset of the pair, as metrics' numpy path sums them. The
+# 1,014, 948 and 936 pairs take pairwise leaves of 8 to 128 items with and
+# without a remainder, and the split above them. The squares make the sums
+# change under a fused multiply-add, a mean taken by a reciprocal, or any of
+# the 24 swaps of two of a leaf's eight accumulators that reorder its combine;
+# a long run of one value in their place hides 11 of those swaps.
+_CHECK_SHAPE = (13, 79)
+_CHECK_MOMENTS = {
+    (0, 1): ("0x1.6110b74731fd0p+22", "0x1.623ca7b0388d6p+22", "0x1.b9bb53442a6a0p+20"),
+    (1, 0): ("0x1.4babb25ce4feep+22", "0x1.48d74beeb7a10p+22", "0x1.29c63602290bep+15"),
+    (1, 1): ("0x1.46a9e589d89d9p+22", "0x1.451dd92992993p+22", "0x1.b3843e5be5be6p+18"),
+}
 _load_lock = threading.Lock()
 
 
@@ -202,8 +216,10 @@ def _address(buffer):
 
 
 def _build_kernel():
-    """_kernel.c's key kernel, called like _key_python, and its byte counter,
-    count_bytes(data address, n, counts address); OSError says why not."""
+    """_kernel.c's key kernel, called like _key_python, its byte counter,
+    count_bytes(data address, n, counts address), and its moment sums,
+    pair_moments(x address, y address, rows, cols, row stride, sums address);
+    OSError says why not."""
     import shutil
     cc = shutil.which("cc")
     if cc is None:
@@ -234,6 +250,9 @@ def _build_kernel():
     count_bytes = compiled.count_bytes
     count_bytes.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
     count_bytes.restype = None
+    pair_moments = compiled.pair_moments
+    pair_moments.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 3 + [ctypes.c_void_p]
+    pair_moments.restype = None
     key = compiled.lorenz_key
     key.argtypes = [ctypes.POINTER(ctypes.c_double)] + [ctypes.c_double] * 4 + [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p,
@@ -253,7 +272,7 @@ def _build_kernel():
             raise _blowup("ab"[status - 1], count.value)
         state[:] = orbit
         return count.value
-    return key_compiled, count_bytes
+    return key_compiled, count_bytes, pair_moments
 
 
 def _key_python(out, window, transient, c, state, *params):
@@ -286,12 +305,13 @@ def _key_python(out, window, transient, c, state, *params):
     return zeros
 
 
-def _self_check(key, count) -> bool:
+def _self_check(key, count, moments) -> bool:
     """Compare `key` with _key_python on every component, under mantissa-lsb
     from two starts apart and minmax-scale from one shared start: the key
     bytes, XORed onto nonzero bytes, the zero count and the final state, bit
     for bit. Then compare the counts `count` adds onto nonzero counters for
-    _CHECK_BYTES with a Counter's."""
+    _CHECK_BYTES with a Counter's, and the sums `moments` stores for each
+    pair offset of _CHECK_BYTES as a _CHECK_SHAPE image with _CHECK_MOMENTS."""
     for c in range(len(COMPONENTS)):
         for start, window in ((_CHECK_APART, None),
                               (_CHECK_START * 2, bytearray(8 * _CHECK_WINDOW))):
@@ -305,20 +325,27 @@ def _self_check(key, count) -> bool:
     data, counts = array.array("B", _CHECK_BYTES), array.array("q", range(256))
     count(data.buffer_info()[0], len(data), counts.buffer_info()[0])
     want = collections.Counter(_CHECK_BYTES)
-    return counts.tolist() == [v + want[v] for v in range(256)]
+    if counts.tolist() != [v + want[v] for v in range(256)]:
+        return False
+    base, (rows, cols), sums = data.buffer_info()[0], _CHECK_SHAPE, array.array("d", [1.0] * 3)
+    for (dr, dc), pinned in _CHECK_MOMENTS.items():
+        moments(base, base + dr * cols + dc, rows - dr, cols - dc, cols, sums.buffer_info()[0])
+        if tuple(v.hex() for v in sums) != pinned:
+            return False
+    return True
 
 
 def _load_kernel():
-    """Return (compiled key kernel, compiled byte counter, None), or
-    (_key_python, None, cause).
+    """Return (compiled key kernel, compiled byte counter, compiled moment
+    sums, None), or (_key_python, None, None, cause).
 
     Compiles _kernel.c with `cc` on first use into __pycache__ next to
     this file, under a checksum of source, flags, sys.platform,
     os.uname().machine and the path `cc` resolves to, and loads it with
     ctypes. No `cc` or os.uname, a build or load failure, or any difference
-    from the pure-Python kernel or a pure-Python count on a short
-    self-check, an exception inside it included, logs one WARNING naming
-    the cause, however many threads call this first at once.
+    from the pure-Python kernel, a pure-Python count or the pinned moment
+    sums on a short self-check, an exception inside it included, logs one
+    WARNING naming the cause, however many threads call this first at once.
     """
     with _load_lock:
         return _choose_kernel()
@@ -327,26 +354,27 @@ def _load_kernel():
 @functools.cache
 def _choose_kernel():
     try:
-        key, count = _build_kernel()
+        key, count, moments = _build_kernel()
     except (OSError, AttributeError) as e:
         cause = str(e)
     else:
         try:
-            if _self_check(key, count):
-                return key, count, None
+            if _self_check(key, count, moments):
+                return key, count, moments, None
             cause = "self-check mismatch"
         except Exception as e:  # whatever the candidate raises, it fails the check
             cause = f"self-check raised {type(e).__name__}: {e}"
     import logging
     logging.getLogger("lorenzcipher").warning(
-        "compiled RK4 kernel unavailable (%s); using the pure-Python kernel", cause)
-    return _key_python, None, cause
+        "compiled RK4 kernel unavailable (%s); keystreams use the pure-Python kernel, "
+        "histograms and correlations numpy", cause)
+    return _key_python, None, None, cause
 
 
 def kernel_backend() -> str:
-    """Which kernel library every keystream and histogram run: "c", or
-    "pure-python" for _key_python and numpy's bincount."""
-    return "c" if _load_kernel()[2] is None else "pure-python"
+    """Which kernel library every keystream, histogram and correlation run:
+    "c", or "pure-python" for _key_python and numpy."""
+    return "c" if _load_kernel()[-1] is None else "pure-python"
 
 
 def integrate_pair(initial: LorenzState, params: LorenzParams,

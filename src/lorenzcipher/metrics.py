@@ -45,9 +45,10 @@ class WorkScores:
 # The (row, col) offset from each pixel to its neighbour, per direction.
 _OFFSETS = dict(zip(DIRECTIONS, ((0, 1), (1, 0), (1, 1))))
 
-# Pairs per block of adjacent_correlation, whose two float64 buffers of this
-# length (512 KiB) stay in cache. It must be at least 128: numpy splits no
-# sum of up to 128 items, so a smaller block would split where numpy does not.
+# Pairs per block of adjacent_correlation's numpy path, whose two float64
+# buffers of this length (512 KiB) stay in cache; _kernel.c's BLOCK repeats
+# it. It must be at least 128: numpy splits no sum of up to 128 items, so a
+# smaller block would split where numpy does not.
 _BLOCK = 2 ** 15
 
 # Pixels per np.bincount call of histogram without the compiled counter,
@@ -87,25 +88,14 @@ def _centre(out: np.ndarray, series: np.ndarray, mean: float, lo: int) -> None:
                     dtype=np.float64)
 
 
-def adjacent_correlation(image: GrayImage, direction: str) -> float:
-    """Correlation between each pixel and its neighbor in `direction`.
-
-    All adjacent pairs are used (no sampling): horizontal pairs are
-    (i,j)-(i,j+1), vertical (i,j)-(i+1,j), diagonal (i,j)-(i+1,j+1).
-    Population (divide-by-m) moments over the m pairs: each mean is an exact
-    integer sum divided once, and each moment numpy's own pairwise float64
-    sum in row-major order, taken block by block along its tree, so memory
-    does not grow with m. Bit-identical to the oracle in tests/test_metrics.py.
-    """
+def _numpy_moments(p: np.ndarray, dr: int, dc: int) -> np.ndarray:
+    """The population moment sums (sxx, syy, sxy) of the pairs p[i, j],
+    p[i + dr, j + dc] with numpy, where _kernel.c's pair_moments is not
+    loaded: each mean an exact integer sum divided once, and each moment
+    numpy's own pairwise float64 sum in row-major order, taken block by block
+    along its tree, so memory does not grow with the pair count."""
     import numpy as np
-    _require_type(image, GrayImage, _IS_IMAGE)
-    _require_choice(direction, DIRECTIONS, "direction")
-    p = image.pixels
-    dr, dc = _OFFSETS[direction]
     rows, cols = p.shape
-    if rows <= dr or cols <= dc:
-        raise DomainError(f"{direction} pairs need an image of at least "
-                          f"{dr + 1}x{dc + 1}, got {rows}x{cols}")
     x, y = p[:rows - dr, :cols - dc], p[dr:, dc:]
     m = x.size
     # Both exact sums from one sum of the image: x leaves out the last dr
@@ -128,7 +118,38 @@ def adjacent_correlation(image: GrayImage, direction: str) -> float:
         b *= b
         return np.array([sxx, b.sum(), a.sum()])
 
-    sxx, syy, sxy = _tree_sum(moments, 0, m)
+    return _tree_sum(moments, 0, m)
+
+
+def adjacent_correlation(image: GrayImage, direction: str) -> float:
+    """Correlation between each pixel and its neighbor in `direction`.
+
+    All adjacent pairs are used (no sampling): horizontal pairs are
+    (i,j)-(i,j+1), vertical (i,j)-(i+1,j), diagonal (i,j)-(i+1,j+1).
+    Population (divide-by-m) moments over the m pairs, summed in one pass of
+    the compiled pair_moments or else with numpy, bit for bit alike and in
+    memory that does not grow with m. Bit-identical to the oracle in
+    tests/test_metrics.py.
+    """
+    import numpy as np
+    _require_type(image, GrayImage, _IS_IMAGE)
+    _require_choice(direction, DIRECTIONS, "direction")
+    p = image.pixels
+    dr, dc = _OFFSETS[direction]
+    rows, cols = p.shape
+    if rows <= dr or cols <= dc:
+        raise DomainError(f"{direction} pairs need an image of at least "
+                          f"{dr + 1}x{dc + 1}, got {rows}x{cols}")
+    m = (rows - dr) * (cols - dc)
+    pair_moments = lorenz._load_kernel()[2]
+    if pair_moments is None:
+        sums = _numpy_moments(p, dr, dc)
+    else:
+        # The pixels are C-contiguous, so both series go by address.
+        sums = np.empty(3)
+        pair_moments(p.ctypes.data, p.ctypes.data + dr * cols + dc, rows - dr, cols - dc,
+                     cols, sums.ctypes.data)
+    sxx, syy, sxy = sums
     sx = np.sqrt(sxx / m)
     sy = np.sqrt(syy / m)
     if sx == 0.0 or sy == 0.0:

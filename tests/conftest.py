@@ -41,7 +41,7 @@ SCRIPTS = REPO / "scripts"
 PUBLISHED_WORKS = runpy.run_path(str(SCRIPTS / "run_reference_experiment.py"))["BENCHMARK_ROWS"]
 
 
-_CAUSE = lorenz._load_kernel()[2]
+_CAUSE = lorenz._load_kernel()[-1]
 needs_c = pytest.mark.skipif(_CAUSE is not None, reason=f"compiled kernel unavailable: {_CAUSE}")
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="cc not found")
 # The line of _kernel.c that sums RK4's four y stages.
@@ -110,10 +110,11 @@ def reference_keystream(params, initial, config):
 
 
 def pure_python():
-    """Route the key route to the pure-Python key kernel and histogram to
-    np.bincount, as without a compiler, while active; integrate_pair is the
-    oracle either way."""
-    return mock.patch.object(lorenz, "_load_kernel", lambda: (lorenz._key_python, None, "oracle"))
+    """Route the key route to the pure-Python key kernel, histogram to
+    np.bincount and adjacent_correlation to its numpy sums, as without a
+    compiler, while active; integrate_pair is the oracle either way."""
+    return mock.patch.object(lorenz, "_load_kernel",
+                             lambda: (lorenz._key_python, None, None, "oracle"))
 
 
 def full_orbits(initial, params, n):

@@ -21,11 +21,12 @@ from hypothesis import strategies as st
 
 from conftest import (BLOWUP_STEPS, RK4_Y, WORKING_PARAMS, make_image, needs_c, needs_cc,
                       observe, quiet_keystream, reference_keystream, run_python, write_mutant)
-from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, KeystreamConfig,
-                          KeystreamQualityWarning, LorenzParams, LorenzState, histogram,
-                          kernel_backend, lorenz)
+from lorenzcipher import (DEFAULT_INITIAL, DEFAULT_PARAMS, DIRECTIONS, KeystreamConfig,
+                          KeystreamQualityWarning, LorenzParams, LorenzState,
+                          adjacent_correlation, histogram, kernel_backend, lorenz)
 from lorenzcipher.keystream import STRATEGIES
 from lorenzcipher.lorenz import COMPONENTS
+from test_metrics import reference_correlation
 import test_key_route
 
 # Each link of a chain starts from the state the one before it ended in.
@@ -135,7 +136,7 @@ def test_every_real_key_takes_compiled_path(monkeypatch, key):
     def spy(out, window, transient, c, state, *params):
         calls.append((*state, *params))
         return compiled(out, window, transient, c, state, *params)
-    monkeypatch.setattr(lorenz, "_load_kernel", lambda: (spy, None, None))
+    monkeypatch.setattr(lorenz, "_load_kernel", lambda: (spy, None, None, None))
     assert keystream(*key) == want
     [floats] = calls
     assert all(type(v) is float for v in floats)
@@ -281,6 +282,30 @@ class TestFallback:
             pixels.ravel(), minlength=256).tolist()
 
     @needs_cc
+    @pytest.mark.parametrize("right, wrong", [
+        # A leaf fuses each product into its accumulator.
+        ("xy[j] = i ? xy[j] + a * b : a * b;",
+         "xy[j] = i ? (v2d){__builtin_fma(a[0], b[0], xy[j][0]), "
+         "__builtin_fma(a[1], b[1], xy[j][1])} : a * b;"),
+        # A leaf adds two of its eight accumulators in the wrong pairs.
+        ("(r[0][0] + r[0][1]) + (r[1][0] + r[1][1])",
+         "(r[0][0] + r[1][0]) + (r[0][1] + r[1][1])"),
+        # A mean multiplies by a reciprocal.
+        ("return (double)sum / (double)(rows * cols);",
+         "return (double)sum * (1.0 / (double)(rows * cols));"),
+    ], ids=["fma", "combine", "mean-reciprocal"])
+    def test_self_check_catches_wrong_moment_sums(
+            self, cache, monkeypatch, caplog, reference, tmp_path, right, wrong):
+        # The fallback takes the correlations too, and sums them with numpy.
+        write_mutant(monkeypatch, tmp_path, right, wrong)
+        self.check_fallback(caplog, reference, "self-check mismatch")
+        image = make_image(np.frombuffer(lorenz._CHECK_BYTES, np.uint8)
+                           .reshape(lorenz._CHECK_SHAPE))
+        for direction in DIRECTIONS:
+            assert adjacent_correlation(image, direction) == reference_correlation(
+                image, direction)
+
+    @needs_cc
     @pytest.mark.parametrize("flags", [
         ("-freciprocal-math",),
         pytest.param(("-mfma", "-ffp-contract=fast"), marks=pytest.mark.skipif(
@@ -302,7 +327,7 @@ class TestFallback:
 
             def key(*args):
                 raise lorenz._blowup("a", 0)
-            return key, None
+            return key, None, None
         monkeypatch.setattr(lorenz, "_build_kernel", build)
         self.check_fallback(caplog, reference, "self-check raised IntegrationBlowupError: "
                                                "variant A produced a non-finite state at step 0")
@@ -330,7 +355,7 @@ class TestFallback:
         assert not any(thread.is_alive() for thread in threads)
         assert len(lorenz_warnings(caplog)) == 1
         assert len(results) == 4 and all(r is results[0] for r in results)
-        assert results[0] == (lorenz._key_python, None, "cc not found")
+        assert results[0] == (lorenz._key_python, None, None, "cc not found")
 
     @needs_cc
     def test_blowup_tests_catch_lane_b_checked_first(self, cache, monkeypatch, tmp_path):

@@ -193,7 +193,7 @@ def test_loader_without_cc_returns_the_python_key_kernel(monkeypatch):
     monkeypatch.setattr(shutil, "which", lambda name: None)
     lorenz._choose_kernel.cache_clear()
     try:
-        assert lorenz._load_kernel() == (lorenz._key_python, None, "cc not found")
+        assert lorenz._load_kernel() == (lorenz._key_python, None, None, "cc not found")
     finally:
         lorenz._choose_kernel.cache_clear()
 
@@ -334,7 +334,8 @@ def test_analyze_and_index_run_in_a_fresh_process(tmp_path):
     scores = tmp_path / "scores.csv"
     scores.write_text("label,corr_h,corr_v,corr_d,entropy\nw,0.1,0.2,0.3,7.9\n")
     fallback = "" if _CAUSE is None else (
-        f"compiled RK4 kernel unavailable ({_CAUSE}); using the pure-Python kernel\n")
+        f"compiled RK4 kernel unavailable ({_CAUSE}); keystreams use the pure-Python kernel, "
+        "histograms and correlations numpy\n")
     for argv, err in ((["analyze", str(image)], fallback), (["index", str(scores)], "")):
         want = io.StringIO()
         assert run_command(argv, stdout=want) == 0

@@ -25,7 +25,7 @@ from lorenzcipher import (DEFAULT_INITIAL, DIRECTIONS, DomainError, Keystream,
                           adjacent_correlation, chi_square_uniform, decrypt,
                           efficiency_index, encrypt, histogram,
                           shannon_entropy, write_pgm, xor_apply)
-from lorenzcipher import encode_pgm, metrics, parse_pgm
+from lorenzcipher import encode_pgm, lorenz, metrics, parse_pgm
 from lorenzcipher.metrics import _BLOCK, _CHUNK, _tree_sum
 
 def oracle_correlation(xs, ys):
@@ -121,6 +121,14 @@ def outcome(correlation, image, direction):
         return type(exc), str(exc)
 
 
+def outcomes(image, direction):
+    """adjacent_correlation's outcome from the loaded moment sums, then from
+    numpy's, as without a compiler."""
+    loaded = outcome(adjacent_correlation, image, direction)
+    with pure_python():
+        return [loaded, outcome(adjacent_correlation, image, direction)]
+
+
 @st.composite
 def small_images(draw):
     """uint8 images up to 64x64: any levels, two levels or one level."""
@@ -140,8 +148,8 @@ class TestBitIdentity:
     def test_matches_reference_on_small_images(self, pixels):
         image = make_image(pixels)
         for direction in DIRECTIONS:
-            assert (outcome(adjacent_correlation, image, direction)
-                    == outcome(reference_correlation, image, direction))
+            assert outcomes(image, direction) == [
+                outcome(reference_correlation, image, direction)] * 2
 
     def test_matches_reference_on_large_images(self):
         rng = np.random.default_rng(12)
@@ -151,9 +159,12 @@ class TestBitIdentity:
         for pixels in (noise, smooth):
             image = make_image(pixels)
             for direction in DIRECTIONS:
-                got = adjacent_correlation(image, direction)
-                assert got == reference_correlation(image, direction)
-                assert type(got) is float
+                want = reference_correlation(image, direction)
+                for path in (contextlib.nullcontext(), pure_python()):
+                    with path:
+                        got = adjacent_correlation(image, direction)
+                    assert got.hex() == want.hex()
+                    assert type(got) is float
 
     # Images whose m pairs straddle the blocks of adjacent_correlation: m
     # next to one and two blocks, blocks that start mid-row, one-row and
@@ -177,8 +188,15 @@ class TestBitIdentity:
                   else smooth_texture(rng, *shape))
         image = make_image(pixels)
         assert reference_pairs(pixels, direction)[0].size > _BLOCK - 2
-        assert (outcome(adjacent_correlation, image, direction)
-                == outcome(reference_correlation, image, direction))
+        assert outcomes(image, direction) == [
+            outcome(reference_correlation, image, direction)] * 2
+
+    def test_self_check_moments_are_the_numpy_sums(self):
+        # The loader holds the compiled moment sums to these constants, so
+        # they must be what the numpy path sums for every direction.
+        pixels = np.frombuffer(lorenz._CHECK_BYTES, np.uint8).reshape(lorenz._CHECK_SHAPE)
+        assert {offset: tuple(v.hex() for v in metrics._numpy_moments(pixels, *offset))
+                for offset in metrics._OFFSETS.values()} == lorenz._CHECK_MOMENTS
 
     @pytest.mark.parametrize("block", [128, 200, _BLOCK])
     def test_tree_is_numpys_summation_tree(self, monkeypatch, block):
@@ -198,12 +216,15 @@ class TestBitIdentity:
     @pytest.mark.parametrize("shape,directions", [
         ((2048, 2048), DIRECTIONS), ((1, 2 ** 21), ("horizontal",))])
     def test_memory_does_not_grow_with_pairs(self, shape, directions):
-        # Two block buffers and numpy's own small iterator buffers, where a
-        # whole-array form needs two float64 arrays of m pairs (32 MiB each).
+        # The compiled sums allocate no pair-sized buffer; numpy's, two block
+        # buffers and numpy's own small iterator buffers, where a whole-array
+        # form needs two float64 arrays of m pairs (32 MiB each).
         image = make_image(np.random.default_rng(4).integers(0, 256, shape, np.uint8))
-        for direction in directions:
-            assert peak_bytes(lambda: adjacent_correlation(image, direction)) < (
-                2 * 8 * _BLOCK + 256 * 1024)
+        for path in (contextlib.nullcontext(), pure_python()):
+            with path:
+                for direction in directions:
+                    assert peak_bytes(lambda: adjacent_correlation(image, direction)) < (
+                        2 * 8 * _BLOCK + 256 * 1024)
 
 
 class TestPopulationCorrelation:
