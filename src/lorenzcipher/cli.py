@@ -1,4 +1,5 @@
-"""Command-line front end: encrypt | decrypt | keystream | analyze | index.
+"""Command-line front end: encrypt | decrypt | keystream | analyze | index |
+experiment.
 
 Exit codes: 0 success, 1 usage error, 2 I/O or file format error,
 3 numeric or domain error or out of memory, as the table _ENDINGS maps
@@ -9,13 +10,14 @@ Each command returns its (output, path) pairs, and run_command writes them
 all through _write after it returns, as the scripts write theirs, so a
 command that fails writes nothing.
 
-Only analyze imports numpy, through the metrics, which count its histogram
-in the compiled kernel library when that loads. encrypt, decrypt and
-keystream read and write PGM bytes directly and XOR the payload in the key
-kernel, compiled or pure Python; index computes on plain floats. None of the
-four imports platform, json or numbers: json is imported only to read
---config, and numbers only for a key field that is not a float. csv is
-imported only by analyze and index.
+Only analyze and experiment import numpy, and only inside the command,
+through the library; the metrics count each histogram in the compiled kernel
+library when that loads. encrypt, decrypt and keystream read and write PGM
+bytes directly and XOR the payload in the key kernel, compiled or pure
+Python; index computes on plain floats. None of the four imports platform,
+json or numbers: json is imported only to read --config, and numbers only
+for a key field that is not a float. csv is imported only by analyze and
+index.
 """
 
 from __future__ import annotations
@@ -31,13 +33,15 @@ import warnings
 from dataclasses import fields, replace
 from functools import partial
 
+from .cipher import GrayImage, reference_image, xor_apply
 from .errors import DomainError, FileFormatError
-from .keystream import STRATEGIES, KeystreamConfig, KeystreamQualityWarning, _xor_keystream
+from .keystream import (STRATEGIES, KeystreamConfig, KeystreamQualityWarning, _xor_keystream,
+                        generate_keystream)
 from .lorenz import (COMPONENTS, DEFAULT_INITIAL, DEFAULT_PARAMS, LorenzParams,
                      LorenzState)
 from .metrics import (DIRECTIONS, WorkScores, _entropy, adjacent_correlation,
-                      efficiency_index, histogram)
-from .pgm import _decode_pgm, _pgm_header, read_pgm
+                      chi_square_uniform, efficiency_index, histogram)
+from .pgm import _decode_pgm, _pgm_header, encode_pgm, read_pgm
 
 __all__ = ["run_command", "exit_status", "main"]
 
@@ -63,6 +67,16 @@ _KINDS = {float: ((int, float), "a number"), int: (int, "an integer"),
           str: (str, "a string")}
 
 _SCORES_HEADER = [f.name for f in fields(WorkScores)]
+
+# The works the paper compares with, which experiment scores its own
+# ciphertext against: correlation magnitudes horizontal, vertical and
+# diagonal, then entropy.
+_PUBLISHED_WORKS = (
+    WorkScores("work-a", 0.00045, 0.0015, 0.0040, 7.9973),
+    WorkScores("work-b", 0.0028, 0.0059, 0.0031, 7.9969),
+    WorkScores("work-c", 0.00083, 0.00223, 0.00650, 7.9998),
+    WorkScores("work-d", 0.0016, 0.0025, 0.0003, 7.9826),
+)
 
 
 class _UsageError(Exception):
@@ -108,21 +122,44 @@ def _write_file(name, data, path) -> None:
         raise
 
 
+def _make_dirs(path, made) -> None:
+    """os.makedirs(path, exist_ok=True), which walks the path as given,
+    through each `..` too; each directory it makes is appended to `made`."""
+    head, tail = os.path.split(path)
+    if not tail:  # a trailing separator
+        head, tail = os.path.split(head)
+    if head and tail and not os.path.exists(head):
+        _make_dirs(head, made)
+    try:
+        os.mkdir(path)
+    except FileExistsError:  # also a path ending in `.` or `..`
+        if not os.path.isdir(path):
+            raise
+    else:
+        made.append(path)
+
+
 def _write(outputs, stdout) -> None:
     """Write one command's (output, path) pairs: every file or none, then
-    each output whose path is None to stdout. The empty path and a
-    directory are refused first, as open() refuses them. A target that
-    exists and is not a regular file (a FIFO, a device, /dev/stdout on a
-    pipe) is written in place through the path as given, after the rest.
-    Every other file is written beside os.path.realpath(path) under a name
-    of its own and renamed into place once all are complete, so a symlink
-    stays a link, and two outputs to one path leave the last one there."""
-    files = []
+    each output whose path is None to stdout. An output None says that the
+    directory at its path must exist: the missing ones are made first and
+    removed again, deepest first, if the write fails. The empty path and a
+    file path naming a directory are refused first, as open() refuses them.
+    A target that exists and is not a regular file (a FIFO, a device,
+    /dev/stdout on a pipe) is written in place through the path as given,
+    after the rest. Every other file is written beside
+    os.path.realpath(path) under a name of its own and renamed into place
+    once all are complete, so a symlink stays a link, and two outputs to one
+    path leave the last one there."""
+    files, directories = [], []
     for output, path in outputs:
         if path is None:
             continue
         if not path:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        if output is None:
+            directories.append(path)
+            continue
         try:
             mode = os.stat(path).st_mode
         except OSError:  # missing, or a fault that the staged write reports
@@ -131,8 +168,10 @@ def _write(outputs, stdout) -> None:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         data = output.encode("utf-8") if isinstance(output, str) else output
         files.append((data, path, not stat.S_ISREG(mode)))
-    staged = []
+    staged, made = [], []
     try:
+        for path in directories:
+            _make_dirs(path, made)
         for index, (data, path, in_place) in enumerate(files):
             if not in_place:
                 real = os.path.realpath(path)
@@ -140,10 +179,13 @@ def _write(outputs, stdout) -> None:
                 _write_file(staged[-1][0], data, path)
         for tmp, real in staged:
             os.replace(tmp, real)
+        made = []  # written, so the directories stay
     finally:
         for tmp, _ in staged:
             if os.path.exists(tmp):
                 os.remove(tmp)
+        for path in reversed(made):  # deepest first, each empty again
+            os.rmdir(path)
     for data, path, in_place in files:
         if in_place:
             _write_file(path, data, path)
@@ -212,11 +254,17 @@ def _cmd_keystream(args) -> list:
     return [(key.hex() + "\n" if args.format == "hex" else key, args.output)]
 
 
+def _image_metrics(image, counts) -> list[float]:
+    """Entropy, from the image's histogram `counts`, then the adjacent
+    correlation in each of DIRECTIONS: what analyze and experiment report."""
+    return [_entropy(counts), *(adjacent_correlation(image, d) for d in DIRECTIONS)]
+
+
 def _cmd_analyze(args) -> list:
     image = read_pgm(args.input)
     counts = histogram(image)
-    report = _csv_text(("metric", "value"), ("entropy", _entropy(counts)), *(
-        (f"corr_{d}", adjacent_correlation(image, d)) for d in DIRECTIONS))
+    report = _csv_text(("metric", "value"), *zip(
+        ("entropy", *(f"corr_{d}" for d in DIRECTIONS)), _image_metrics(image, counts)))
     if args.histogram is None:
         return [(report, args.report)]
     return [(report, args.report),
@@ -255,6 +303,43 @@ def _cmd_index(args) -> list:
     scores = _read_scores(args.scores)
     rows = [(work.label, f"{ic:.4f}") for work, ic in zip(scores, efficiency_index(scores))]
     return [(_csv_text(("label", "ic"), *rows), None)]
+
+
+def _cmd_experiment(args) -> list:
+    size = args.size
+    plain = reference_image(size, size)
+    key = generate_keystream(replace(DEFAULT_PARAMS, h=args.step), DEFAULT_INITIAL,
+                             KeystreamConfig(rows=size, cols=size, strategy=args.strategy))
+    cipher = xor_apply(plain, key)
+    back = xor_apply(cipher, key)
+    if not (back.pixels == plain.pixels).all():  # only a broken xor_apply gets here
+        raise DomainError("the decrypted image is not the plaintext")
+    key_counts = histogram(GrayImage.from_array(key.data.reshape(size, size)))
+    cipher_counts = histogram(cipher)
+    pm, cm = _image_metrics(plain, histogram(plain)), _image_metrics(cipher, cipher_counts)
+    works = [*_PUBLISHED_WORKS, WorkScores("this-run", *map(abs, cm[1:]), cm[0])]
+    report = [
+        f"reference experiment: {size}x{size}, step {args.step}, {args.strategy}",
+        "round trip exact: True",
+        f"\n{'metric':<12}{'plaintext':>14}{'ciphertext':>14}",
+        *(f"{name:<12}{p:>14.6f}{c:>14.6f}" for name, p, c in
+          zip(("entropy", *(f"corr_{d[0]}" for d in DIRECTIONS)), pm, cm)),
+        f"\nciphertext histogram: min {cipher_counts.min()}, max {cipher_counts.max()}, "
+        f"chi2 {chi_square_uniform(cipher_counts):.1f}",
+        f"keystream: zero fraction {key_counts[0] / key_counts.sum():.4%}, "
+        f"distinct {(key_counts > 0).sum()}, entropy {_entropy(key_counts):.4f}, "
+        f"chi2 {chi_square_uniform(key_counts):.1f}",
+        "\nefficiency index (vs fixed benchmark rows):",
+        *(f"  {work.label:<10}{ic:.4f}" for work, ic in zip(works, efficiency_index(works)))]
+    images = []
+    if args.outdir is not None:
+        import pathlib
+        out = pathlib.Path(args.outdir)
+        named = (("plain", plain), ("cipher", cipher), ("decrypted", back))
+        images = [(None, args.outdir), *((encode_pgm(image), str(out / f"{name}.pgm"))
+                                         for name, image in named)]
+        report.append(f"\nwrote images to {out}")
+    return images + [("\n".join(report) + "\n", None)]
 
 
 def _build_parser() -> _Parser:
@@ -298,6 +383,18 @@ def _build_parser() -> _Parser:
                                    "and print one Ic per work")
     p.add_argument("scores", help="CSV of works to compare")
     p.set_defaults(func=_cmd_index)
+
+    # The step defaults to 0.01, not 1e-6: at 1e-6 the two orbit variants
+    # agree bit for bit far past the sampled window, so the key is all zeros.
+    p = sub.add_parser("experiment", help="the paper's reference experiment",
+                       description="encrypt the reference texture, check the round "
+                                   "trip, and score the ciphertext against the "
+                                   "published works")
+    p.add_argument("--step", type=float, default=0.01, help="integration step h (0.01)")
+    p.add_argument("--size", type=int, default=256, help="image side in pixels (256)")
+    p.add_argument("--strategy", choices=STRATEGIES, default=KeystreamConfig.strategy)
+    p.add_argument("--outdir", help="also write plain/cipher/decrypted PGMs here")
+    p.set_defaults(func=_cmd_experiment)
 
     return parser
 

@@ -1,15 +1,19 @@
 """Smoke tests for the runnable scripts."""
 
+import io
+import itertools
 import os
 import runpy
 import shutil
 import sys
+import warnings
 from unittest import mock
 
 import pytest
 
 import lorenzcipher
 from conftest import REPO, SCRIPTS, run_python
+from lorenzcipher import GrayImage, cli
 
 # Runs the script at argv[2] in a child that first caps its own file size at
 # argv[1] bytes, so a write fails part way as on a full disk.
@@ -17,6 +21,30 @@ WITH_FILE_LIMIT = ("import resource, runpy, sys; limit = int(sys.argv[1]); "
                    "resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)); "
                    "sys.argv = sys.argv[2:]; runpy.run_path(sys.argv[0], run_name='__main__')")
 WARNING_ERROR = "error::lorenzcipher.KeystreamQualityWarning"
+# The report of `experiment --size 64`, byte for byte.
+REPORT_64 = """\
+reference experiment: 64x64, step 0.01, mantissa-lsb
+round trip exact: True
+
+metric           plaintext    ciphertext
+entropy           7.204040      7.937052
+corr_h            0.997160      0.011437
+corr_v            0.997336      0.001634
+corr_d            0.992584     -0.004235
+
+ciphertext histogram: min 2, max 43, chi2 379.0
+keystream: zero fraction 7.6904%, distinct 256, entropy 7.5746, chi2 6787.4
+
+efficiency index (vs fixed benchmark rows):
+  work-a    0.7687
+  work-b    0.3778
+  work-c    0.5652
+  work-d    0.7198
+  this-run  0.5051
+"""
+WARNING_64 = ("warning: keystream zero-byte fraction 7.69% exceeds 2%; the cipher is close "
+              "to an identity map (try a larger step h or more iterations) "
+              "(KeystreamQualityWarning)")
 
 
 def run_script(*args):
@@ -43,6 +71,43 @@ def test_reference_experiment_writes_images(tmp_path):
     assert (tmp_path / "cipher.pgm").exists()
 
 
+def test_experiment_report_is_pinned():
+    code, out, err = run_script(SCRIPTS / "run_reference_experiment.py", "--size", "64")
+    assert (code, out, err) == (0, REPORT_64, [WARNING_64])
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        code = cli.run_command(["experiment", "--size", "64"], stdout=stdout, stderr=stderr)
+    assert (code, stdout.getvalue(), stderr.getvalue()) == (0, REPORT_64, WARNING_64 + "\n")
+
+
+def test_experiment_usage_error_exits_1_with_one_line():
+    code, out, err = run_script(SCRIPTS / "run_reference_experiment.py", "--size", "x")
+    assert (code, out) == (1, "")
+    assert err == ["usage error: argument --size: invalid int value: 'x'"]
+
+
+def test_experiment_refuses_an_inexact_round_trip(tmp_path, monkeypatch):
+    # Only a broken xor_apply makes the round trip inexact: here the second
+    # call, the decryption, comes back with one byte flipped. That is a
+    # domain error, not the usage status 1, and nothing is written.
+    calls, xor_apply = itertools.count(), cli.xor_apply
+
+    def corrupting(image, key):
+        pixels = xor_apply(image, key).pixels.copy()
+        pixels[0, 0] ^= next(calls) == 1
+        return GrayImage.from_array(pixels)
+    monkeypatch.setattr(cli, "xor_apply", corrupting)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = cli.run_command(["experiment", "--size", "16", "--outdir", str(tmp_path / "out")],
+                               stdout=stdout, stderr=stderr)
+    assert (code, stdout.getvalue()) == (3, "")
+    assert stderr.getvalue() == "domain error: the decrypted image is not the plaintext\n"
+    assert next(calls) == 2 and list(tmp_path.iterdir()) == []
+
+
 def test_quality_report_runs():
     code, out, err = run_python(SCRIPTS / "keystream_quality_report.py", "--size", "48",
                                 "--steps", "1e-2")
@@ -61,9 +126,8 @@ def test_quality_report_runs():
 ], ids=["experiment-size-1", "experiment-size-0", "experiment-step-0", "experiment-blowup",
         "report-size-1", "report-negative-step"])
 def test_package_error_exits_3_with_one_line(argv):
-    # Exit 1 is run_reference_experiment.py's failed round trip, so a
-    # package error exits 3 as in the CLI, with no traceback and no part of
-    # the report. Without cc the kernel loader logs a line first.
+    # A package error exits 3 as in the CLI, with no traceback and no part
+    # of the report. Without cc the kernel loader logs a line first.
     code, out, err = run_python(SCRIPTS / argv[0], *argv[1:])
     assert code == 3 and "Traceback" not in err
     assert err.splitlines()[-1].startswith("domain error: ")
@@ -101,6 +165,18 @@ def test_experiment_failed_write_writes_nothing(tmp_path):
 def test_experiment_failed_write_removes_the_directories_it_made(tmp_path):
     # --outdir makes new/ and new/sub/ before the write that fails.
     outdir = tmp_path / "new" / "sub"
+    code, out, err = run_script("-c", WITH_FILE_LIMIT, "40960",
+                                SCRIPTS / "run_reference_experiment.py", "--size", "256",
+                                "--outdir", str(outdir))
+    assert (code, out) == (2, "")
+    assert err == [f"i/o error: [Errno 27] File too large: '{outdir / 'plain.pgm'}'"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_experiment_failed_write_removes_each_directory_of_a_dotdot_path(tmp_path):
+    # The path is walked as given, so --outdir new/../other/sub makes new/
+    # as well as other/ and other/sub/, and all three go.
+    outdir = tmp_path / "new" / ".." / "other" / "sub"
     code, out, err = run_script("-c", WITH_FILE_LIMIT, "40960",
                                 SCRIPTS / "run_reference_experiment.py", "--size", "256",
                                 "--outdir", str(outdir))
