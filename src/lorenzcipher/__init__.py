@@ -9,8 +9,9 @@ CLI round out the package.
 `__all__` joins the `__all__` lists of the library modules, so each public
 name is declared once, in the module that defines it. Every module loads
 with the package, and none imports numpy until a function that uses it
-runs: only the CLI's analyze loads it. encrypt, decrypt and keystream load
-none of numpy, platform, json, csv or numbers, and index only csv of them.
+runs: only the CLI's analyze and experiment load it. encrypt, decrypt and
+keystream load none of numpy, platform, json, csv or numbers, and index only
+csv of them.
 """
 
 from . import cipher, errors, keystream, lorenz, metrics, pgm

@@ -157,9 +157,7 @@ void count_bytes(const unsigned char *data, int64_t n, int64_t *counts)
         counts[v] += t[0][v] + t[1][v] + t[2][v] + t[3][v];
 }
 
-/* Pairs per block of metrics._tree_sum, and items per leaf of numpy's
- * pairwise sum. */
-#define BLOCK 32768
+/* Items per leaf of numpy's pairwise sum. */
 #define LEAF 128
 
 /* One direction's pairs: the rows x cols bytes at x and at y, both with row
@@ -211,9 +209,9 @@ static double combine(const v2d r[4])
 
 /* Into s, the sums of (x - mx)^2, (y - my)^2 and (x - mx)(y - my) over pairs
  * lo .. lo + n - 1 in row-major order, n <= LEAF, added as numpy's
- * pairwise_sum adds a leaf: below 8 items one by one from 0.0; otherwise in
- * eight accumulators seeded with the first eight items and strided by eight,
- * combined pairwise, and then the remaining items one by one. */
+ * pairwise_sum adds a leaf: the first n - n % 8 items in eight accumulators
+ * strided by eight, combined pairwise, and then the remaining items one by
+ * one. */
 static void leaf(const struct pairs *p, int64_t lo, int n, double s[3])
 {
     unsigned char bx[LEAF], by[LEAF];
@@ -223,31 +221,25 @@ static void leaf(const struct pairs *p, int64_t lo, int n, double s[3])
         /* The pairs run past the end of a row: copy them into one run. */
         for (int k = 0; k < n; row++, col = 0) {
             int run = p->cols - col < n - k ? (int)(p->cols - col) : n - k;
-            memcpy(bx + k, p->x + row * p->stride + col, run);
-            memcpy(by + k, p->y + row * p->stride + col, run);
+            memcpy(bx + k, p->x + row * p->stride + col, (size_t)run);
+            memcpy(by + k, p->y + row * p->stride + col, (size_t)run);
             k += run;
         }
         x = bx;
         y = by;
     }
     const double *lx = p->lx, *ly = p->ly;
-    double sxx = 0.0, syy = 0.0, sxy = 0.0;
-    int unrolled = n < 8 ? 0 : n - n % 8;
-    if (unrolled) {
-        /* The first eight items seed the accumulators. */
-        v2d xx[4], yy[4], xy[4];
-        for (int i = 0; i < unrolled; i += 8)
-            for (int j = 0; j < 4; j++) {
-                const unsigned char *u = x + i + 2 * j, *w = y + i + 2 * j;
-                v2d a = {lx[u[0]], lx[u[1]]}, b = {ly[w[0]], ly[w[1]]};
-                xx[j] = i ? xx[j] + a * a : a * a;
-                yy[j] = i ? yy[j] + b * b : b * b;
-                xy[j] = i ? xy[j] + a * b : a * b;
-            }
-        sxx = combine(xx);
-        syy = combine(yy);
-        sxy = combine(xy);
-    }
+    v2d xx[4] = {0}, yy[4] = {0}, xy[4] = {0};
+    int unrolled = n - n % 8;
+    for (int i = 0; i < unrolled; i += 8)
+        for (int j = 0; j < 4; j++) {
+            const unsigned char *u = x + i + 2 * j, *w = y + i + 2 * j;
+            v2d a = {lx[u[0]], lx[u[1]]}, b = {ly[w[0]], ly[w[1]]};
+            xx[j] += a * a;
+            yy[j] += b * b;
+            xy[j] += a * b;
+        }
+    double sxx = combine(xx), syy = combine(yy), sxy = combine(xy);
     for (int i = unrolled; i < n; i++) {
         sxx += lx[x[i]] * lx[x[i]];
         syy += ly[y[i]] * ly[y[i]];
@@ -260,29 +252,29 @@ static void leaf(const struct pairs *p, int64_t lo, int n, double s[3])
 
 /* The sums of leaf over pairs lo .. lo + n - 1 along numpy's pairwise tree,
  * which above LEAF items splits n at n / 2 - (n / 2) % 8 and adds the sums of
- * the two halves.  metrics._tree_sum splits the same way above BLOCK pairs
- * (limit == BLOCK), where each block's numpy .sum() adds the pairwise sum to
- * the identity 0.0.  That addition only turns a -0.0 block sum into +0.0,
- * which no moment sum shows: a -0.0 sum needs every product to be -0.0, a
- * +0.0 centred value times a negative one, so that no centred value of
- * either series is positive, which their means rule out.  No self-check can
- * see it; it stays to mirror numpy operation for operation. */
-static void tree(const struct pairs *p, int64_t lo, int64_t n, int64_t limit, double s[3])
+ * the two halves.
+ *
+ * numpy seeds the accumulators of a leaf of 8 items or more with its first
+ * eight, and metrics._tree_sum adds each block's sum to .sum()'s identity
+ * 0.0; here every accumulator starts at 0.0 and no block level exists.  Both
+ * can only turn a -0.0 partial sum into +0.0, which changes a total only if
+ * numpy's total is -0.0, so every product is -0.0.  No centred value is
+ * -0.0, so in each pair one is +0.0 and the other negative.  Then no x
+ * exceeds mx and no y exceeds my, so, mx and my being the means of fewer
+ * than 2^46 values, every value equals its mean and every product is +0.0.
+ * So the sums are numpy's bit for bit. */
+static void tree(const struct pairs *p, int64_t lo, int64_t n, double s[3])
 {
-    if (n > limit) {
-        int64_t half = n / 2 - (n / 2) % 8;
-        double t[3];
-        tree(p, lo, half, limit, s);
-        tree(p, lo + half, n - half, limit, t);
-        for (int k = 0; k < 3; k++)
-            s[k] = s[k] + t[k];
-    } else if (limit == BLOCK) {
-        tree(p, lo, n, LEAF, s);
-        for (int k = 0; k < 3; k++)
-            s[k] = 0.0 + s[k];
-    } else {
+    if (n <= LEAF) {
         leaf(p, lo, (int)n, s);
+        return;
     }
+    int64_t half = n / 2 - (n / 2) % 8;
+    double t[3];
+    tree(p, lo, half, s);
+    tree(p, lo + half, n - half, t);
+    for (int k = 0; k < 3; k++)
+        s[k] = s[k] + t[k];
 }
 
 /* Store in moments the population moment sums (sxx, syy, sxy) of the pairs
@@ -298,5 +290,5 @@ void pair_moments(const unsigned char *x, const unsigned char *y, int64_t rows,
         p.lx[i] = (double)i - mx;
         p.ly[i] = (double)i - my;
     }
-    tree(&p, 0, rows * cols, BLOCK, moments);
+    tree(&p, 0, rows * cols, moments);
 }

@@ -11,13 +11,13 @@ all through _write after it returns, as the scripts write theirs, so a
 command that fails writes nothing.
 
 Only analyze and experiment import numpy, and only inside the command,
-through the library; the metrics count each histogram in the compiled kernel
-library when that loads. encrypt, decrypt and keystream read and write PGM
-bytes directly and XOR the payload in the key kernel, compiled or pure
-Python; index computes on plain floats. None of the four imports platform,
-json or numbers: json is imported only to read --config, and numbers only
-for a key field that is not a float. csv is imported only by analyze and
-index.
+through the library; the metrics count each histogram and sum the
+correlation moments in the compiled kernel library when that loads.
+encrypt, decrypt and keystream read and write PGM bytes directly and XOR the
+payload in the key kernel, compiled or pure Python; index computes on plain
+floats. None of the four imports platform, json or numbers: json is imported
+only to read --config, and numbers only for a key field that is not a float.
+csv is imported only by analyze and index.
 """
 
 from __future__ import annotations

@@ -46,9 +46,9 @@ class WorkScores:
 _OFFSETS = dict(zip(DIRECTIONS, ((0, 1), (1, 0), (1, 1))))
 
 # Pairs per block of adjacent_correlation's numpy path, whose two float64
-# buffers of this length (512 KiB) stay in cache; _kernel.c's BLOCK repeats
-# it. It must be at least 128: numpy splits no sum of up to 128 items, so a
-# smaller block would split where numpy does not.
+# buffers of this length (512 KiB) stay in cache. It must be at least 128:
+# numpy splits no sum of up to 128 items, so a smaller block would split
+# where numpy does not.
 _BLOCK = 2 ** 15
 
 # Pixels per np.bincount call of histogram without the compiled counter,

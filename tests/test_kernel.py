@@ -284,16 +284,18 @@ class TestFallback:
     @needs_cc
     @pytest.mark.parametrize("right, wrong", [
         # A leaf fuses each product into its accumulator.
-        ("xy[j] = i ? xy[j] + a * b : a * b;",
-         "xy[j] = i ? (v2d){__builtin_fma(a[0], b[0], xy[j][0]), "
-         "__builtin_fma(a[1], b[1], xy[j][1])} : a * b;"),
+        ("xy[j] += a * b;",
+         "xy[j] = (v2d){__builtin_fma(a[0], b[0], xy[j][0]), "
+         "__builtin_fma(a[1], b[1], xy[j][1])};"),
         # A leaf adds two of its eight accumulators in the wrong pairs.
         ("(r[0][0] + r[0][1]) + (r[1][0] + r[1][1])",
          "(r[0][0] + r[1][0]) + (r[0][1] + r[1][1])"),
         # A mean multiplies by a reciprocal.
         ("return (double)sum / (double)(rows * cols);",
          "return (double)sum * (1.0 / (double)(rows * cols));"),
-    ], ids=["fma", "combine", "mean-reciprocal"])
+        # The tree splits at n / 2, not at a multiple of eight below it.
+        ("int64_t half = n / 2 - (n / 2) % 8;", "int64_t half = n / 2;"),
+    ], ids=["fma", "combine", "mean-reciprocal", "split"])
     def test_self_check_catches_wrong_moment_sums(
             self, cache, monkeypatch, caplog, reference, tmp_path, right, wrong):
         # The fallback takes the correlations too, and sums them with numpy.

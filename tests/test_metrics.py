@@ -191,6 +191,24 @@ class TestBitIdentity:
         assert outcomes(image, direction) == [
             outcome(reference_correlation, image, direction)] * 2
 
+    def test_matches_reference_through_a_block_of_negative_zeros(self):
+        # x's mean is exactly 100, so each product of the first block is
+        # +0.0 times a negative centred y: 32,768 products of -0.0, which
+        # numpy sums to +0.0 and the compiled sums, with accumulators that
+        # start at +0.0 and no block level, sum to +0.0 too.
+        pixels = np.full((1, 2 * _BLOCK + 1), 100, np.uint8)
+        pixels[0, _BLOCK:2 * _BLOCK] = np.tile(np.array([90, 110], np.uint8), _BLOCK // 2)
+        pixels[0, -1] = 250
+        x, y = (s.astype(np.float64).ravel() for s in reference_pairs(pixels, "horizontal"))
+        products = (x - x.mean())[:_BLOCK] * (y - y.mean())[:_BLOCK]
+        assert x.mean() == 100.0
+        assert (products == 0.0).all() and np.signbit(products).all()
+        assert products.sum().hex() == "0x0.0p+0"
+        image = make_image(pixels)
+        want = reference_correlation(image, "horizontal")
+        assert want == pytest.approx(-0.99609779)
+        assert outcomes(image, "horizontal") == [want.hex()] * 2
+
     def test_self_check_moments_are_the_numpy_sums(self):
         # The loader holds the compiled moment sums to these constants, so
         # they must be what the numpy path sums for every direction.
